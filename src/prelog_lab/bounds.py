@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
 
-from .errors import DomainError, NumericError, PreconditionError
+from .errors import DomainError, NumericError, PreconditionError, check_positive
 from .spectra import (
     SpectralDensity,
     make_onoff_spectrum,
@@ -294,16 +294,10 @@ def capacity_lower_bound(model: FadingModel, snr: float, upsilon: float) -> floa
     Any fixed ups > 0 is valid; the value may be negative (capacity itself
     is nonnegative, the raw bound is reported unclamped).
     """
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
-    if upsilon <= 0:
-        raise DomainError(f"threshold must be positive, got {upsilon}")
+    check_positive("threshold", upsilon)
+    integral = spectral_log_integral(model.spectrum, snr)  # rejects a bad snr
     p = model.tail(upsilon)
-    return (
-        p * math.log(snr)
-        - p * (1.0 - math.log(upsilon * upsilon))
-        - spectral_log_integral(model.spectrum, snr)
-    )
+    return p * math.log(snr) - p * (1.0 - math.log(upsilon * upsilon)) - integral
 
 
 def default_upsilon_grid(lo: float = 1e-3, hi: float = 4.0, points: int = 60) -> list[float]:
@@ -350,8 +344,7 @@ def coherent_avg_upper_bound(model: FadingModel, snr: float) -> float:
     p = P(|H1| > 0); Jensen applied to the nonzero fading fraction.  When
     p = 0 the channel carries nothing and the bound is 0.
     """
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
+    check_positive("snr", snr)
     p = 1.0 - model.mass_at_zero
     if p == 0.0:
         return 0.0
@@ -370,8 +363,7 @@ def phase_noise_lower_bound(snr: float) -> float:
     variance so snr equals the peak power.  Asymptotic slope 1/2 per
     ln-unit of snr.
     """
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
+    check_positive("snr", snr)
     return (
         math.log(snr)
         - 0.5 * math.log(4.0 * math.pi * math.e * (2.0 + 4.0 * snr))
@@ -382,8 +374,7 @@ def phase_noise_lower_bound(snr: float) -> float:
 def phase_noise_upper_bound(snr: float) -> float:
     """Average-power capacity ceiling (1/2) log(1 + snr/2) for unit-modulus
     fading, in nats."""
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
+    check_positive("snr", snr)
     return 0.5 * math.log1p(snr / 2.0)
 
 

@@ -13,7 +13,8 @@ Models are named with a small spec language, name:key=value,...:
     custom:spectrum=f.json,tail=rayleigh   spectrum file plus named tail
 
 Grids are lo:hi:points (log-spaced), a comma list, or a single value.
-A JSON config file given with --config overrides the flags it names.
+A JSON config file given with --config overrides the flags it names;
+each value is parsed as if it had been typed after its flag.
 PRELOG_LAB_THREADS caps worker threads for grid sweeps.
 """
 
@@ -224,7 +225,7 @@ def cmd_szego(args) -> int:
     integral = spectra.spectral_log_integral(S, snr)
     rows = []
     for n in n_list:
-        rate = toeplitz.szego_logdet_rate(S, snr, n, max_n=args.max_n)
+        rate = toeplitz.szego_logdet_rate(S, snr, n)
         rows.append([n, rate, integral, abs(rate - integral)])
     scalars = {"model": model.name, "snr": snr}
     _emit(args, ["n", "rate", "integral", "gap"], rows, scalars)
@@ -330,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--snr", default="100", help="single snr value")
     p.add_argument("--n", default="32,64,128", help="comma list of dimensions")
-    p.add_argument("--max-n", type=int, default=toeplitz.DEFAULT_MAX_N,
-                   help="largest dimension the eigensolver accepts")
     p.set_defaults(fn=cmd_szego)
 
     p = command("simulate", "sample a fading path and check its autocovariance")
@@ -377,9 +376,14 @@ def cmd_manual(args, parser, sections) -> int:
     return EXIT_OK
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's entries as --flag=value arguments.
+
+    Parsing them after the command line lets each value override its flag
+    and go through that flag's type and choices, as if it had been typed.
+    """
     if not getattr(args, "config", None):
-        return
+        return []
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
@@ -387,23 +391,27 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise DomainError(f"malformed config JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DomainError("config file must hold a JSON object")
+    flags = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("config", "fn", "command"):
             raise DomainError(f"config key {key!r} is not a flag of {args.command!r}")
-        setattr(args, dest, value)
+        flags.append(f"--{dest.replace('_', '-')}={value}")
+    return flags
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        flags = _config_flags(args)
+        if flags:
+            args = parser.parse_args(argv + flags)
+        return args.fn(args)
     except SystemExit as exc:  # argparse handles --help and usage errors
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else EXIT_USAGE
-    try:
-        _apply_config(args)
-        return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

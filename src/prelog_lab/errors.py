@@ -4,9 +4,13 @@ DomainError covers invalid arguments (bad parameter ranges, malformed
 segment lists, mismatched lengths).  PreconditionError marks calls whose
 mathematical hypothesis fails for the given model, e.g. asking for the
 worst-case pre-log lower bound of a process with positive mass at zero.
-NumericError marks internal numerical failures (eigensolver stagnation,
-covariance matrices that are not numerically positive semidefinite).
+NumericError marks internal numerical failures (a nonpositive innovation
+variance in the Szego recursion, i.e. a matrix that is not numerically
+positive definite, or a non-Hermitian matrix handed to the eigenvalue
+routine).
 """
+
+import math
 
 
 class DomainError(ValueError):
@@ -19,3 +23,9 @@ class PreconditionError(DomainError):
 
 class NumericError(ArithmeticError):
     """A numerical routine failed to converge or produced unusable output."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise DomainError unless value is finite and > 0 (NaN and inf fail)."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")

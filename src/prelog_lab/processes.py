@@ -37,7 +37,13 @@ _SYNTH_BLOCK = 2048
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for one (seed, stream) pair."""
+    """Counter-based generator for one (seed, stream) pair.
+
+    The seed is one 64-bit word of the Philox key, so it must lie in
+    [0, 2**64); anything else raises DomainError.
+    """
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, check_positive
 
 # mass bookkeeping tolerance for validated densities
 MASS_TOL = 1e-12
@@ -251,8 +251,7 @@ def spectral_log_integral(S: SpectralDensity, snr: float) -> float:
 
     Closed form: sum over segments of (hi - lo) log(1 + snr value).
     """
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
+    check_positive("snr", snr)
     return math.fsum(
         (hi - lo) * math.log1p(snr * v) for lo, hi, v in S.segments if v > 0.0
     )
@@ -278,6 +277,7 @@ def finite_snr_ratios(
     """
     out = []
     for snr in snrs:
+        check_positive("snr", snr)
         if snr <= 1:
             raise DomainError(f"ratio diagnostics need snr > 1, got {snr}")
         out.append((snr, spectral_log_integral(S, snr) / math.log(snr)))

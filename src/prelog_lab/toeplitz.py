@@ -3,31 +3,28 @@
 The covariance of n consecutive fading samples is the Hermitian Toeplitz
 matrix built from the autocovariance sequence.  Its eigenvalue counting
 measure converges to the spectral density, so the normalized log-det rate
-(1/n) sum log(1 + snr lam_k) approaches the spectral log-integral; szego_gap
+(1/n) log det(I + snr T_n) approaches the spectral log-integral; szego_gap
 measures that convergence.
 
-The eigensolver is deliberately dependency-free: complex Householder
-reduction to real symmetric tridiagonal form followed by implicit-shift QL
-iteration.  Tests compare it against an independent dense solver.
+The log-det is the sum of the log one-step prediction-error (innovation)
+variances of the fading process observed in unit-variance noise.  The
+Levinson-Durbin recursion gives those variances in O(n^2) straight from
+the first row of I + snr T_n, with no matrix and no eigenvalues.  By
+Kolmogorov-Szego they tend to exp(integral log(1 + snr F')), which grows
+like snr to the power of the measure of the support of F', not like snr:
+where F' vanishes the past predicts the fading perfectly, which is the
+mechanism behind the pre-log.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_positive
 from .spectra import AutocovarianceSeq, SpectralDensity, autocovariance_sequence, spectral_log_integral
 
-# relative off-diagonal decay declaring a QL element converged
-QL_TOL = 1e-12
-QL_MAX_SWEEPS = 60
-# O(n^3) eigensolve guard, overridable per call
-DEFAULT_MAX_N = 4096
-# eigenvalues in [-PSD_SLACK * r(0), 0) are rounding noise and clamp to 0
-PSD_SLACK = 1e-9
 HERMITIAN_TOL = 1e-10
 
 
@@ -71,156 +68,69 @@ def covariance_matrix(r: AutocovarianceSeq, n: int) -> ToeplitzCov:
     return ToeplitzCov(tuple(r.values[:n]), n)
 
 
-def _tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of Hermitian A to (diagonal, subdiagonal).
-
-    Off-diagonal phases are absorbed by a diagonal unitary similarity, so
-    the returned subdiagonal is real nonnegative and the tridiagonal matrix
-    is real symmetric with the same spectrum as A.
-    """
-    A = np.array(A, dtype=np.complex128)
-    n = A.shape[0]
-    for j in range(n - 2):
-        x = A[j + 1:, j]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        x0 = x[0]
-        phase = x0 / abs(x0) if x0 != 0 else 1.0
-        alpha = -phase * nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            continue
-        v /= nv
-        B = A[j + 1:, j + 1:]
-        p = B @ v
-        mu = float(np.real(np.vdot(v, p)))
-        w = 2.0 * (p - mu * v)
-        B -= np.outer(v, np.conj(w)) + np.outer(w, np.conj(v))
-        A[j + 1:, j] = 0
-        A[j, j + 1:] = 0
-        A[j + 1, j] = alpha
-        A[j, j + 1] = np.conj(alpha)
-    d = np.real(np.diag(A)).copy()
-    e = np.abs(np.diag(A, -1)) if n > 1 else np.empty(0)
-    return d, e
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Implicit-shift QL iteration on a real symmetric tridiagonal matrix.
-
-    d is the diagonal, e the subdiagonal.  Destroys its inputs and returns
-    the eigenvalues unsorted.  Raises NumericError after QL_MAX_SWEEPS
-    sweeps without deflation.
-    """
-    n = d.size
-    if n == 1:
-        return d
-    d = d.astype(float).copy()
-    e = np.append(e.astype(float), 0.0)
-    for l in range(n):
-        for sweep in range(QL_MAX_SWEEPS + 1):
-            # find the first converged off-diagonal element at or after l
-            for m in range(l, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= QL_TOL * dd:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            if sweep == QL_MAX_SWEEPS:
-                raise NumericError(
-                    f"QL iteration exceeded {QL_MAX_SWEEPS} sweeps at index {l}"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            sgn = r if g >= 0 else -r
-            g = d[m] - d[l] + e[l] / (g + sgn)
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return d[:n]
-
-
-def _eigenvalues_dense(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix via tridiagonal QL."""
-    A = np.asarray(A, dtype=np.complex128)
+def hermitian_eigenvalues(M: ToeplitzCov | np.ndarray) -> np.ndarray:
+    """Real eigenvalues of a Hermitian (Toeplitz) covariance, ascending."""
+    A = np.asarray(M.matrix() if isinstance(M, ToeplitzCov) else M, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError(f"need a square matrix, got shape {A.shape}")
     scale = max(1.0, float(np.max(np.abs(A))))
     if float(np.max(np.abs(A - A.conj().T))) > HERMITIAN_TOL * scale:
         raise NumericError("matrix is not Hermitian")
-    d, e = _tridiagonalize(A)
-    vals = _ql_implicit(d, e)
-    return np.sort(vals)
+    return np.linalg.eigvalsh(A)
 
 
-def hermitian_eigenvalues(M: ToeplitzCov | np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian (Toeplitz) covariance, ascending."""
-    A = M.matrix() if isinstance(M, ToeplitzCov) else M
-    return _eigenvalues_dense(A)
+def _innovation_variances(first_row: np.ndarray) -> np.ndarray:
+    """One-step prediction-error variances P_0..P_{n-1} of a Hermitian
+    positive definite Toeplitz matrix, from its first row r(0..n-1).
 
-
-def _clamped_eigenvalues(cov: ToeplitzCov) -> np.ndarray:
-    """Eigenvalues with rounding-level negatives clamped to zero."""
-    vals = hermitian_eigenvalues(cov)
-    r0 = cov.first_row[0].real
-    floor = -PSD_SLACK * r0
-    if vals[0] < floor:
-        raise NumericError(
-            f"covariance not positive semidefinite: min eigenvalue {vals[0]}"
-        )
-    return np.maximum(vals, 0.0)
-
-
-def szego_logdet_rate(
-    S: SpectralDensity, snr: float, n: int, max_n: int = DEFAULT_MAX_N
-) -> float:
-    """(1/n) sum log(1 + snr lam_k) over the covariance eigenvalues, in nats.
-
-    Converges to spectral_log_integral(S, snr) as n grows.  n is capped at
-    max_n because the eigensolve is O(n^3).
+    P_k is the ratio of the leading (k+1)- and k-dimensional principal
+    minors, so sum(log P) is the log-determinant.  The Levinson-Durbin
+    reflection coefficients kappa_k give P_k = P_{k-1} (1 - |kappa_k|^2).
+    They are taken from Schur's generator recursion rather than from the
+    predictor polynomial: the predictor's rounding errors grow with
+    prod (1 + |kappa|) / (1 - |kappa|), and near spectral zeros at high snr,
+    where |kappa| -> 1, they drive P negative (Cybenko 1980; Bojanczyk,
+    Brent, de Hoog and Sweet 1995).  O(n^2) time and O(n) memory.  Raises
+    NumericError when some P_k is not positive.
     """
-    if snr <= 0:
-        raise DomainError(f"snr must be positive, got {snr}")
+    v = np.array(first_row, dtype=np.complex128)
+    n = v.size
+    # generator pair: u shifts right one place per step, so u[i] holds the
+    # entry at position i + k; v stays in place and v[k] is eliminated
+    u = v.copy()
+    v[0] = 0.0
+    P = np.empty(n)
+    P[0] = u[0].real
+    for k in range(1, n):
+        a, b = u[:n - k], v[k:]
+        kappa = -b[0] / a[0]
+        t = kappa * a
+        a += np.conj(kappa) * b
+        b += t
+        # 1 - |kappa|^2 without cancellation when |kappa| is near 1
+        m = abs(kappa)
+        P[k] = P[k - 1] * (1.0 - m) * (1.0 + m)
+        if not P[k] > 0.0:
+            raise NumericError(f"innovation variance P_{k} = {P[k]} is not positive")
+    return P
+
+
+def szego_logdet_rate(S: SpectralDensity, snr: float, n: int) -> float:
+    """(1/n) log det(I + snr T_n) in nats, T_n the n x n fading covariance.
+
+    Equals the mean log innovation variance of the fading process observed
+    in unit-variance noise, computed by Levinson-Durbin in O(n^2) from the
+    first row.  Converges to spectral_log_integral(S, snr) as n grows.
+    """
+    check_positive("snr", snr)
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    if n > max_n:
-        raise DomainError(f"n = {n} exceeds the eigensolve cap {max_n}")
-    cov = covariance_matrix(autocovariance_sequence(S, n - 1), n)
-    vals = _clamped_eigenvalues(cov)
-    return float(np.sum(np.log1p(snr * vals)) / n)
+    row = snr * np.asarray(autocovariance_sequence(S, n - 1).values)
+    row[0] += 1.0
+    return float(np.mean(np.log(_innovation_variances(row))))
 
 
-def szego_gap(
-    S: SpectralDensity, snr: float, n_list, max_n: int = DEFAULT_MAX_N
-) -> list[tuple[int, float]]:
+def szego_gap(S: SpectralDensity, snr: float, n_list) -> list[tuple[int, float]]:
     """|szego_logdet_rate(n) - spectral_log_integral| for each n in n_list."""
     target = spectral_log_integral(S, snr)
-    return [
-        (int(n), abs(szego_logdet_rate(S, snr, int(n), max_n) - target))
-        for n in n_list
-    ]
+    return [(int(n), abs(szego_logdet_rate(S, snr, int(n)) - target)) for n in n_list]

@@ -9,7 +9,7 @@ CRITERIA_TITLES = {
     4: "monotone finite-snr pre-log trajectory toward 0.8 for W=0.1 Rayleigh",
     5: "lower bound never exceeds coherent upper bound on random models",
     6: "sample-path laws match closed forms at n=1e5",
-    7: "oracle equivalence: eigensolver, quadrature, Monte Carlo tails",
+    7: "oracle equivalence: eigenvalues, Levinson log-det rate, quadrature, Monte Carlo tails",
     8: "MISO pre-log equals the best single antenna",
 }
 

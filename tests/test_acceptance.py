@@ -36,6 +36,7 @@ from prelog_lab.processes import (
     tail_probability_mc,
 )
 from prelog_lab.spectra import (
+    autocovariance_sequence,
     make_rect_band,
     sinc,
     spectral_log_integral,
@@ -141,7 +142,7 @@ def test_criterion_6_simulation_consistency():
 def test_criterion_7_oracle_equivalence():
     t0 = time.perf_counter()
 
-    # eigensolver vs dense LAPACK oracle at n <= 8
+    # Hermitian eigenvalues vs the general LAPACK oracle at n <= 8
     rng = np.random.default_rng(99)
     for n in range(2, 9):
         for _ in range(4):
@@ -156,6 +157,19 @@ def test_criterion_7_oracle_equivalence():
         S = random_density(rng)
         snr = float(10 ** rng.uniform(-1, 6))
         assert abs(spectral_log_integral(S, snr) - quad_log_integral(S, snr)) <= 1e-9
+
+    # Levinson rate == (1/n) sum log1p(snr eig) == slogdet / n, 20 random cases
+    for _ in range(20):
+        S = random_density(rng, force_zero_band=True)
+        snr = float(10 ** rng.uniform(0, 4))
+        n = int(rng.integers(2, 129))
+        T = toeplitz_matrix(autocovariance_sequence(S, n - 1).values)
+        rate = szego_logdet_rate(S, snr, n)
+        eig_rate = float(np.sum(np.log1p(snr * eig_oracle(T)))) / n
+        sign, logdet = np.linalg.slogdet(np.eye(n) + snr * T)
+        assert sign.real > 0
+        assert abs(rate - eig_rate) <= 1e-8
+        assert abs(rate - logdet / n) <= 1e-8
 
     # closed-form tails vs Monte Carlo at 1e6 draws, four thresholds per model
     n_mc = 1_000_000

@@ -58,6 +58,11 @@ class TestCapacityLowerBound:
             capacity_lower_bound(model, 1e4, -1.0)
         with pytest.raises(DomainError):
             capacity_lower_bound(model, 0.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                capacity_lower_bound(model, bad, 1.0)
+            with pytest.raises(DomainError):
+                capacity_lower_bound(model, 1e4, bad)
 
 
 class TestOptimizeUpsilon:
@@ -127,6 +132,11 @@ class TestCoherentUpper:
         )
         assert coherent_avg_upper_bound(dead, 1e4) == 0.0
 
+    def test_snr_domain(self):
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                coherent_avg_upper_bound(rayleigh_band_model(0.1), bad)
+
 
 class TestMasspointUpper:
     def test_values(self):
@@ -185,6 +195,11 @@ class TestPhaseNoise:
             phase_noise_lower_bound(0.0)
         with pytest.raises(DomainError):
             phase_noise_upper_bound(-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                phase_noise_lower_bound(bad)
+            with pytest.raises(DomainError):
+                phase_noise_upper_bound(bad)
 
 
 class TestMiso:

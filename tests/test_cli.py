@@ -202,13 +202,31 @@ class TestSzegoCommand:
         )
         assert code == 2
 
-    def test_cap_respected(self, capsys):
-        code, _, _ = run(
+    def test_large_n_needs_no_cap(self, capsys):
+        code, out, _ = run(
             capsys,
-            ["szego", "--model", "rayleigh-band:W=0.25", "--snr", "100",
-             "--n", "64", "--max-n", "32"],
+            ["szego", "--model", "rayleigh-band:W=0.25", "--snr", "100", "--n", "8192"],
         )
-        assert code == 2
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert float(rows[0]["gap"]) < 0.005
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "nan"],
+        ["bound-sweep", "--model", "phase-noise", "--snr", "nan"],
+        ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "1e2", "--upsilon", "inf"],
+        ["szego", "--model", "rayleigh-band:W=0.25", "--snr", "inf"],
+        ["prelog-report", "--model", "rayleigh-band:W=0.1", "--snr", "1e4,inf"],
+    ],
+)
+def test_nonfinite_snr_or_threshold_is_usage(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 class TestSimulateCommand:
@@ -245,6 +263,16 @@ class TestSimulateCommand:
         assert back.n == 512
         assert back.seed == 3
         assert np.all(np.abs(back.values) == 1.0)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_usage(self, capsys, seed):
+        code, out, err = run(
+            capsys,
+            ["simulate", "--model", "phase-noise", "--n", "16", "--seed", seed],
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
 
 
 class TestMisoCommand:
@@ -283,6 +311,36 @@ class TestConfigOverride:
         )
         assert code == 0
         assert "# model=rayleigh-band:W=0.25" in out
+
+    def test_config_values_go_through_flag_types(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr": 100, "n": 64}))
+        argv = ["szego", "--model", "rayleigh-band:W=0.25", "--config", str(cfg)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        _, typed, _ = run(capsys, ["szego", "--model", "rayleigh-band:W=0.25",
+                                   "--snr", "100", "--n", "64"])
+        assert out == typed
+
+    def test_config_value_of_wrong_type_is_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "abc"}))
+        code, out, _ = run(
+            capsys,
+            ["simulate", "--model", "phase-noise", "--config", str(cfg)],
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_config_value_outside_choices_is_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        code, out, _ = run(
+            capsys,
+            ["spectrum", "--model", "phase-noise", "--config", str(cfg)],
+        )
+        assert code == 2
+        assert out == ""
 
     def test_missing_config_is_io(self, capsys):
         code, _, _ = run(

@@ -193,6 +193,9 @@ class TestLogIntegral:
             spectral_log_integral(make_rect_band(0.25), 0.0)
         with pytest.raises(DomainError):
             spectral_log_integral(make_rect_band(0.25), -5.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                spectral_log_integral(make_rect_band(0.25), bad)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(11)
@@ -250,6 +253,9 @@ class TestLimitingRatio:
     def test_snr_guard(self):
         with pytest.raises(DomainError):
             finite_snr_ratios(make_rect_band(0.5), (0.5,))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                finite_snr_ratios(make_rect_band(0.5), (1e3, bad))
 
 
 class TestSerialization:

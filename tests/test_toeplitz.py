@@ -1,4 +1,4 @@
-"""Covariance construction, the QL eigensolver, and Szego convergence."""
+"""Covariance construction, Hermitian eigenvalues, and the Levinson Szego rate."""
 
 import math
 
@@ -8,12 +8,14 @@ import pytest
 from prelog_lab.errors import DomainError, NumericError
 from prelog_lab.spectra import (
     autocovariance_sequence,
+    make_piecewise,
     make_rect_band,
     sinc,
     spectral_log_integral,
 )
 from prelog_lab.toeplitz import (
     ToeplitzCov,
+    _innovation_variances,
     covariance_matrix,
     hermitian_eigenvalues,
     szego_gap,
@@ -160,13 +162,63 @@ class TestSzego:
             0.0, abs=1e-12
         )
 
-    def test_dimension_cap(self):
-        S = make_rect_band(0.25)
-        with pytest.raises(DomainError):
-            szego_logdet_rate(S, 100.0, 9000)
-        with pytest.raises(DomainError):
-            szego_logdet_rate(S, 100.0, 40, max_n=30)
-
     def test_snr_guard(self):
-        with pytest.raises(DomainError):
-            szego_logdet_rate(make_rect_band(0.25), 0.0, 8)
+        for snr in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                szego_logdet_rate(make_rect_band(0.25), snr, 8)
+
+    def test_large_n_needs_no_cap(self):
+        S = make_rect_band(0.25)
+        rate = szego_logdet_rate(S, 100.0, 8192)
+        assert abs(rate - spectral_log_integral(S, 100.0)) < 0.005
+
+
+# unit-variance spectra with zero bands on the 1/64 grid on which an
+# iterative eigensolver stalls; the rate must still match the determinant
+STALLING_SPECTRA = {
+    512: [
+        (-0.5, -0.40625, 0.0),
+        (-0.40625, -0.3125, 0.0),
+        (-0.3125, -0.234375, 1.1168577015800765),
+        (-0.234375, -0.15625, 5.697340482497893),
+        (-0.15625, 0.109375, 0.0),
+        (0.109375, 0.40625, 0.0),
+        (0.40625, 0.5, 4.988168179935027),
+    ],
+    1024: [
+        (-0.5, -0.453125, 11.849899544119253),
+        (-0.453125, -0.34375, 0.0),
+        (-0.34375, -0.015625, 0.0),
+        (-0.015625, 0.21875, 0.0),
+        (0.21875, 0.40625, 2.37085844730352),
+        (0.40625, 0.5, 0.0),
+    ],
+}
+
+
+class TestLevinson:
+    @pytest.mark.parametrize("snr", [1e2, 1e6])
+    @pytest.mark.parametrize("n", sorted(STALLING_SPECTRA))
+    def test_rate_matches_slogdet(self, n, snr):
+        S = make_piecewise(STALLING_SPECTRA[n])
+        cov = covariance_matrix(autocovariance_sequence(S, n - 1), n)
+        sign, logdet = np.linalg.slogdet(np.eye(n) + snr * cov.matrix())
+        assert sign.real > 0
+        r0 = cov.first_row[0].real
+        assert abs(szego_logdet_rate(S, snr, n) - logdet / n) <= 1e-13 * snr * max(1.0, r0)
+
+    def test_zero_band_at_huge_snr(self):
+        # prediction is nearly perfect, so reflection coefficients approach 1
+        # in modulus; the innovation variances still never drop below the
+        # unit noise floor by more than rounding
+        snr = 1e12
+        S = make_rect_band(0.1)
+        row = snr * np.asarray(autocovariance_sequence(S, 255).values)
+        row[0] += 1.0
+        P = _innovation_variances(row)
+        assert np.all(P >= 1 - 1e-9)
+        assert math.isfinite(szego_logdet_rate(S, snr, 256))
+
+    def test_indefinite_row_is_numeric_error(self):
+        with pytest.raises(NumericError):
+            _innovation_variances(np.array([1.0, 2.0, 0.5]))
