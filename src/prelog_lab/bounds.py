@@ -16,6 +16,9 @@ spectrum, and the single-antenna-selection MISO lower bound.
 
 All values are in nats.  Everything here is pure and thread-safe; grid
 sweeps can fan out worker threads while preserving grid output order.
+A sweep evaluates the threshold bound over its whole threshold grid at
+once: the threshold-only terms are tabulated once per sweep, and each snr
+costs one spectral integral and one numpy expression.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
+
+import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError, check_positive
 from .spectra import (
@@ -287,17 +292,66 @@ NAMED_TAILS = {
 # ---------------------------------------------------------------------------
 # bounds
 
-def capacity_lower_bound(model: FadingModel, snr: float, upsilon: float) -> float:
+@dataclass(frozen=True)
+class _ThresholdTable:
+    """A sorted threshold grid with the bound's threshold-only terms.
+
+    tail[k] = P{|H1| >= upsilon[k]} and offset[k] = 1 - log upsilon[k]^2.
+    upsilon keeps the caller's own grid elements, so an optimal threshold
+    is reported as given.
+    """
+
+    upsilon: tuple
+    tail: np.ndarray
+    offset: np.ndarray
+
+
+def _threshold_table(model: FadingModel, grid: Sequence[float] | None) -> _ThresholdTable:
+    """Validate a threshold grid (None: the default grid) and tabulate its
+    terms for model.
+
+    Every threshold is checked before any tail is evaluated.  The terms
+    come from model.tail and math.log one point at a time, not from
+    numpy's vectorized exp/log (see capacity_lower_bound).
+    """
+    ups = sorted(default_upsilon_grid() if grid is None else grid)
+    if not ups:
+        raise DomainError("threshold grid must be nonempty")
+    for u in ups:
+        check_positive("threshold", u)
+        check_positive("squared threshold", u * u)  # log u^2 must be finite
+    tail = np.array([model.tail(u) for u in ups], dtype=float)
+    if not np.all((tail >= 0.0) & (tail <= 1.0)):  # also rejects NaN
+        raise DomainError(f"tail of {model.name!r} leaves [0, 1] on the threshold grid")
+    offset = np.array([1.0 - math.log(u * u) for u in ups])
+    tail.flags.writeable = offset.flags.writeable = False
+    return _ThresholdTable(tuple(ups), tail, offset)
+
+
+def capacity_lower_bound(
+    model: FadingModel, snr: float, upsilon: float | _ThresholdTable
+) -> float | np.ndarray:
     """Threshold capacity lower bound at finite snr, in nats.
 
     P{|H1| >= ups} (log snr - (1 - log ups^2)) - integral log(1 + snr F').
     Any fixed ups > 0 is valid; the value may be negative (capacity itself
     is nonnegative, the raw bound is reported unclamped).
+
+    upsilon is one threshold, or a threshold table built by a sweep, in
+    which case the bound comes back as an array over the table's sorted
+    grid: the integral is computed once and the per-threshold arithmetic
+    runs as one numpy expression, in the same operation order as the
+    scalar route, so both give the same floats.  The table's tail and
+    log terms come from libm one threshold at a time, because numpy's
+    vectorized exp/log can differ in the last bit and change the output.
     """
-    check_positive("threshold", upsilon)
+    if isinstance(upsilon, _ThresholdTable):
+        table = upsilon
+    else:
+        table = _threshold_table(model, (upsilon,))
     integral = spectral_log_integral(model.spectrum, snr)  # rejects a bad snr
-    p = model.tail(upsilon)
-    return p * math.log(snr) - p * (1.0 - math.log(upsilon * upsilon)) - integral
+    values = table.tail * math.log(snr) - table.tail * table.offset - integral
+    return values if table is upsilon else float(values[0])
 
 
 def default_upsilon_grid(lo: float = 1e-3, hi: float = 4.0, points: int = 60) -> list[float]:
@@ -311,18 +365,19 @@ def default_upsilon_grid(lo: float = 1e-3, hi: float = 4.0, points: int = 60) ->
 
 
 def optimize_upsilon(
-    model: FadingModel, snr: float, grid: Sequence[float]
+    model: FadingModel, snr: float, grid: Sequence[float] | _ThresholdTable
 ) -> tuple[float, float]:
-    """Grid argmax of the threshold lower bound, ties toward smaller ups."""
-    if not grid:
-        raise DomainError("threshold grid must be nonempty")
-    best_u = None
-    best_lb = -math.inf
-    for u in sorted(grid):
-        lb = capacity_lower_bound(model, snr, u)
-        if lb > best_lb:
-            best_u, best_lb = u, lb
-    return best_u, best_lb
+    """Grid argmax of the threshold lower bound: (upsilon_star, bound).
+
+    grid is a sequence of thresholds or a sweep's prebuilt threshold
+    table.  One capacity_lower_bound call evaluates the whole sorted grid;
+    the first maximum wins, so ties go to the smaller threshold.
+    upsilon_star is the grid's own element.
+    """
+    table = grid if isinstance(grid, _ThresholdTable) else _threshold_table(model, grid)
+    values = capacity_lower_bound(model, snr, table)
+    k = int(np.argmax(values))
+    return table.upsilon[k], float(values[k])
 
 
 def prelog_lower_bound(model: FadingModel) -> float:
@@ -417,8 +472,6 @@ def bound_sweep(
     """
     if not snrs:
         raise DomainError("snr grid must be nonempty")
-    ugrid = list(upsilon_grid) if upsilon_grid is not None else default_upsilon_grid()
-
     if model.kind == "phase":
         lows = _map_ordered(phase_noise_lower_bound, list(snrs), threads)
         ups = _map_ordered(phase_noise_upper_bound, list(snrs), threads)
@@ -426,8 +479,10 @@ def bound_sweep(
         up = BoundCurve("PHASE_UB", tuple(zip(snrs, ups)))
         return low, up
 
+    table = _threshold_table(model, upsilon_grid)
+
     def one(snr: float) -> tuple[float, float, float]:
-        u_star, lb = optimize_upsilon(model, snr, ugrid)
+        u_star, lb = optimize_upsilon(model, snr, table)
         return lb, u_star, coherent_avg_upper_bound(model, snr)
 
     rows = _map_ordered(one, list(snrs), threads)
@@ -468,10 +523,10 @@ def prelog_report(
         analytic: float | None = 0.5
         upper: float | None = 0.5
     else:
-        ugrid = list(upsilon_grid) if upsilon_grid is not None else default_upsilon_grid()
+        table = _threshold_table(model, upsilon_grid)
 
         def one(snr: float) -> tuple[float, float]:
-            return optimize_upsilon(model, snr, ugrid)
+            return optimize_upsilon(model, snr, table)
 
         pairs = _map_ordered(one, snrs, threads)
         stars = [u for u, _ in pairs]

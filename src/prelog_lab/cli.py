@@ -47,6 +47,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _number(text: str, kind=float):
+    """float(text) or int(text), with a malformed number as a DomainError."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"expected a number, got {text!r}") from None
+
+
 def parse_grid(text: str) -> list[float]:
     """lo:hi:points log-spaced grid, comma list, or single value."""
     text = text.strip()
@@ -54,8 +62,8 @@ def parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise DomainError(f"grid spec must be lo:hi:points, got {text!r}")
-        lo, hi = float(parts[0]), float(parts[1])
-        points = int(parts[2])
+        lo, hi = _number(parts[0]), _number(parts[1])
+        points = _number(parts[2], int)
         if points < 2 or lo <= 0 or hi <= lo:
             raise DomainError(f"grid needs 0 < lo < hi and points >= 2, got {text!r}")
         step = (math.log(hi) - math.log(lo)) / (points - 1)
@@ -63,12 +71,12 @@ def parse_grid(text: str) -> list[float]:
         grid[0], grid[-1] = lo, hi  # pin endpoints exactly
         return grid
     if "," in text:
-        return [float(p) for p in text.split(",") if p.strip()]
-    return [float(text)]
+        return [_number(p) for p in text.split(",") if p.strip()]
+    return [_number(text)]
 
 
 def parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+    return [_number(p, int) for p in text.split(",") if p.strip()]
 
 
 def _read_spectrum_file(path: str) -> spectra.SpectralDensity:
@@ -90,11 +98,11 @@ def parse_model(text: str) -> bounds.FadingModel:
     if name == "rayleigh-band":
         if set(params) != {"W"}:
             raise DomainError("rayleigh-band takes exactly the parameter W")
-        return bounds.rayleigh_band_model(float(params["W"]))
+        return bounds.rayleigh_band_model(_number(params["W"]))
     if name == "onoff":
         if set(params) != {"W"}:
             raise DomainError("onoff takes exactly the parameter W")
-        return bounds.onoff_model(float(params["W"]))
+        return bounds.onoff_model(_number(params["W"]))
     if name == "phase-noise":
         if params:
             raise DomainError("phase-noise takes no parameters")
@@ -269,7 +277,7 @@ def cmd_miso(args) -> int:
     for item in items:
         item = item.strip()
         if item.startswith("W="):
-            spectra_list.append(spectra.make_rect_band(float(item[2:])))
+            spectra_list.append(spectra.make_rect_band(_number(item[2:])))
         else:
             spectra_list.append(_read_spectrum_file(item))
     masses = [0.0] * len(spectra_list)

@@ -2,6 +2,17 @@
 
 import re
 
+try:
+    from hypothesis import settings
+except ImportError:  # the "test" extra is not installed; property tests skip
+    pass
+else:
+    # fixed examples, no example database: Tier-1 runs the same cases every time
+    settings.register_profile(
+        "tier1", derandomize=True, database=None, deadline=None, max_examples=60
+    )
+    settings.load_profile("tier1")
+
 CRITERIA_TITLES = {
     1: "mass-point pre-log ceiling 0.5 strictly below zero-set measure 0.75",
     2: "phase-noise slope 1/2 and bound ordering",

@@ -3,8 +3,9 @@
 Nothing here may call the routine it checks: integrals go through adaptive
 Simpson quadrature with Richardson extrapolation evaluated pointwise on
 the density, eigenvalues through numpy's general LAPACK solver, tails through
-Monte Carlo draws.  Random piecewise densities exercise the closed forms
-away from the hand-picked examples.
+Monte Carlo draws, the threshold optimum through a plain-float loop.
+Random piecewise densities exercise the closed forms away from the
+hand-picked examples.
 """
 
 from __future__ import annotations
@@ -70,6 +71,30 @@ def eig_oracle(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, from LAPACK's general
     (non-Hermitian) solver, so no library route checks itself."""
     return np.sort(np.linalg.eigvals(A).real)
+
+
+def threshold_bounds(tail, S: SpectralDensity, snr: float, grid) -> list[float]:
+    """The threshold capacity lower bound at each point of the sorted grid,
+    one threshold at a time in plain floats, with the segment-sum integral
+    written out here."""
+    integral = math.fsum(
+        (hi - lo) * math.log1p(snr * v) for lo, hi, v in S.segments if v > 0.0
+    )
+    out = []
+    for u in sorted(grid):
+        p = tail(u)
+        out.append(p * math.log(snr) - p * (1.0 - math.log(u * u)) - integral)
+    return out
+
+
+def threshold_argmax(tail, S: SpectralDensity, snr: float, grid):
+    """(upsilon_star, bound): the first strict maximum of threshold_bounds
+    over the sorted grid."""
+    best_u, best_lb = None, -math.inf
+    for u, lb in zip(sorted(grid), threshold_bounds(tail, S, snr, grid)):
+        if lb > best_lb:
+            best_u, best_lb = u, lb
+    return best_u, best_lb
 
 
 def random_density(rng: np.random.Generator, unit_variance: bool = False,

@@ -229,6 +229,45 @@ def test_nonfinite_snr_or_threshold_is_usage(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "abc"],
+        ["szego", "--model", "rayleigh-band:W=0.25", "--n", "abc"],
+        ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--upsilon", "1:x:3"],
+        ["bound-sweep", "--model", "rayleigh-band:W=abc"],
+        ["miso", "--spectra", "W=abc"],
+    ],
+)
+def test_malformed_number_is_usage(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "expected a number" in err
+
+
+def test_config_null_grid_is_usage(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"upsilon": None}))
+    code, out, err = run(
+        capsys,
+        ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--config", str(cfg)],
+    )
+    assert code == 2
+    assert out == ""
+    assert "expected a number" in err
+
+
+@pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report"])
+@pytest.mark.parametrize("grid", ["0,1", "-1,1", "1,nan", "inf,1", "1e-170,1", "1e200,1"])
+def test_bad_threshold_grid_is_usage(capsys, cmd, grid):
+    argv = [cmd, "--model", "rayleigh-band:W=0.1", "--snr", "1e4", f"--upsilon={grid}"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "threshold" in err
+
+
 class TestSimulateCommand:
     def test_onoff_structure_and_table(self, capsys, tmp_path):
         pfile = tmp_path / "path.csv"
