@@ -13,6 +13,7 @@ from .bounds import (
     bound_sweep,
     capacity_lower_bound,
     coherent_avg_upper_bound,
+    law_model,
     masspoint_prelog_upper,
     miso_prelog_lower,
     onoff_model,
@@ -82,6 +83,7 @@ __all__ = [
     "empirical_autocov",
     "finite_snr_ratios",
     "hermitian_eigenvalues",
+    "law_model",
     "limiting_ratio",
     "make_onoff_spectrum",
     "make_piecewise",

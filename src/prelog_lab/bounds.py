@@ -23,10 +23,9 @@ costs one spectral integral and one numpy expression.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -51,13 +50,14 @@ _TAIL_PROBE = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 @dataclass(frozen=True)
 class FadingModel:
-    """A named fading law: centered spectrum plus scalar marginal data.
+    """A fading process: centered spectrum plus the scalar law of H1.
 
     tail(ups) is P(|H1| >= ups) for ups > 0; mass_at_zero is P(H1 = 0).
-    kind selects the bound route: "generic" models go through the
-    threshold lower bound, "phase" models through the specialized
-    unit-modulus bounds.  marginal names the scalar law for Monte Carlo
-    cross-checks of the tail.
+    law is a key of LAWS when the model was built by law_model, and ""
+    for a caller's own tail.  It picks the bound route ("unit" takes the
+    phase-noise bounds, everything else the threshold lower bound), the
+    sampler of processes.simulate_model, and the Monte Carlo law of
+    processes.marginal_draws.
     """
 
     name: str
@@ -65,15 +65,11 @@ class FadingModel:
     mean_d: complex
     tail: Callable[[float], float]
     mass_at_zero: float
-    variance: float = 1.0
-    kind: Literal["generic", "phase"] = "generic"
-    marginal: str = ""
+    law: str = ""
 
     def __post_init__(self):
         if not 0 <= self.mass_at_zero <= 1:
             raise DomainError(f"mass_at_zero must be in [0, 1], got {self.mass_at_zero}")
-        if self.variance <= 0:
-            raise DomainError(f"variance must be positive, got {self.variance}")
         # tail(0+) must meet 1 - mass_at_zero and decrease from there
         t0 = self.tail(1e-9)
         if abs(t0 - (1 - self.mass_at_zero)) > 1e-6:
@@ -108,29 +104,6 @@ class BoundCurve:
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
-
-    def rows(self) -> list[tuple[float, float, float | None]]:
-        """(snr, value, upsilon_star) rows; the threshold is None for
-        curves that do not optimize one."""
-        stars = self.params if len(self.params) == len(self.points) else (None,) * len(self.points)
-        return [(s, v, u) for (s, v), u in zip(self.points, stars)]
-
-    def to_csv(self) -> str:
-        lines = [f"# kind={self.kind}", "snr,value,upsilon_star"]
-        for s, v, u in self.rows():
-            ustr = "" if u is None else repr(float(u))
-            lines.append(f"{float(s)!r},{float(v)!r},{ustr}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "rows": [
-                    {"snr": s, "value": v, "upsilon_star": u} for s, v, u in self.rows()
-                ],
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -167,43 +140,6 @@ class PrelogReport:
         ):
             raise NumericError("finite ratios exceed the pre-log upper bound")
 
-    def rows(self) -> list[tuple[float, float, float | None]]:
-        stars = (
-            self.upsilon_star
-            if len(self.upsilon_star) == len(self.finite_ratios)
-            else (None,) * len(self.finite_ratios)
-        )
-        return [(s, r, u) for (s, r), u in zip(self.finite_ratios, stars)]
-
-    def to_csv(self) -> str:
-        lines = [
-            f"# analytic_limit={'' if self.analytic_limit is None else repr(float(self.analytic_limit))}",
-            f"# upper_prelog={'' if self.upper_prelog is None else repr(float(self.upper_prelog))}",
-            "snr,value,upsilon_star",
-        ]
-        for s, r, u in self.rows():
-            ustr = "" if u is None else repr(float(u))
-            lines.append(f"{float(s)!r},{float(r)!r},{ustr}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        rows = self.rows()
-        flags = (
-            self.floored
-            if len(self.floored) == len(rows)
-            else (False,) * len(rows)
-        )
-        return json.dumps(
-            {
-                "analytic_limit": self.analytic_limit,
-                "upper_prelog": self.upper_prelog,
-                "rows": [
-                    {"snr": s, "value": r, "upsilon_star": u, "floored": f}
-                    for (s, r, u), f in zip(rows, flags)
-                ],
-            }
-        )
-
 
 def _map_ordered(fn, items: Sequence, threads: int | None):
     """Map fn over items, optionally on a thread pool, preserving order."""
@@ -216,23 +152,40 @@ def _map_ordered(fn, items: Sequence, threads: int | None):
 # ---------------------------------------------------------------------------
 # built-in models
 
-def rayleigh_model(spectrum: SpectralDensity, name: str) -> FadingModel:
-    """Zero-mean circularly-symmetric Gaussian fading with the given spectrum.
+# Scalar laws of H1 with E|H1|^2 = 1: law -> (tail, mass at zero), where
+# tail(ups) = P(|H1| >= ups).  rayleigh: |H1|^2 exponential with unit mean.
+# onoff: zero or variance-2 Gaussian with probability 1/2 each.  unit:
+# |H1| = 1, a uniform phase.
+LAWS = {
+    "rayleigh": (lambda u: math.exp(-u * u), 0.0),
+    "onoff": (lambda u: 0.5 * math.exp(-u * u / 2.0), 0.5),
+    "unit": (lambda u: 1.0 if u <= 1.0 else 0.0, 0.0),
+}
 
-    |H1|^2 is exponential with unit mean, so the tail is exp(-ups^2).
-    The spectrum must carry unit variance.
+
+def law_model(spectrum: SpectralDensity, law: str, name: str) -> FadingModel:
+    """A zero-mean model with the given spectrum and a law from LAWS.
+
+    Every law has E|H1|^2 = 1, so the spectrum must carry unit variance.
+    The unit law needs the flat spectrum: its phase bounds hold only for
+    IID phases.
     """
-    if abs(spectrum.variance - 1.0) > 1e-9:
-        raise DomainError("rayleigh marginal assumes unit variance")
-    return FadingModel(
-        name=name,
-        spectrum=spectrum,
-        mean_d=0j,
-        tail=lambda u: math.exp(-u * u),
-        mass_at_zero=0.0,
-        kind="generic",
-        marginal="rayleigh",
-    )
+    if law not in LAWS:
+        raise DomainError(f"unknown law {law!r}, have {sorted(LAWS)}")
+    if not abs(spectrum.variance - 1.0) <= 1e-9:
+        raise DomainError(
+            f"the {law} law has unit variance, the spectrum has {spectrum.variance!r}"
+        )
+    if law == "unit" and spectrum != make_rect_band(0.5):
+        raise DomainError("the unit law needs the flat spectrum (IID phases)")
+    tail, mass = LAWS[law]
+    return FadingModel(name, spectrum, 0j, tail, mass, law)
+
+
+def rayleigh_model(spectrum: SpectralDensity, name: str) -> FadingModel:
+    """Zero-mean circularly-symmetric Gaussian fading with the given
+    unit-variance spectrum."""
+    return law_model(spectrum, "rayleigh", name)
 
 
 def rayleigh_band_model(W: float) -> FadingModel:
@@ -244,19 +197,10 @@ def onoff_model(W: float) -> FadingModel:
     """Product of a random-parity alternating on-off process and bandlimited
     Gaussian fading of half-width W and variance 2.
 
-    Half the samples are exact zeros, so the law has mass 1/2 at zero and
-    tail exp(-ups^2/2)/2.  Total variance is 1.
+    Half the samples are exact zeros, so the law has mass 1/2 at zero.
+    Total variance is 1.
     """
-    spectrum = make_onoff_spectrum(W)
-    return FadingModel(
-        name=f"onoff:W={W!r}",
-        spectrum=spectrum,
-        mean_d=0j,
-        tail=lambda u: 0.5 * math.exp(-u * u / 2.0),
-        mass_at_zero=0.5,
-        kind="generic",
-        marginal="onoff-product",
-    )
+    return law_model(make_onoff_spectrum(W), "onoff", f"onoff:W={W!r}")
 
 
 def phase_noise_model() -> FadingModel:
@@ -265,27 +209,14 @@ def phase_noise_model() -> FadingModel:
     The spectrum is flat (zero set empty) yet the pre-log is 1/2, which is
     why this model routes through the specialized phase bounds.
     """
-    return FadingModel(
-        name="phase-noise",
-        spectrum=make_rect_band(0.5),
-        mean_d=0j,
-        tail=lambda u: 1.0 if u <= 1.0 else 0.0,
-        mass_at_zero=0.0,
-        kind="phase",
-        marginal="unit-circle",
-    )
+    return law_model(make_rect_band(0.5), "unit", "phase-noise")
 
 
+# CLI model name -> (constructor, its parameter names)
 BUILTIN_MODELS = {
-    "rayleigh-band": rayleigh_band_model,
-    "onoff": onoff_model,
-    "phase-noise": phase_noise_model,
-}
-
-NAMED_TAILS = {
-    "rayleigh": (lambda u: math.exp(-u * u), 0.0, "rayleigh"),
-    "onoff": (lambda u: 0.5 * math.exp(-u * u / 2.0), 0.5, "onoff-product"),
-    "unit": (lambda u: 1.0 if u <= 1.0 else 0.0, 0.0, "unit-circle"),
+    "rayleigh-band": (rayleigh_band_model, ("W",)),
+    "onoff": (onoff_model, ("W",)),
+    "phase-noise": (phase_noise_model, ()),
 }
 
 
@@ -465,14 +396,14 @@ def bound_sweep(
 ) -> tuple[BoundCurve, BoundCurve]:
     """Lower and upper bound curves over an snr grid.
 
-    Generic models pair the threshold-optimized lower bound with the
-    coherent average-power ceiling; phase models pair the specialized
-    unit-modulus bounds.  Grid points are independent, so they may be
+    Models of the unit law pair the specialized unit-modulus bounds; all
+    others pair the threshold-optimized lower bound with the coherent
+    average-power ceiling.  Grid points are independent, so they may be
     evaluated concurrently; output order follows the grid.
     """
     if not snrs:
         raise DomainError("snr grid must be nonempty")
-    if model.kind == "phase":
+    if model.law == "unit":
         lows = _map_ordered(phase_noise_lower_bound, list(snrs), threads)
         ups = _map_ordered(phase_noise_upper_bound, list(snrs), threads)
         low = BoundCurve("PHASE_LB", tuple(zip(snrs, lows)))
@@ -504,10 +435,10 @@ def prelog_report(
     """Finite-snr pre-log diagnostics against the analytic limits.
 
     Each ratio is the best lower bound at that snr divided by log snr,
-    floored at 0.  For generic zero-mass models the analytic limit is the
-    zero-set measure and the ceiling is 1 (coherent slope); with mass at
-    zero the limit is absent and the ceiling is P(|H1| > 0); for the phase
-    model both are 1/2.
+    floored at 0.  For zero-mass models the analytic limit is the zero-set
+    measure and the ceiling is 1 (coherent slope); with mass at zero the
+    limit is absent and the ceiling is P(|H1| > 0); for the unit law both
+    are 1/2.
     """
     if not snr_grid:
         raise DomainError("snr grid must be nonempty")
@@ -517,7 +448,7 @@ def prelog_report(
     if any(s <= 1 for s in snrs):
         raise DomainError("pre-log ratios need snr > 1")
 
-    if model.kind == "phase":
+    if model.law == "unit":
         lbs = _map_ordered(phase_noise_lower_bound, snrs, threads)
         stars: list[float | None] = [None] * len(snrs)
         analytic: float | None = 0.5

@@ -2,15 +2,21 @@
 
 Commands mirror the library one to one and print exactly the numbers the
 library returns (floats formatted with repr, so nothing is lost to
-rounding and reruns are byte-identical).  Exit codes: 0 success, 2 usage
-or domain errors, 3 I/O errors, 4 numeric failures.
+rounding and reruns are byte-identical).  This module is the package's one
+CSV/JSON writer.  Exit codes: 0 success, 2 usage or domain errors, 3 I/O
+errors, 4 numeric failures.
 
 Models are named with a small spec language, name:key=value,...:
 
     rayleigh-band:W=0.1        flat band Rayleigh fading
     onoff:W=0.0625             on-off product process
     phase-noise                IID uniform-phase unit-modulus fading
-    custom:spectrum=f.json,tail=rayleigh   spectrum file plus named tail
+    custom:spectrum=f.json,tail=rayleigh   spectrum file plus a law of H1
+
+A custom spectrum must have unit variance.  The tail names one of three
+laws of H1: rayleigh (Gaussian, any spectrum), onoff (mass 1/2 at zero;
+bounds on any spectrum, simulate only on the on-off spectrum of some W),
+and unit (uniform phase; the flat spectrum only).
 
 Grids are lo:hi:points (log-spaced), a comma list, or a single value.
 A JSON config file given with --config overrides the flags it names;
@@ -95,37 +101,17 @@ def parse_model(text: str) -> bounds.FadingModel:
                 raise DomainError(f"model parameter {item!r} is not key=value")
             params[key.strip()] = value.strip()
 
-    if name == "rayleigh-band":
-        if set(params) != {"W"}:
-            raise DomainError("rayleigh-band takes exactly the parameter W")
-        return bounds.rayleigh_band_model(_number(params["W"]))
-    if name == "onoff":
-        if set(params) != {"W"}:
-            raise DomainError("onoff takes exactly the parameter W")
-        return bounds.onoff_model(_number(params["W"]))
-    if name == "phase-noise":
-        if params:
-            raise DomainError("phase-noise takes no parameters")
-        return bounds.phase_noise_model()
+    if name in bounds.BUILTIN_MODELS:
+        build, keys = bounds.BUILTIN_MODELS[name]
+        if set(params) != set(keys):
+            raise DomainError(f"{name} takes the parameters {list(keys)}, got {sorted(params)}")
+        return build(*(_number(params[key]) for key in keys))
     if name == "custom":
         if set(params) != {"spectrum", "tail"}:
-            raise DomainError("custom needs spectrum=<json file> and tail=<name>")
-        tail_name = params["tail"]
-        if tail_name not in bounds.NAMED_TAILS:
-            raise DomainError(
-                f"unknown tail {tail_name!r}, have {sorted(bounds.NAMED_TAILS)}"
-            )
-        S = _read_spectrum_file(params["spectrum"])
-        tail, mass, marginal = bounds.NAMED_TAILS[tail_name]
-        return bounds.FadingModel(
-            name=f"custom:{os.path.basename(params['spectrum'])},tail={tail_name}",
-            spectrum=S,
-            mean_d=0j,
-            tail=tail,
-            mass_at_zero=mass,
-            kind="phase" if tail_name == "unit" else "generic",
-            marginal=marginal,
-        )
+            raise DomainError("custom needs spectrum=<json file> and tail=<law>")
+        path, law = params["spectrum"], params["tail"]
+        return bounds.law_model(_read_spectrum_file(path), law,
+                                f"custom:{os.path.basename(path)},tail={law}")
     raise DomainError(f"unknown model {name!r}, have {sorted(bounds.BUILTIN_MODELS)} or custom")
 
 

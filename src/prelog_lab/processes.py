@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import FadingModel
-from .errors import DomainError
-from .spectra import AutocovarianceSeq, SpectralDensity, make_rect_band
+from .errors import DomainError, check_positive
+from .spectra import AutocovarianceSeq, SpectralDensity, make_onoff_spectrum, make_rect_band
 
 # Philox stream tags, one per draw purpose
 STREAM_FADING = 1
@@ -85,14 +85,12 @@ class ChannelOutput:
         object.__setattr__(self, "x", x)
         if y.shape != x.shape:
             raise DomainError("inputs and outputs must have equal length")
-        if self.sigma2 <= 0:
-            raise DomainError(f"noise variance must be positive, got {self.sigma2}")
+        check_positive("noise variance", self.sigma2)
 
 
 def noise_entropy(sigma2: float) -> float:
     """Differential entropy log(pi e sigma2) of the complex noise, nats."""
-    if sigma2 <= 0:
-        raise DomainError(f"noise variance must be positive, got {sigma2}")
+    check_positive("noise variance", sigma2)
     return math.log(math.pi * math.e * sigma2)
 
 
@@ -216,43 +214,48 @@ def simulate_phase_noise(n: int, seed: int) -> SamplePath:
 
 def simulate_model(model: FadingModel, n: int, seed: int,
                    harmonics: int = DEFAULT_HARMONICS) -> SamplePath:
-    """Dispatch a FadingModel to its sampler via the marginal tag."""
-    if model.marginal == "unit-circle":
+    """Path of the model's process, the sampler picked by its law.
+
+    The unit and onoff laws name processes with fixed spectra, so their
+    paths need the flat spectrum and make_onoff_spectrum(W) respectively.
+    """
+    if model.law == "unit":
+        if model.spectrum != make_rect_band(0.5):
+            raise DomainError("a unit-law path needs the flat spectrum")
         return simulate_phase_noise(n, seed)
-    if model.marginal == "onoff-product":
-        W = _onoff_halfwidth(model.spectrum)
-        return simulate_onoff(W, n, seed, harmonics)
+    if model.law == "onoff":
+        return simulate_onoff(_onoff_halfwidth(model.spectrum), n, seed, harmonics)
     return simulate_gaussian(model.spectrum, model.mean_d, n, seed, harmonics)
 
 
 def _onoff_halfwidth(S: SpectralDensity) -> float:
-    # the baseband band of the on-off spectrum ends at its half-width
-    for lo, hi, v in S.segments:
-        if lo < 0 < hi or (lo == 0 and v > 0):
-            return hi
-    raise DomainError("spectrum has no baseband band")
+    """W such that S is make_onoff_spectrum(W)."""
+    # the band around zero of the on-off spectrum ends at its half-width
+    W = next(hi for lo, hi, _ in S.segments if lo < 0 <= hi)
+    if not (0 < W < 0.25 and S == make_onoff_spectrum(W)):
+        raise DomainError("an onoff-law path needs the spectrum make_onoff_spectrum(W)")
+    return W
 
 
 def marginal_draws(model: FadingModel, n: int, seed: int) -> np.ndarray:
-    """n independent draws of H1 under the model's scalar marginal law."""
+    """n independent draws of H1 under the model's law."""
     rng = stream_rng(seed, STREAM_TAIL_MC)
-    if model.marginal == "rayleigh":
+    if model.law == "rayleigh":
         g = rng.standard_normal(2 * n)
         return (g[0::2] + 1j * g[1::2]) * math.sqrt(0.5)
-    if model.marginal == "onoff-product":
+    if model.law == "onoff":
         g = rng.standard_normal(2 * n)
         b = g[0::2] + 1j * g[1::2]  # variance 2
         a = rng.integers(0, 2, n)
         return a * b
-    if model.marginal == "unit-circle":
+    if model.law == "unit":
         return _unit_phasors(rng, n)
-    raise DomainError(f"model {model.name!r} has no named marginal law")
+    raise DomainError(f"model {model.name!r} has no named law")
 
 
 def tail_probability(model: FadingModel, upsilon: float) -> float:
     """Closed-form P(|H1| >= upsilon) from the model's tail function."""
-    if upsilon <= 0:
-        raise DomainError(f"threshold must be positive, got {upsilon}")
+    check_positive("threshold", upsilon)
     return model.tail(upsilon)
 
 
@@ -260,8 +263,7 @@ def tail_probability_mc(
     model: FadingModel, upsilon: float, n_samples: int = 1_000_000, seed: int = 0
 ) -> float:
     """Monte Carlo estimate of the tail, the cross-check for closed forms."""
-    if upsilon <= 0:
-        raise DomainError(f"threshold must be positive, got {upsilon}")
+    check_positive("threshold", upsilon)
     draws = marginal_draws(model, n_samples, seed)
     return float(np.mean(np.abs(draws) >= upsilon))
 
@@ -282,8 +284,7 @@ def channel_apply(
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != path.values.shape:
         raise DomainError(f"input length {x.size} does not match path length {path.n}")
-    if sigma2 <= 0:
-        raise DomainError(f"noise variance must be positive, got {sigma2}")
+    check_positive("noise variance", sigma2)
     if peak_amplitude is not None:
         if np.max(np.abs(x)) > peak_amplitude * (1 + 1e-12):
             raise DomainError("input exceeds the peak amplitude constraint")

@@ -71,7 +71,7 @@ class SpectralDensity:
                 raise DomainError("density values must be finite")
             prev_hi = hi
         mass = math.fsum((hi - lo) * v for lo, hi, v in segs)
-        if abs(mass - self.variance) > MASS_TOL:
+        if not abs(mass - self.variance) <= MASS_TOL:  # also rejects NaN
             raise DomainError(
                 f"segment mass {mass!r} does not match variance {self.variance!r}"
             )
@@ -204,7 +204,7 @@ def make_piecewise(
     """
     segs = tuple((float(lo), float(hi), float(v)) for lo, hi, v in segments)
     mass = math.fsum((hi - lo) * v for lo, hi, v in segs)
-    if variance is not None and abs(mass - variance) > TARGET_MASS_TOL:
+    if variance is not None and not abs(mass - variance) <= TARGET_MASS_TOL:
         raise DomainError(
             f"segment mass {mass!r} does not match requested variance {variance!r}"
         )

@@ -1,18 +1,19 @@
 """Capacity bounds, pre-log reports, and their frozen reference values."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from prelog_lab.bounds import (
+    LAWS,
     FadingModel,
     PrelogReport,
     bound_sweep,
     capacity_lower_bound,
     coherent_avg_upper_bound,
     default_upsilon_grid,
+    law_model,
     masspoint_prelog_upper,
     miso_prelog_lower,
     onoff_model,
@@ -352,6 +353,23 @@ class TestFadingModelValidation:
         with pytest.raises(DomainError):
             rayleigh_model(make_rect_band(0.1, variance=2.0), "bad")
 
+    def test_law_model_checks(self):
+        for law in LAWS:
+            with pytest.raises(DomainError, match="unit variance"):
+                law_model(make_rect_band(0.5, variance=2.0), law, "bad")
+        with pytest.raises(DomainError, match="flat spectrum"):
+            law_model(make_rect_band(0.1), "unit", "bad")
+        with pytest.raises(DomainError, match="unknown law"):
+            law_model(make_rect_band(0.5), "rice", "bad")
+        # the onoff tail bounds any spectrum; only its paths need the on-off one
+        assert law_model(make_rect_band(0.1), "onoff", "ok").mass_at_zero == 0.5
+
+    def test_builtin_models_carry_their_law(self):
+        assert rayleigh_band_model(0.1).law == "rayleigh"
+        assert onoff_model(1 / 16).law == "onoff"
+        assert phase_noise_model().law == "unit"
+        assert FadingModel("own", make_rect_band(0.5), 0j, LAWS["unit"][0], 0.0).law == ""
+
 
 class TestReportInvariantGuard:
     def test_ratio_above_limit_rejected(self):
@@ -361,60 +379,3 @@ class TestReportInvariantGuard:
                 finite_ratios=((1e4, 0.5),),
                 upper_prelog=1.0,
             )
-
-
-class TestSerialization:
-    """BoundCurve and PrelogReport written out as CSV and JSON."""
-
-    def _sweep(self):
-        return bound_sweep(rayleigh_band_model(0.1), [1e2, 1e4, 1e6])
-
-    def test_curve_csv_layout(self):
-        low, _ = self._sweep()
-        lines = low.to_csv().strip().split("\n")
-        assert lines[0] == "# kind=LOWER_LB"
-        assert lines[1] == "snr,value,upsilon_star"
-        assert len(lines) == 5
-        for line, (s, v, u) in zip(lines[2:], low.rows()):
-            cells = line.split(",")
-            assert float(cells[0]) == s
-            assert float(cells[1]) == v
-            assert float(cells[2]) == u
-
-    def test_curve_without_threshold_leaves_column_empty(self):
-        _, up = self._sweep()
-        lines = up.to_csv().strip().split("\n")
-        assert lines[0] == "# kind=UPPER_COHERENT"
-        assert all(line.endswith(",") for line in lines[2:])
-
-    def test_curve_json_round_trip(self):
-        low, _ = self._sweep()
-        doc = json.loads(low.to_json())
-        assert doc["kind"] == "LOWER_LB"
-        assert [r["snr"] for r in doc["rows"]] == list(low.snrs)
-        assert [r["value"] for r in doc["rows"]] == list(low.values)
-        assert all(r["upsilon_star"] is not None for r in doc["rows"])
-
-    def test_report_csv_layout(self):
-        rep = prelog_report(rayleigh_band_model(0.1), [1e4, 1e6, 1e8])
-        lines = rep.to_csv().strip().split("\n")
-        assert lines[0].startswith("# analytic_limit=")
-        assert float(lines[0].split("=", 1)[1]) == rep.analytic_limit
-        assert lines[1].startswith("# upper_prelog=")
-        assert lines[2] == "snr,value,upsilon_star"
-        assert len(lines) == 6
-
-    def test_report_json_round_trip(self):
-        rep = prelog_report(rayleigh_band_model(0.1), [1e4, 1e6, 1e8])
-        doc = json.loads(rep.to_json())
-        assert doc["analytic_limit"] == rep.analytic_limit
-        assert doc["upper_prelog"] == rep.upper_prelog
-        assert len(doc["rows"]) == 3
-        assert [r["value"] for r in doc["rows"]] == [r for _, r in rep.finite_ratios]
-        assert all(isinstance(r["floored"], bool) for r in doc["rows"])
-
-    def test_report_json_without_flags_keeps_rows(self):
-        rep = PrelogReport(analytic_limit=0.5, finite_ratios=((1e4, 0.3), (1e6, 0.4)))
-        doc = json.loads(rep.to_json())
-        assert len(doc["rows"]) == 2
-        assert all(r["floored"] is False for r in doc["rows"])

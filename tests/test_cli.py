@@ -42,7 +42,7 @@ class TestParsing:
     def test_model_specs(self):
         assert parse_model("rayleigh-band:W=0.1").name == "rayleigh-band:W=0.1"
         assert parse_model("onoff:W=0.0625").mass_at_zero == 0.5
-        assert parse_model("phase-noise").kind == "phase"
+        assert parse_model("phase-noise").law == "unit"
 
     def test_model_guards(self):
         for bad in ("nosuch", "rayleigh-band", "rayleigh-band:V=1",
@@ -452,3 +452,68 @@ class TestManual:
         code, out, _ = run(capsys, ["bound-sweep", "--help"])
         assert code == 0
         assert "(default: 1e2:1e10:9)" in out
+
+
+@pytest.mark.parametrize("variance", ["NaN", "Infinity"])
+@pytest.mark.parametrize("cmd", ["spectrum", "simulate"])
+def test_nonfinite_spectrum_variance_is_usage(capsys, tmp_path, cmd, variance):
+    sfile = tmp_path / "s.json"
+    sfile.write_text('{"segments": [[-0.5, 0.5, 1.0]], "variance": %s}' % variance)
+    argv = [cmd, "--model", f"custom:spectrum={sfile},tail=rayleigh"]
+    code, out, err = run(capsys, argv + (["--n", "64"] if cmd == "simulate" else []))
+    assert code == 2
+    assert out == ""
+    assert "variance" in err
+
+
+class TestCustomLaws:
+    """A custom model's tail law must fit its spectrum."""
+
+    @pytest.fixture
+    def spectrum_file(self, tmp_path):
+        def write(S):
+            path = tmp_path / "s.json"
+            path.write_text(S.to_json())
+            return str(path)
+        return write
+
+    @pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report", "simulate"])
+    def test_unit_law_needs_flat_spectrum(self, capsys, spectrum_file, cmd):
+        model = f"custom:spectrum={spectrum_file(spectra.make_rect_band(0.1))},tail=unit"
+        code, out, err = run(capsys, [cmd, "--model", model])
+        assert code == 2
+        assert out == ""
+        assert "flat spectrum" in err
+
+    def test_onoff_law_paths_need_onoff_spectrum(self, capsys, spectrum_file):
+        model = f"custom:spectrum={spectrum_file(spectra.make_rect_band(0.1))},tail=onoff"
+        code, out, err = run(capsys, ["simulate", "--model", model, "--n", "64"])
+        assert code == 2
+        assert out == ""
+        assert "make_onoff_spectrum" in err
+        # the bounds need only the law's tail, so they still run
+        code, out, _ = run(capsys, ["bound-sweep", "--model", model])
+        assert code == 0
+        assert "# lower_kind=LOWER_LB" in out
+
+    def test_rayleigh_law_needs_unit_variance(self, capsys, spectrum_file):
+        S = spectra.make_rect_band(0.1, variance=2.0)
+        model = f"custom:spectrum={spectrum_file(S)},tail=rayleigh"
+        code, out, err = run(capsys, ["bound-sweep", "--model", model])
+        assert code == 2
+        assert out == ""
+        assert "unit variance" in err
+
+    def test_unknown_law_is_usage(self, capsys, spectrum_file):
+        model = f"custom:spectrum={spectrum_file(spectra.make_rect_band(0.1))},tail=rice"
+        code, _, err = run(capsys, ["bound-sweep", "--model", model])
+        assert code == 2
+        assert "unknown law" in err
+
+    def test_onoff_file_simulates_like_onoff_model(self, capsys, spectrum_file):
+        model = f"custom:spectrum={spectrum_file(spectra.make_onoff_spectrum(0.0625))},tail=onoff"
+        tail = ["--n", "4096", "--seed", "5", "--m-max", "4"]
+        code, custom_out, _ = run(capsys, ["simulate", "--model", model] + tail)
+        assert code == 0
+        _, builtin_out, _ = run(capsys, ["simulate", "--model", "onoff:W=0.0625"] + tail)
+        assert csv_rows(custom_out) == csv_rows(builtin_out)

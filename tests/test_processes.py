@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from prelog_lab.bounds import onoff_model, phase_noise_model, rayleigh_band_model
+from prelog_lab.bounds import (
+    LAWS,
+    FadingModel,
+    onoff_model,
+    phase_noise_model,
+    rayleigh_band_model,
+)
 from prelog_lab.errors import DomainError
 from prelog_lab.processes import (
+    ChannelOutput,
     channel_apply,
     empirical_autocov,
     marginal_draws,
@@ -22,7 +29,7 @@ from prelog_lab.processes import (
     write_path_binary,
     write_path_csv,
 )
-from prelog_lab.spectra import autocovariance, make_rect_band, sinc
+from prelog_lab.spectra import autocovariance, make_piecewise, make_rect_band, sinc
 
 
 class TestReproducibility:
@@ -164,8 +171,12 @@ class TestTails:
         )
 
     def test_guard(self):
-        with pytest.raises(DomainError):
-            tail_probability(rayleigh_band_model(0.1), 0.0)
+        model = rayleigh_band_model(0.1)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                tail_probability(model, bad)
+            with pytest.raises(DomainError):
+                tail_probability_mc(model, bad, n_samples=16)
 
     @pytest.mark.parametrize(
         "model", [rayleigh_band_model(0.1), onoff_model(1 / 16)], ids=["rayleigh", "onoff"]
@@ -211,15 +222,19 @@ class TestChannel:
 
     def test_noise_entropy_reference(self):
         assert noise_entropy(1.0) == pytest.approx(math.log(math.pi * math.e), abs=1e-15)
-        with pytest.raises(DomainError):
-            noise_entropy(0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                noise_entropy(bad)
 
     def test_guards(self):
         path = simulate_phase_noise(16, 1)
         with pytest.raises(DomainError):
             channel_apply(path, np.zeros(15), 1.0, 1)
-        with pytest.raises(DomainError):
-            channel_apply(path, np.zeros(16), 0.0, 1)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                channel_apply(path, np.zeros(16), bad, 1)
+            with pytest.raises(DomainError):
+                ChannelOutput(np.zeros(16), np.zeros(16), bad)
         with pytest.raises(DomainError):
             channel_apply(path, np.full(16, 3.0 + 0j), 1.0, 1, peak_amplitude=2.0)
         # inside the peak is fine
@@ -244,6 +259,21 @@ class TestEmpiricalAutocov:
 
 
 class TestModelDispatch:
+    def test_law_paths_need_their_process_spectrum(self):
+        v = 1 / 0.3
+        uneven = make_piecewise([(-0.5, -0.45, v), (-0.45, -0.1, 0.0), (-0.1, 0.1, v),
+                                 (0.1, 0.45, 0.0), (0.45, 0.5, v)])
+        for law, S in [("unit", make_rect_band(0.1)), ("onoff", make_rect_band(0.1)),
+                       ("onoff", make_rect_band(0.3)), ("onoff", uneven)]:
+            tail, mass = LAWS[law]
+            with pytest.raises(DomainError):
+                simulate_model(FadingModel("fake", S, 0j, tail, mass, law), 32, 1)
+
+    def test_own_tail_has_no_monte_carlo_law(self):
+        model = FadingModel("own", make_rect_band(0.1), 0j, LAWS["rayleigh"][0], 0.0)
+        with pytest.raises(DomainError):
+            marginal_draws(model, 16, 1)
+
     def test_routes(self):
         assert simulate_model(phase_noise_model(), 32, 1).model_name == "phase-noise"
         on = simulate_model(onoff_model(1 / 8), 32, 1)

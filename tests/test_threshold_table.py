@@ -16,7 +16,7 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from prelog_lab import bounds  # noqa: E402
 from prelog_lab.bounds import (  # noqa: E402
-    NAMED_TAILS,
+    LAWS,
     FadingModel,
     bound_sweep,
     optimize_upsilon,
@@ -30,14 +30,13 @@ from oracles import random_density, threshold_argmax, threshold_bounds  # noqa: 
 
 
 def _model(seed: int, tail_name: str) -> FadingModel:
-    tail, mass, marginal = NAMED_TAILS[tail_name]
+    tail, mass = LAWS[tail_name]
     return FadingModel(
         name=f"random:{seed}",
         spectrum=random_density(np.random.default_rng(seed)),
         mean_d=0j,
         tail=tail,
         mass_at_zero=mass,
-        marginal=marginal,
     )
 
 
@@ -46,7 +45,7 @@ def _is_element(u, grid) -> bool:
 
 
 seeds = st.integers(0, 2**32 - 1)
-tail_names = st.sampled_from(sorted(NAMED_TAILS))
+tail_names = st.sampled_from(sorted(LAWS))
 thresholds = st.one_of(st.floats(1e-3, 6.0), st.integers(1, 4))
 # unsorted grids with repeated points
 grids = st.lists(thresholds, min_size=1, max_size=12).flatmap(
