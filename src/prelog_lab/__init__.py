@@ -28,9 +28,7 @@ from .bounds import (
 )
 from .errors import DomainError, NumericError, PreconditionError
 from .processes import (
-    ChannelOutput,
     SamplePath,
-    channel_apply,
     empirical_autocov,
     simulate_gaussian,
     simulate_onoff,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AutocovarianceSeq",
     "BoundCurve",
-    "ChannelOutput",
     "DomainError",
     "FadingModel",
     "NumericError",
@@ -77,7 +74,6 @@ __all__ = [
     "autocovariance_sequence",
     "bound_sweep",
     "capacity_lower_bound",
-    "channel_apply",
     "coherent_avg_upper_bound",
     "covariance_matrix",
     "empirical_autocov",

@@ -14,11 +14,13 @@ average-power upper bound, the mass-point pre-log ceiling P{|H1| > 0}, the
 unit-modulus phase-noise channel whose pre-log is 1/2 despite a flat
 spectrum, and the single-antenna-selection MISO lower bound.
 
-All values are in nats.  Everything here is pure and thread-safe; grid
-sweeps can fan out worker threads while preserving grid output order.
-A sweep evaluates the threshold bound over its whole threshold grid at
-once: the threshold-only terms are tabulated once per sweep, and each snr
-costs one spectral integral and one numpy expression.
+Every model is zero-mean: the pre-log depends only on the spectrum and on
+whether the law of H1 has mass at zero.  All values are in nats, and
+everything here is pure and thread-safe.  bound_sweep is the one place a
+law picks its bounds; prelog_report is built on it.  A sweep evaluates the
+threshold bound over its whole threshold grid at once: the threshold-only
+terms are tabulated once per sweep, and each snr costs one spectral
+integral and one numpy expression.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _TAIL_PROBE = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 @dataclass(frozen=True)
 class FadingModel:
-    """A fading process: centered spectrum plus the scalar law of H1.
+    """A zero-mean fading process: spectrum plus the scalar law of H1.
 
     tail(ups) is P(|H1| >= ups) for ups > 0; mass_at_zero is P(H1 = 0).
     law is a key of LAWS when the model was built by law_model, and ""
@@ -62,7 +64,6 @@ class FadingModel:
 
     name: str
     spectrum: SpectralDensity
-    mean_d: complex
     tail: Callable[[float], float]
     mass_at_zero: float
     law: str = ""
@@ -86,7 +87,11 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """One bound evaluated over an snr grid."""
+    """One bound evaluated over an snr grid.
+
+    params holds the optimal threshold per snr of a threshold lower bound,
+    and None per snr for a bound without one.
+    """
 
     kind: BoundKind
     points: tuple[tuple[float, float], ...]
@@ -123,22 +128,10 @@ class PrelogReport:
     upsilon_star: tuple[float | None, ...] = ()
 
     def __post_init__(self):
-        ratios = [r for _, r in self.finite_ratios]
-        cap = None
-        if self.analytic_limit is not None:
-            cap = self.analytic_limit
-        elif self.upper_prelog is not None:
-            cap = self.upper_prelog
-        if cap is not None and ratios and max(ratios) > cap + RATIO_SLACK:
-            raise NumericError(
-                f"finite ratio {max(ratios)} exceeds limit {cap} beyond slack"
-            )
-        if (
-            self.upper_prelog is not None
-            and ratios
-            and max(ratios) > self.upper_prelog + RATIO_SLACK
-        ):
-            raise NumericError("finite ratios exceed the pre-log upper bound")
+        caps = [c for c in (self.analytic_limit, self.upper_prelog) if c is not None]
+        top = max((r for _, r in self.finite_ratios), default=None)
+        if caps and top is not None and top > min(caps) + RATIO_SLACK:
+            raise NumericError(f"finite ratio {top} exceeds limit {min(caps)} beyond slack")
 
 
 def _map_ordered(fn, items: Sequence, threads: int | None):
@@ -179,7 +172,7 @@ def law_model(spectrum: SpectralDensity, law: str, name: str) -> FadingModel:
     if law == "unit" and spectrum != make_rect_band(0.5):
         raise DomainError("the unit law needs the flat spectrum (IID phases)")
     tail, mass = LAWS[law]
-    return FadingModel(name, spectrum, 0j, tail, mass, law)
+    return FadingModel(name, spectrum, tail, mass, law)
 
 
 def rayleigh_model(spectrum: SpectralDensity, name: str) -> FadingModel:
@@ -398,15 +391,19 @@ def bound_sweep(
 
     Models of the unit law pair the specialized unit-modulus bounds; all
     others pair the threshold-optimized lower bound with the coherent
-    average-power ceiling.  Grid points are independent, so they may be
-    evaluated concurrently; output order follows the grid.
+    average-power ceiling.
+
+    threads > 1 spreads the snr points over a thread pool, in grid order.
+    The pool is bound by the GIL and is no faster than the serial loop;
+    it stays only because bench/selftest.py calls bound_sweep(...,
+    threads=4) and goes with the next change to the benchmark.
     """
     if not snrs:
         raise DomainError("snr grid must be nonempty")
     if model.law == "unit":
         lows = _map_ordered(phase_noise_lower_bound, list(snrs), threads)
         ups = _map_ordered(phase_noise_upper_bound, list(snrs), threads)
-        low = BoundCurve("PHASE_LB", tuple(zip(snrs, lows)))
+        low = BoundCurve("PHASE_LB", tuple(zip(snrs, lows)), params=(None,) * len(snrs))
         up = BoundCurve("PHASE_UB", tuple(zip(snrs, ups)))
         return low, up
 
@@ -430,11 +427,10 @@ def prelog_report(
     model: FadingModel,
     snr_grid: Sequence[float],
     upsilon_grid: Sequence[float] | None = None,
-    threads: int | None = None,
 ) -> PrelogReport:
     """Finite-snr pre-log diagnostics against the analytic limits.
 
-    Each ratio is the best lower bound at that snr divided by log snr,
+    Each ratio is bound_sweep's lower bound at that snr divided by log snr,
     floored at 0.  For zero-mass models the analytic limit is the zero-set
     measure and the ceiling is 1 (coherent slope); with mass at zero the
     limit is absent and the ceiling is P(|H1| > 0); for the unit law both
@@ -448,28 +444,15 @@ def prelog_report(
     if any(s <= 1 for s in snrs):
         raise DomainError("pre-log ratios need snr > 1")
 
-    if model.law == "unit":
-        lbs = _map_ordered(phase_noise_lower_bound, snrs, threads)
-        stars: list[float | None] = [None] * len(snrs)
-        analytic: float | None = 0.5
-        upper: float | None = 0.5
+    low, _ = bound_sweep(model, snrs, upsilon_grid)
+    if low.kind == "PHASE_LB":
+        analytic, upper = 0.5, 0.5
+    elif model.mass_at_zero > 0:
+        analytic, upper = None, masspoint_prelog_upper(model)
     else:
-        table = _threshold_table(model, upsilon_grid)
+        analytic, upper = prelog_lower_bound(model), 1.0
 
-        def one(snr: float) -> tuple[float, float]:
-            return optimize_upsilon(model, snr, table)
-
-        pairs = _map_ordered(one, snrs, threads)
-        stars = [u for u, _ in pairs]
-        lbs = [lb for _, lb in pairs]
-        if model.mass_at_zero > 0:
-            analytic = None
-            upper = masspoint_prelog_upper(model)
-        else:
-            analytic = prelog_lower_bound(model)
-            upper = 1.0
-
-    raw = [lb / math.log(snr) for snr, lb in zip(snrs, lbs)]
+    raw = [lb / math.log(snr) for snr, lb in low.points]
     floored = tuple(r < 0 for r in raw)
     ratios = tuple((snr, max(r, 0.0)) for snr, r in zip(snrs, raw))
     return PrelogReport(
@@ -477,5 +460,5 @@ def prelog_report(
         finite_ratios=ratios,
         upper_prelog=upper,
         floored=floored,
-        upsilon_star=tuple(stars),
+        upsilon_star=low.params,
     )

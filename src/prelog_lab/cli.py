@@ -16,12 +16,15 @@ Models are named with a small spec language, name:key=value,...:
 A custom spectrum must have unit variance.  The tail names one of three
 laws of H1: rayleigh (Gaussian, any spectrum), onoff (mass 1/2 at zero;
 bounds on any spectrum, simulate only on the on-off spectrum of some W),
-and unit (uniform phase; the flat spectrum only).
+and unit (uniform phase; the flat spectrum only).  Each parameter is given
+once.  Every model is zero-mean, and simulate synthesizes Gaussian paths
+from 4096 harmonics.
 
-Grids are lo:hi:points (log-spaced), a comma list, or a single value.
-A JSON config file given with --config overrides the flags it names;
-each value is parsed as if it had been typed after its flag.
-PRELOG_LAB_THREADS caps worker threads for grid sweeps.
+Grids are lo:hi:points (log-spaced, endpoints pinned to lo and hi), a
+comma list, or a single value.  A JSON config file given with --config
+overrides the flags it names; each value is parsed as if it had been
+typed after its flag.  Sweeps run serially.  A file that is not valid
+UTF-8 is malformed input (exit 2).
 """
 
 from __future__ import annotations
@@ -85,9 +88,17 @@ def parse_int_list(text: str) -> list[int]:
     return [_number(p, int) for p in text.split(",") if p.strip()]
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 text file's contents; other bytes are malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_spectrum_file(path: str) -> spectra.SpectralDensity:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spectra.SpectralDensity.from_json(fh.read())
+    return spectra.SpectralDensity.from_json(_read_text(path))
 
 
 def parse_model(text: str) -> bounds.FadingModel:
@@ -97,9 +108,12 @@ def parse_model(text: str) -> bounds.FadingModel:
     if params_text:
         for item in params_text.split(","):
             key, eq, value = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise DomainError(f"model parameter {item!r} is not key=value")
-            params[key.strip()] = value.strip()
+            if key in params:
+                raise DomainError(f"model parameter {key!r} is given twice")
+            params[key] = value.strip()
 
     if name in bounds.BUILTIN_MODELS:
         build, keys = bounds.BUILTIN_MODELS[name]
@@ -113,17 +127,6 @@ def parse_model(text: str) -> bounds.FadingModel:
         return bounds.law_model(_read_spectrum_file(path), law,
                                 f"custom:{os.path.basename(path)},tail={law}")
     raise DomainError(f"unknown model {name!r}, have {sorted(bounds.BUILTIN_MODELS)} or custom")
-
-
-def _resolve_threads(requested: int | None) -> int:
-    threads = requested if requested is not None else 4
-    cap = os.environ.get("PRELOG_LAB_THREADS")
-    if cap is not None:
-        try:
-            threads = min(threads, int(cap))
-        except ValueError as exc:
-            raise DomainError(f"PRELOG_LAB_THREADS must be an integer, got {cap!r}") from exc
-    return max(threads, 1)
 
 
 def _emit(args, header: list[str], rows: list[list], scalars: dict) -> None:
@@ -170,12 +173,11 @@ def cmd_spectrum(args) -> int:
 def cmd_bound_sweep(args) -> int:
     model = parse_model(args.model)
     snrs = parse_grid(args.snr)
-    ugrid = bounds.default_upsilon_grid() if args.upsilon is None else parse_grid(args.upsilon)
-    low, up = bounds.bound_sweep(model, snrs, ugrid, threads=_resolve_threads(args.threads))
-    stars = low.params if low.kind == "LOWER_LB" else (None,) * len(snrs)
+    ugrid = None if args.upsilon is None else parse_grid(args.upsilon)
+    low, up = bounds.bound_sweep(model, snrs, ugrid)
     rows = [
         [snr, lb, star, ub]
-        for snr, lb, star, ub in zip(snrs, low.values, stars, up.values)
+        for snr, lb, star, ub in zip(snrs, low.values, low.params, up.values)
     ]
     scalars = {"model": model.name, "lower_kind": low.kind, "upper_kind": up.kind}
     _emit(args, ["snr", "lb", "upsilon_star", "ub_coherent"], rows, scalars)
@@ -185,8 +187,8 @@ def cmd_bound_sweep(args) -> int:
 def cmd_prelog_report(args) -> int:
     model = parse_model(args.model)
     snrs = parse_grid(args.snr)
-    ugrid = bounds.default_upsilon_grid() if args.upsilon is None else parse_grid(args.upsilon)
-    report = bounds.prelog_report(model, snrs, ugrid, threads=_resolve_threads(args.threads))
+    ugrid = None if args.upsilon is None else parse_grid(args.upsilon)
+    report = bounds.prelog_report(model, snrs, ugrid)
     zset = spectra.zero_set_measure(model.spectrum)
     note1_gap = report.upper_prelog is not None and report.upper_prelog < zset
     scalars = {
@@ -281,6 +283,9 @@ def cmd_miso(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    upsilon_help = ("threshold grid lo:hi:points, list, or value; unset uses 60 log-spaced "
+                    "points from 0.0010000000000000002 to 4.000000000000001 "
+                    "(1e-3:4:60 pins its ends at 0.001 and 4.0)")
     parser = argparse.ArgumentParser(
         prog="prelog-lab",
         description="Capacity pre-log analysis for noncoherent fading channels with memory",
@@ -310,15 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bound-sweep", "lower/upper capacity bounds over an snr grid")
     common(p)
     p.add_argument("--snr", default="1e2:1e10:9", help="grid lo:hi:points, list, or value")
-    p.add_argument("--upsilon", help="threshold grid lo:hi:points; unset uses 1e-3:4:60")
-    p.add_argument("--threads", type=int, help="worker threads (capped by PRELOG_LAB_THREADS)")
+    p.add_argument("--upsilon", help=upsilon_help)
     p.set_defaults(fn=cmd_bound_sweep)
 
     p = command("prelog-report", "finite-snr pre-log ratios vs analytic limits")
     common(p)
     p.add_argument("--snr", default="1e4:1e10:4", help="grid lo:hi:points, list, or value")
-    p.add_argument("--upsilon", help="threshold grid lo:hi:points; unset uses 1e-3:4:60")
-    p.add_argument("--threads", type=int, help="worker threads (capped by PRELOG_LAB_THREADS)")
+    p.add_argument("--upsilon", help=upsilon_help)
     p.set_defaults(fn=cmd_prelog_report)
 
     p = command("szego", "log-det rate vs spectral integral over matrix sizes")
@@ -378,11 +381,11 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     """
     if not getattr(args, "config", None):
         return []
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"malformed config JSON: {exc}") from exc
+    text = _read_text(args.config)
+    try:
+        cfg = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"malformed config JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DomainError("config file must hold a JSON object")
     flags = []

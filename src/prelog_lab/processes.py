@@ -1,15 +1,16 @@
-"""Sample-path simulation of the fading processes and the channel.
+"""Sample-path simulation of the fading processes.
 
-Stationary Gaussian paths are synthesized as a superposition of M
-random-phase harmonics whose frequencies are drawn from the normalized
-spectral measure (stratified, one frequency per equal-mass stratum).  The
-empirical autocovariance of such a path matches the closed form of the
-spectrum, and the law is asymptotically Gaussian in M.
+Stationary Gaussian paths are zero-mean and synthesized as a superposition
+of M = HARMONICS (4096) random-phase harmonics whose frequencies are drawn
+from the normalized spectral measure (stratified, one frequency per
+equal-mass stratum).  The empirical autocovariance of such a path matches
+the closed form of the spectrum, and the law is asymptotically Gaussian in
+M.
 
 Reproducibility contract: identical (model, n, seed) gives bit-identical
 paths.  The generator is counter-based (Philox) keyed by (seed, stream),
-with a distinct stream per draw purpose so fading, parity, phases, channel
-noise, and Monte Carlo checks are mutually independent.
+with a distinct stream per draw purpose so fading, parity, phases and
+Monte Carlo checks are mutually independent.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ from .bounds import FadingModel
 from .errors import DomainError, check_positive
 from .spectra import AutocovarianceSeq, SpectralDensity, make_onoff_spectrum, make_rect_band
 
-# Philox stream tags, one per draw purpose
+# Philox stream tags, one per draw purpose; a tag is never renumbered, so
+# every path keeps its bits
 STREAM_FADING = 1
-STREAM_NOISE = 2
+STREAM_NOISE = 2  # reserved for channel noise
 STREAM_PARITY = 3
 STREAM_PHASE = 4
 STREAM_TAIL_MC = 5
 
-DEFAULT_HARMONICS = 4096
+HARMONICS = 4096
 # block height of the harmonic power table; trades memory for gemm size
 _SYNTH_BLOCK = 2048
 
@@ -66,32 +68,6 @@ class SamplePath:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class ChannelOutput:
-    """Received samples y_k = H_k x_k + Z_k for inputs x and noise variance."""
-
-    y: np.ndarray
-    x: np.ndarray
-    sigma2: float
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.complex128)
-        x = np.asarray(self.x, dtype=np.complex128)
-        y.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-        if y.shape != x.shape:
-            raise DomainError("inputs and outputs must have equal length")
-        check_positive("noise variance", self.sigma2)
-
-
-def noise_entropy(sigma2: float) -> float:
-    """Differential entropy log(pi e sigma2) of the complex noise, nats."""
-    check_positive("noise variance", sigma2)
-    return math.log(math.pi * math.e * sigma2)
 
 
 def _draw_frequencies(S: SpectralDensity, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -136,32 +112,22 @@ def _synthesize(lam: np.ndarray, amp: np.ndarray, n: int) -> np.ndarray:
     return (P @ W).T.ravel()[:n]
 
 
-def simulate_gaussian(
-    S: SpectralDensity,
-    mean_d: complex,
-    n: int,
-    seed: int,
-    harmonics: int = DEFAULT_HARMONICS,
-) -> SamplePath:
-    """Stationary circularly-symmetric Gaussian path with spectrum S plus mean.
+def simulate_gaussian(S: SpectralDensity, n: int, seed: int) -> SamplePath:
+    """Stationary zero-mean circularly-symmetric Gaussian path with spectrum S.
 
-    Harmonic superposition with stratified spectral frequencies and IID
-    uniform phases; harmonics (M) controls how close the path law is to
-    Gaussian.
+    Harmonic superposition of HARMONICS stratified spectral frequencies
+    with IID uniform phases.
     """
     if n < 1:
         raise DomainError(f"path length must be >= 1, got {n}")
-    if harmonics < 1:
-        raise DomainError(f"harmonic count must be >= 1, got {harmonics}")
     rng = stream_rng(seed, STREAM_FADING)
-    lam = _draw_frequencies(S, harmonics, rng)
-    phases = rng.uniform(0.0, 2.0 * np.pi, harmonics)
-    amp = np.sqrt(S.variance / harmonics) * np.exp(1j * phases)
-    vals = _synthesize(lam, amp, n) + complex(mean_d)
-    return SamplePath(vals, f"gaussian:{S.to_json()}", seed)
+    lam = _draw_frequencies(S, HARMONICS, rng)
+    phases = rng.uniform(0.0, 2.0 * np.pi, HARMONICS)
+    amp = np.sqrt(S.variance / HARMONICS) * np.exp(1j * phases)
+    return SamplePath(_synthesize(lam, amp, n), f"gaussian:{S.to_json()}", seed)
 
 
-def simulate_onoff(W: float, n: int, seed: int, harmonics: int = DEFAULT_HARMONICS) -> SamplePath:
+def simulate_onoff(W: float, n: int, seed: int) -> SamplePath:
     """Path of the on-off product process H_k = A_k B_k.
 
     B is bandlimited Gaussian fading of half-width W and variance 2; A
@@ -173,7 +139,7 @@ def simulate_onoff(W: float, n: int, seed: int, harmonics: int = DEFAULT_HARMONI
     if n < 1:
         raise DomainError(f"path length must be >= 1, got {n}")
     spectrum_b = make_rect_band(W, variance=2.0)
-    b_path = simulate_gaussian(spectrum_b, 0j, n, seed, harmonics)
+    b_path = simulate_gaussian(spectrum_b, n, seed)
     parity = int(stream_rng(seed, STREAM_PARITY).integers(0, 2))
     vals = np.array(b_path.values, copy=True)
     vals[parity::2] = 0.0
@@ -212,8 +178,7 @@ def simulate_phase_noise(n: int, seed: int) -> SamplePath:
     return SamplePath(_unit_phasors(rng, n), "phase-noise", seed)
 
 
-def simulate_model(model: FadingModel, n: int, seed: int,
-                   harmonics: int = DEFAULT_HARMONICS) -> SamplePath:
+def simulate_model(model: FadingModel, n: int, seed: int) -> SamplePath:
     """Path of the model's process, the sampler picked by its law.
 
     The unit and onoff laws name processes with fixed spectra, so their
@@ -224,8 +189,8 @@ def simulate_model(model: FadingModel, n: int, seed: int,
             raise DomainError("a unit-law path needs the flat spectrum")
         return simulate_phase_noise(n, seed)
     if model.law == "onoff":
-        return simulate_onoff(_onoff_halfwidth(model.spectrum), n, seed, harmonics)
-    return simulate_gaussian(model.spectrum, model.mean_d, n, seed, harmonics)
+        return simulate_onoff(_onoff_halfwidth(model.spectrum), n, seed)
+    return simulate_gaussian(model.spectrum, n, seed)
 
 
 def _onoff_halfwidth(S: SpectralDensity) -> float:
@@ -266,32 +231,6 @@ def tail_probability_mc(
     check_positive("threshold", upsilon)
     draws = marginal_draws(model, n_samples, seed)
     return float(np.mean(np.abs(draws) >= upsilon))
-
-
-def channel_apply(
-    path: SamplePath,
-    x: np.ndarray,
-    sigma2: float,
-    seed: int,
-    peak_amplitude: float | None = None,
-) -> ChannelOutput:
-    """Apply the channel: y_k = H_k x_k + Z_k with fresh complex noise.
-
-    Noise is IID zero-mean circularly-symmetric Gaussian of variance
-    sigma2, drawn from the noise stream of seed.  When peak_amplitude is
-    given, inputs must satisfy |x_k|^2 <= peak_amplitude^2 everywhere.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != path.values.shape:
-        raise DomainError(f"input length {x.size} does not match path length {path.n}")
-    check_positive("noise variance", sigma2)
-    if peak_amplitude is not None:
-        if np.max(np.abs(x)) > peak_amplitude * (1 + 1e-12):
-            raise DomainError("input exceeds the peak amplitude constraint")
-    rng = stream_rng(seed, STREAM_NOISE)
-    g = rng.standard_normal(2 * path.n)
-    z = (g[0::2] + 1j * g[1::2]) * math.sqrt(sigma2 / 2.0)
-    return ChannelOutput(path.values * x + z, x, sigma2)
 
 
 def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:

@@ -91,10 +91,6 @@ class SpectralDensity:
                 return v
         raise DomainError(f"harmonic {lam} not covered")  # unreachable on valid input
 
-    @property
-    def max_density(self) -> float:
-        return max(v for _, _, v in self.segments)
-
     def to_json(self) -> str:
         return json.dumps(
             {"segments": [[lo, hi, v] for lo, hi, v in self.segments],

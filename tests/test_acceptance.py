@@ -131,7 +131,7 @@ def test_criterion_6_simulation_consistency():
     phase = simulate_phase_noise(n, seed=3)
     assert np.max(np.abs(np.abs(phase.values) - 1.0)) == 0.0
 
-    iid = simulate_gaussian(make_rect_band(0.5), 0j, n, seed=11)
+    iid = simulate_gaussian(make_rect_band(0.5), n, seed=11)
     r0 = empirical_autocov(iid, 0).values[0].real
     assert abs(r0 - 1.0) <= 0.02
 

@@ -127,7 +127,6 @@ class TestCoherentUpper:
         dead = FadingModel(
             name="dead",
             spectrum=make_rect_band(0.5),
-            mean_d=0j,
             tail=lambda u: 0.0,
             mass_at_zero=1.0,
         )
@@ -324,7 +323,6 @@ class TestFadingModelValidation:
             FadingModel(
                 name="bad",
                 spectrum=make_rect_band(0.5),
-                mean_d=0j,
                 tail=lambda u: 0.4,  # tail(0+) should be 1
                 mass_at_zero=0.0,
             )
@@ -334,7 +332,6 @@ class TestFadingModelValidation:
             FadingModel(
                 name="bad",
                 spectrum=make_rect_band(0.5),
-                mean_d=0j,
                 tail=lambda u: min(u, 1.0),
                 mass_at_zero=1.0,
             )
@@ -344,7 +341,6 @@ class TestFadingModelValidation:
             FadingModel(
                 name="bad",
                 spectrum=make_rect_band(0.5),
-                mean_d=0j,
                 tail=lambda u: math.exp(-u * u),
                 mass_at_zero=1.5,
             )
@@ -368,7 +364,7 @@ class TestFadingModelValidation:
         assert rayleigh_band_model(0.1).law == "rayleigh"
         assert onoff_model(1 / 16).law == "onoff"
         assert phase_noise_model().law == "unit"
-        assert FadingModel("own", make_rect_band(0.5), 0j, LAWS["unit"][0], 0.0).law == ""
+        assert FadingModel("own", make_rect_band(0.5), LAWS["unit"][0], 0.0).law == ""
 
 
 class TestReportInvariantGuard:

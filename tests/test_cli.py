@@ -52,6 +52,35 @@ class TestParsing:
                 parse_model(bad)
 
 
+@pytest.mark.parametrize("model", [
+    "rayleigh-band:W=0.1,W=0.2",
+    "onoff:W=0.0625, W=0.0625",
+    "custom:spectrum={f},tail=rayleigh,tail=onoff",
+    "custom:spectrum={f},spectrum={f},tail=rayleigh",
+])
+def test_repeated_model_parameter_is_usage(capsys, tmp_path, model):
+    sfile = tmp_path / "flat.json"
+    sfile.write_text(spectra.make_rect_band(0.5).to_json())
+    code, out, err = run(capsys, ["spectrum", "--model", model.format(f=sfile)])
+    assert code == 2
+    assert out == ""
+    assert "given twice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "custom:spectrum={f},tail=rayleigh"],
+    ["miso", "--spectra", "W=0.1,{f}"],
+    ["spectrum", "--model", "phase-noise", "--config", "{f}"],
+], ids=["custom-spectrum", "miso-spectra", "config"])
+def test_non_utf8_file_is_usage(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, [a.format(f=bad) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err
+
+
 class TestExitCodes:
     def test_unknown_model_is_usage(self, capsys):
         code, _, err = run(capsys, ["bound-sweep", "--model", "nosuch:W=1"])
@@ -140,8 +169,7 @@ class TestBoundSweepCommand:
             assert float(crow["snr"]) == jrow["snr"]
 
     def test_byte_identical_reruns(self, capsys):
-        argv = ["bound-sweep", "--model", "onoff:W=0.0625", "--snr", "1e2:1e8:7",
-                "--threads", "8"]
+        argv = ["bound-sweep", "--model", "onoff:W=0.0625", "--snr", "1e2:1e8:7"]
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
@@ -398,22 +426,11 @@ class TestConfigOverride:
         assert code == 2
 
 
-class TestThreadsEnv:
-    def test_env_cap_keeps_output_stable(self, capsys, monkeypatch):
-        argv = ["bound-sweep", "--model", "rayleigh-band:W=0.1",
-                "--snr", "1e2:1e6:5", "--threads", "8"]
-        _, unlimited, _ = run(capsys, argv)
-        monkeypatch.setenv("PRELOG_LAB_THREADS", "1")
-        _, capped, _ = run(capsys, argv)
-        assert unlimited == capped
-
-    def test_bad_env_value_is_usage(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRELOG_LAB_THREADS", "soon")
-        code, _, _ = run(
-            capsys,
-            ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "1e2,1e4"],
-        )
-        assert code == 2
+@pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report"])
+def test_threads_flag_is_gone(capsys, cmd):
+    code, out, _ = run(capsys, [cmd, "--model", "rayleigh-band:W=0.1", "--threads", "4"])
+    assert code == 2
+    assert out == ""
 
 
 def test_float_formatting_is_lossless():
@@ -439,7 +456,6 @@ class TestManual:
         assert "(default: csv)" in out
         assert "(default: 32,64,128)" in out
         assert "(default: 100000)" in out
-        assert "PRELOG_LAB_THREADS" in out
 
     def test_manual_to_file(self, tmp_path, capsys):
         target = tmp_path / "man.txt"

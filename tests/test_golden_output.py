@@ -2,7 +2,11 @@
 
 Each argv below runs with its default grids and its stdout is compared by
 sha256 against a recorded digest.  The set covers spectrum, bound-sweep and
-prelog-report over every model in both formats, plus miso.  simulate and
+prelog-report over every model in both formats, plus miso.  The explicit
+threshold grid --upsilon 1e-3:4:60 is pinned on its own for every
+threshold-bound model: it pins 0.001 and 4.0 as endpoints, where the
+default grid's exp/log endpoints are 0.0010000000000000002 and
+4.000000000000001, so the two routes can part once the default changes.  simulate and
 szego are left out: their numpy vectorized exp/log can differ in the last
 bit across CPUs.
 
@@ -41,11 +45,18 @@ MODELS = [
     "custom:spectrum={dir}/flat.json,tail=unit",
 ]
 
+# models of the threshold bound (the unit law takes the phase bounds)
+THRESHOLD_MODELS = [m for m in MODELS if m != "phase-noise" and not m.endswith("tail=unit")]
+
 CASES = [
     [cmd, "--model", model, "--format", fmt]
     for cmd in ("spectrum", "bound-sweep", "prelog-report")
     for model in MODELS
     for fmt in ("csv", "json")
+] + [
+    [cmd, "--model", model, "--upsilon", "1e-3:4:60", "--format", "csv"]
+    for cmd in ("bound-sweep", "prelog-report")
+    for model in THRESHOLD_MODELS
 ] + [
     ["miso", "--spectra", spectra, "--format", fmt]
     for spectra in ("W=0.1,W=0.2", "W=0.3,{dir}/flat.json,{dir}/steps.json")
@@ -149,6 +160,30 @@ SHA256 = {
         "9b8edfc92aeef742435bfb0b3210751d064040bc13e379eb210229dda31d8220",
     "prelog-report --model custom:spectrum={dir}/flat.json,tail=unit --format json":
         "d498db5446b89e6612c51d3307243119ae5c243bec9d2ae5b29e9de5a138c512",
+    "bound-sweep --model rayleigh-band:W=0.1 --upsilon 1e-3:4:60 --format csv":
+        "48868caa1436c1165d39482f64896dedd0c6c1182ab8deacd2bba0cba070d754",
+    "bound-sweep --model rayleigh-band:W=0.5 --upsilon 1e-3:4:60 --format csv":
+        "2ce51d3d86f38c23840b28f37d46308496e60fa9e88c3632a4c7abe21cf32ebc",
+    "bound-sweep --model onoff:W=0.0625 --upsilon 1e-3:4:60 --format csv":
+        "b160d0c598f4ec82463a053fd692976e602b081eb5cf60fecfb87dbe202977e2",
+    "bound-sweep --model custom:spectrum={dir}/steps.json,tail=rayleigh --upsilon 1e-3:4:60 --format csv":
+        "91cab515ae4c2f987d977d00b719eb6440c45a1fa8b33464929060f385d964d4",
+    "bound-sweep --model custom:spectrum={dir}/steps.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
+        "80b290ce15897b435e6ff68e4c11c94a09e27add0290fb3c4466dc1541b0ce83",
+    "bound-sweep --model custom:spectrum={dir}/onoff.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
+        "004f5697debd12486682a26d40701a440b9437a18ed898cb2d3a3a730edaea39",
+    "prelog-report --model rayleigh-band:W=0.1 --upsilon 1e-3:4:60 --format csv":
+        "ca89146911528ac80e28ab4cc5966683fe1f127951793f23a78cfb419ab07f6a",
+    "prelog-report --model rayleigh-band:W=0.5 --upsilon 1e-3:4:60 --format csv":
+        "d48ba01dc0f008edcd2a65b497352ecdba56b6f1ca51199282d93ca898566eba",
+    "prelog-report --model onoff:W=0.0625 --upsilon 1e-3:4:60 --format csv":
+        "233ff2e5a43c3a08ea7b34d9e52d19252ff56b8eba93961f4ae77a4a4b923e95",
+    "prelog-report --model custom:spectrum={dir}/steps.json,tail=rayleigh --upsilon 1e-3:4:60 --format csv":
+        "1c520bb7700e2caee4f8f9258263c9fa976fe00d354f8a154f14e76cc1f8e0bb",
+    "prelog-report --model custom:spectrum={dir}/steps.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
+        "3b8a30eb9e0c5f1631f04d6538cd078c37bafc730dcf173fb7942e21a0522378",
+    "prelog-report --model custom:spectrum={dir}/onoff.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
+        "5bfbf55e3a278a0c13759dfc223a795ca0a269f4ffd9ff7e925c314f886e9777",
     "miso --spectra W=0.1,W=0.2 --format csv":
         "735fcce490122f63540b4d08a18316a9d2c27e4ef41a8f1d21dded268cb09002",
     "miso --spectra W=0.1,W=0.2 --format json":

@@ -1,4 +1,4 @@
-"""Sample-path laws, channel application, and path file formats."""
+"""Sample-path laws and path file formats."""
 
 import math
 
@@ -14,11 +14,8 @@ from prelog_lab.bounds import (
 )
 from prelog_lab.errors import DomainError
 from prelog_lab.processes import (
-    ChannelOutput,
-    channel_apply,
     empirical_autocov,
     marginal_draws,
-    noise_entropy,
     read_path_binary,
     simulate_gaussian,
     simulate_model,
@@ -35,10 +32,10 @@ from prelog_lab.spectra import autocovariance, make_piecewise, make_rect_band, s
 class TestReproducibility:
     def test_gaussian_bit_identical(self):
         S = make_rect_band(0.2)
-        a = simulate_gaussian(S, 0j, 512, 99)
-        b = simulate_gaussian(S, 0j, 512, 99)
+        a = simulate_gaussian(S, 512, 99)
+        b = simulate_gaussian(S, 512, 99)
         assert np.array_equal(a.values, b.values)
-        c = simulate_gaussian(S, 0j, 512, 100)
+        c = simulate_gaussian(S, 512, 100)
         assert not np.array_equal(a.values, c.values)
 
     def test_onoff_and_phase_bit_identical(self):
@@ -52,7 +49,7 @@ class TestReproducibility:
 
 class TestGaussianPath:
     def test_iid_empirical_covariance(self):
-        path = simulate_gaussian(make_rect_band(0.5), 0j, 100_000, 1)
+        path = simulate_gaussian(make_rect_band(0.5), 100_000, 1)
         emp = empirical_autocov(path, 1)
         assert emp.values[0].real == pytest.approx(1.0, abs=0.02)
         assert abs(emp.values[1]) <= 0.02
@@ -60,30 +57,21 @@ class TestGaussianPath:
     def test_band_empirical_covariance_all_lags(self):
         S = make_rect_band(0.15)
         n = 100_000
-        path = simulate_gaussian(S, 0j, n, 2)
+        path = simulate_gaussian(S, n, 2)
         emp = empirical_autocov(path, 8)
         tol = 5.0 / math.sqrt(n)
         for m in range(9):
             want = autocovariance(S, m)
             assert abs(emp.values[m] - want) <= tol
 
-    def test_mean_recovery(self):
-        d = 0.7 - 0.4j
-        n = 40_000
-        path = simulate_gaussian(make_rect_band(0.5), d, n, 3)
-        # IID path, so plain 3 sigma/sqrt(n) applies to each component
-        assert abs(np.mean(path.values) - d) <= 3.0 / math.sqrt(n) * 2
-        assert path.model_name.startswith("gaussian:")
-
     def test_single_sample(self):
-        path = simulate_gaussian(make_rect_band(0.25), 0j, 1, 4)
+        path = simulate_gaussian(make_rect_band(0.25), 1, 4)
         assert path.n == 1
+        assert path.model_name.startswith("gaussian:")
 
     def test_guards(self):
         with pytest.raises(DomainError):
-            simulate_gaussian(make_rect_band(0.25), 0j, 0, 1)
-        with pytest.raises(DomainError):
-            simulate_gaussian(make_rect_band(0.25), 0j, 16, 1, harmonics=0)
+            simulate_gaussian(make_rect_band(0.25), 0, 1)
 
 
 class TestOnoffPath:
@@ -149,7 +137,7 @@ class TestErgodicAverages:
     @pytest.mark.parametrize(
         "path_fn",
         [
-            lambda: simulate_gaussian(make_rect_band(0.1), 0j, 1_000_000, 11),
+            lambda: simulate_gaussian(make_rect_band(0.1), 1_000_000, 11),
             lambda: simulate_onoff(1 / 16, 1_000_000, 11),
             lambda: simulate_phase_noise(1_000_000, 11),
         ],
@@ -201,46 +189,6 @@ class TestTails:
         assert np.all(np.abs(u) == 1.0)
 
 
-class TestChannel:
-    def test_zero_input_gives_noise(self):
-        path = simulate_phase_noise(200_000, 8)
-        out = channel_apply(path, np.zeros(path.n), 0.5, 8)
-        assert np.mean(np.abs(out.y) ** 2) == pytest.approx(0.5, abs=0.01)
-
-    def test_noiseless_recovery(self):
-        path = simulate_gaussian(make_rect_band(0.2), 0j, 4096, 9)
-        x = np.full(path.n, 2.0 + 0j)
-        out = channel_apply(path, x, 1e-12, 9)
-        assert np.max(np.abs(out.y / x - path.values)) <= 1e-5
-
-    def test_received_power(self):
-        n = 200_000
-        path = simulate_phase_noise(n, 10)  # |H| = 1 surely
-        x = np.full(n, 3.0 + 0j)
-        out = channel_apply(path, x, 2.0, 10)
-        assert np.mean(np.abs(out.y) ** 2) == pytest.approx(9.0 + 2.0, rel=0.01)
-
-    def test_noise_entropy_reference(self):
-        assert noise_entropy(1.0) == pytest.approx(math.log(math.pi * math.e), abs=1e-15)
-        for bad in (0.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                noise_entropy(bad)
-
-    def test_guards(self):
-        path = simulate_phase_noise(16, 1)
-        with pytest.raises(DomainError):
-            channel_apply(path, np.zeros(15), 1.0, 1)
-        for bad in (0.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                channel_apply(path, np.zeros(16), bad, 1)
-            with pytest.raises(DomainError):
-                ChannelOutput(np.zeros(16), np.zeros(16), bad)
-        with pytest.raises(DomainError):
-            channel_apply(path, np.full(16, 3.0 + 0j), 1.0, 1, peak_amplitude=2.0)
-        # inside the peak is fine
-        channel_apply(path, np.full(16, 1.5 + 0j), 1.0, 1, peak_amplitude=2.0)
-
-
 class TestEmpiricalAutocov:
     def test_constant_path_all_zero(self):
         from prelog_lab.processes import SamplePath
@@ -267,10 +215,10 @@ class TestModelDispatch:
                        ("onoff", make_rect_band(0.3)), ("onoff", uneven)]:
             tail, mass = LAWS[law]
             with pytest.raises(DomainError):
-                simulate_model(FadingModel("fake", S, 0j, tail, mass, law), 32, 1)
+                simulate_model(FadingModel("fake", S, tail, mass, law), 32, 1)
 
     def test_own_tail_has_no_monte_carlo_law(self):
-        model = FadingModel("own", make_rect_band(0.1), 0j, LAWS["rayleigh"][0], 0.0)
+        model = FadingModel("own", make_rect_band(0.1), LAWS["rayleigh"][0], 0.0)
         with pytest.raises(DomainError):
             marginal_draws(model, 16, 1)
 
@@ -281,13 +229,13 @@ class TestModelDispatch:
         assert np.array_equal(on.values, simulate_onoff(1 / 8, 32, 1).values)
         g = simulate_model(rayleigh_band_model(0.2), 32, 1)
         assert np.array_equal(
-            g.values, simulate_gaussian(make_rect_band(0.2), 0j, 32, 1).values
+            g.values, simulate_gaussian(make_rect_band(0.2), 32, 1).values
         )
 
 
 class TestPathFiles:
     def test_binary_round_trip(self, tmp_path):
-        src = simulate_gaussian(make_rect_band(0.3), 0.1 + 0j, 777, 123)
+        src = simulate_gaussian(make_rect_band(0.3), 777, 123)
         fname = str(tmp_path / "p.bin")
         write_path_binary(src, fname)
         back = read_path_binary(fname)
@@ -308,7 +256,8 @@ class TestPathFiles:
         src = simulate_phase_noise(4, 2)
         fname = str(tmp_path / "p.csv")
         write_path_csv(src, fname)
-        lines = open(fname).read().strip().split("\n")
+        with open(fname) as fh:
+            lines = fh.read().strip().split("\n")
         assert lines[0] == "k,re,im"
         assert len(lines) == 5
         k, re, im = lines[4].split(",")

@@ -34,7 +34,6 @@ def _model(seed: int, tail_name: str) -> FadingModel:
     return FadingModel(
         name=f"random:{seed}",
         spectrum=random_density(np.random.default_rng(seed)),
-        mean_d=0j,
         tail=tail,
         mass_at_zero=mass,
     )
@@ -78,7 +77,7 @@ def test_bound_sweep_matches_oracle(seed, tail_name, snr_grid, grid):
 @given(seeds, st.sampled_from(["rayleigh", "onoff"]), snr_grids, grids)
 def test_prelog_report_matches_oracle(seed, tail_name, snr_grid, grid):
     model = _model(seed, tail_name)
-    report = prelog_report(model, snr_grid, grid, threads=1)
+    report = prelog_report(model, snr_grid, grid)
     for (snr, ratio), u in zip(report.finite_ratios, report.upsilon_star):
         u_star, lb = threshold_argmax(model.tail, model.spectrum, snr, grid)
         assert u is u_star
@@ -117,7 +116,7 @@ def _counting_model():
         calls.append(u)
         return math.exp(-u * u)
 
-    model = FadingModel("counting", make_rect_band(0.1), 0j, tail, 0.0)
+    model = FadingModel("counting", make_rect_band(0.1), tail, 0.0)
     calls.clear()  # construction probes the tail
     return model, calls
 
@@ -148,7 +147,7 @@ def test_empty_grid_rejected():
 
 def test_tail_outside_unit_interval_rejected():
     # construction probes only a few thresholds; the grid sees the rest
-    model = FadingModel("leaky", make_rect_band(0.1), 0j,
+    model = FadingModel("leaky", make_rect_band(0.1),
                         lambda u: math.nan if u == 3.0 else math.exp(-u * u), 0.0)
     with pytest.raises(DomainError, match="tail"):
         optimize_upsilon(model, 1e4, [1.0, 3.0])
