@@ -13,7 +13,6 @@ from .bounds import (
     bound_sweep,
     capacity_lower_bound,
     coherent_avg_upper_bound,
-    law_model,
     masspoint_prelog_upper,
     miso_prelog_lower,
     onoff_model,
@@ -24,7 +23,6 @@ from .bounds import (
     prelog_lower_bound,
     prelog_report,
     rayleigh_band_model,
-    rayleigh_model,
 )
 from .errors import DomainError, NumericError, PreconditionError
 from .processes import (
@@ -79,7 +77,6 @@ __all__ = [
     "empirical_autocov",
     "finite_snr_ratios",
     "hermitian_eigenvalues",
-    "law_model",
     "limiting_ratio",
     "make_onoff_spectrum",
     "make_piecewise",
@@ -94,7 +91,6 @@ __all__ = [
     "prelog_lower_bound",
     "prelog_report",
     "rayleigh_band_model",
-    "rayleigh_model",
     "simulate_gaussian",
     "simulate_onoff",
     "simulate_phase_noise",

@@ -15,19 +15,21 @@ unit-modulus phase-noise channel whose pre-log is 1/2 despite a flat
 spectrum, and the single-antenna-selection MISO lower bound.
 
 Every model is zero-mean: the pre-log depends only on the spectrum and on
-whether the law of H1 has mass at zero.  All values are in nats, and
-everything here is pure and thread-safe.  bound_sweep is the one place a
-law picks its bounds; prelog_report is built on it.  A sweep evaluates the
-threshold bound over its whole threshold grid at once: the threshold-only
-terms are tabulated once per sweep, and each snr costs one spectral
-integral and one numpy expression.
+whether the law of H1 has mass at zero.  A FadingModel is therefore a
+spectrum and the name of one of the three laws in LAWS, and it checks that
+the two fit when it is built.  All values are in nats, and everything here
+is pure and thread-safe.  bound_sweep is the one place a law picks its
+bounds; prelog_report is built on it.  A sweep evaluates the threshold
+bound over its whole threshold grid at once: the threshold-only terms are
+tabulated once per sweep, and each snr costs one spectral integral and one
+numpy expression.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -47,42 +49,49 @@ BoundKind = Literal["LOWER_LB", "UPPER_COHERENT", "PHASE_LB", "PHASE_UB"]
 # from below but optimization rounding can graze it
 RATIO_SLACK = 0.02
 
-_TAIL_PROBE = (0.25, 0.5, 1.0, 2.0, 4.0)
+# Scalar laws of H1 with E|H1|^2 = 1: law -> (tail, mass at zero), where
+# tail(ups) = P(|H1| >= ups).  rayleigh: |H1|^2 exponential with unit mean.
+# onoff: zero or variance-2 Gaussian with probability 1/2 each.  unit:
+# |H1| = 1, a uniform phase.
+LAWS = {
+    "rayleigh": (lambda u: math.exp(-u * u), 0.0),
+    "onoff": (lambda u: 0.5 * math.exp(-u * u / 2.0), 0.5),
+    "unit": (lambda u: 1.0 if u <= 1.0 else 0.0, 0.0),
+}
 
 
 @dataclass(frozen=True)
 class FadingModel:
-    """A zero-mean fading process: spectrum plus the scalar law of H1.
+    """A zero-mean fading process: a spectrum and the scalar law of H1.
 
-    tail(ups) is P(|H1| >= ups) for ups > 0; mass_at_zero is P(H1 = 0).
-    law is a key of LAWS when the model was built by law_model, and ""
-    for a caller's own tail.  It picks the bound route ("unit" takes the
-    phase-noise bounds, everything else the threshold lower bound), the
-    sampler of processes.simulate_model, and the Monte Carlo law of
-    processes.marginal_draws.
+    law is a key of LAWS, and tail(ups) = P(|H1| >= ups) for ups > 0 and
+    mass_at_zero = P(H1 = 0) are read from it.  Every law has E|H1|^2 = 1,
+    so the spectrum must carry unit variance; the unit law needs the flat
+    spectrum, since its phase bounds hold only for IID phases.  law picks
+    the bound route ("unit" takes the phase-noise bounds, the others the
+    threshold lower bound), the sampler of processes.simulate_model, and
+    the Monte Carlo law of processes.marginal_draws.
     """
 
     name: str
     spectrum: SpectralDensity
-    tail: Callable[[float], float]
-    mass_at_zero: float
-    law: str = ""
+    law: str
+    tail: Callable[[float], float] = field(init=False, repr=False)
+    mass_at_zero: float = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.mass_at_zero <= 1:
-            raise DomainError(f"mass_at_zero must be in [0, 1], got {self.mass_at_zero}")
-        # tail(0+) must meet 1 - mass_at_zero and decrease from there
-        t0 = self.tail(1e-9)
-        if abs(t0 - (1 - self.mass_at_zero)) > 1e-6:
+        if self.law not in LAWS:
+            raise DomainError(f"unknown law {self.law!r}, have {sorted(LAWS)}")
+        if not abs(self.spectrum.variance - 1.0) <= 1e-9:
             raise DomainError(
-                f"tail(0+) = {t0} inconsistent with mass_at_zero = {self.mass_at_zero}"
+                f"the {self.law} law has unit variance, "
+                f"the spectrum has {self.spectrum.variance!r}"
             )
-        prev = t0
-        for u in _TAIL_PROBE:
-            t = self.tail(u)
-            if t > prev + 1e-12 or not 0 <= t <= 1:
-                raise DomainError(f"tail must be nonincreasing in [0, 1], fails at {u}")
-            prev = t
+        if self.law == "unit" and self.spectrum != make_rect_band(0.5):
+            raise DomainError("the unit law needs the flat spectrum (IID phases)")
+        tail, mass = LAWS[self.law]
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "mass_at_zero", mass)
 
 
 @dataclass(frozen=True)
@@ -145,45 +154,9 @@ def _map_ordered(fn, items: Sequence, threads: int | None):
 # ---------------------------------------------------------------------------
 # built-in models
 
-# Scalar laws of H1 with E|H1|^2 = 1: law -> (tail, mass at zero), where
-# tail(ups) = P(|H1| >= ups).  rayleigh: |H1|^2 exponential with unit mean.
-# onoff: zero or variance-2 Gaussian with probability 1/2 each.  unit:
-# |H1| = 1, a uniform phase.
-LAWS = {
-    "rayleigh": (lambda u: math.exp(-u * u), 0.0),
-    "onoff": (lambda u: 0.5 * math.exp(-u * u / 2.0), 0.5),
-    "unit": (lambda u: 1.0 if u <= 1.0 else 0.0, 0.0),
-}
-
-
-def law_model(spectrum: SpectralDensity, law: str, name: str) -> FadingModel:
-    """A zero-mean model with the given spectrum and a law from LAWS.
-
-    Every law has E|H1|^2 = 1, so the spectrum must carry unit variance.
-    The unit law needs the flat spectrum: its phase bounds hold only for
-    IID phases.
-    """
-    if law not in LAWS:
-        raise DomainError(f"unknown law {law!r}, have {sorted(LAWS)}")
-    if not abs(spectrum.variance - 1.0) <= 1e-9:
-        raise DomainError(
-            f"the {law} law has unit variance, the spectrum has {spectrum.variance!r}"
-        )
-    if law == "unit" and spectrum != make_rect_band(0.5):
-        raise DomainError("the unit law needs the flat spectrum (IID phases)")
-    tail, mass = LAWS[law]
-    return FadingModel(name, spectrum, tail, mass, law)
-
-
-def rayleigh_model(spectrum: SpectralDensity, name: str) -> FadingModel:
-    """Zero-mean circularly-symmetric Gaussian fading with the given
-    unit-variance spectrum."""
-    return law_model(spectrum, "rayleigh", name)
-
-
 def rayleigh_band_model(W: float) -> FadingModel:
     """Rayleigh fading with a flat band spectrum of half-width W."""
-    return rayleigh_model(make_rect_band(W), f"rayleigh-band:W={W!r}")
+    return FadingModel(f"rayleigh-band:W={W!r}", make_rect_band(W), "rayleigh")
 
 
 def onoff_model(W: float) -> FadingModel:
@@ -193,7 +166,7 @@ def onoff_model(W: float) -> FadingModel:
     Half the samples are exact zeros, so the law has mass 1/2 at zero.
     Total variance is 1.
     """
-    return law_model(make_onoff_spectrum(W), "onoff", f"onoff:W={W!r}")
+    return FadingModel(f"onoff:W={W!r}", make_onoff_spectrum(W), "onoff")
 
 
 def phase_noise_model() -> FadingModel:
@@ -202,7 +175,7 @@ def phase_noise_model() -> FadingModel:
     The spectrum is flat (zero set empty) yet the pre-log is 1/2, which is
     why this model routes through the specialized phase bounds.
     """
-    return law_model(make_rect_band(0.5), "unit", "phase-noise")
+    return FadingModel("phase-noise", make_rect_band(0.5), "unit")
 
 
 # CLI model name -> (constructor, its parameter names)
@@ -245,8 +218,6 @@ def _threshold_table(model: FadingModel, grid: Sequence[float] | None) -> _Thres
         check_positive("threshold", u)
         check_positive("squared threshold", u * u)  # log u^2 must be finite
     tail = np.array([model.tail(u) for u in ups], dtype=float)
-    if not np.all((tail >= 0.0) & (tail <= 1.0)):  # also rejects NaN
-        raise DomainError(f"tail of {model.name!r} leaves [0, 1] on the threshold grid")
     offset = np.array([1.0 - math.log(u * u) for u in ups])
     tail.flags.writeable = offset.flags.writeable = False
     return _ThresholdTable(tuple(ups), tail, offset)
@@ -320,13 +291,11 @@ def prelog_lower_bound(model: FadingModel) -> float:
 def coherent_avg_upper_bound(model: FadingModel, snr: float) -> float:
     """Coherent average-power capacity ceiling p log(1 + snr/p), in nats.
 
-    p = P(|H1| > 0); Jensen applied to the nonzero fading fraction.  When
-    p = 0 the channel carries nothing and the bound is 0.
+    p = P(|H1| > 0), which is positive for every law; Jensen applied to the
+    nonzero fading fraction.
     """
     check_positive("snr", snr)
     p = 1.0 - model.mass_at_zero
-    if p == 0.0:
-        return 0.0
     return p * math.log1p(snr / p)
 
 
@@ -357,24 +326,15 @@ def phase_noise_upper_bound(snr: float) -> float:
     return 0.5 * math.log1p(snr / 2.0)
 
 
-def miso_prelog_lower(
-    spectra: Sequence[SpectralDensity], masses_at_zero: Sequence[float]
-) -> float:
+def miso_prelog_lower(spectra: Sequence[SpectralDensity]) -> float:
     """Pre-log lower bound for multiple transmit antennas.
 
     Signaling from the single best antenna achieves that antenna's zero-set
-    measure, so the bound is the max over antennas.  Every per-antenna law
-    must have no mass at zero.
+    measure, so the bound is the max over antennas.  It holds when no
+    antenna's law of H1 has mass at zero.
     """
     if not spectra:
         raise DomainError("need at least one antenna spectrum")
-    if len(spectra) != len(masses_at_zero):
-        raise DomainError(
-            f"{len(spectra)} spectra vs {len(masses_at_zero)} mass values"
-        )
-    for t, mass in enumerate(masses_at_zero):
-        if mass > 0:
-            raise PreconditionError(f"antenna {t} has mass {mass} at zero")
     return max(zero_set_measure(S) for S in spectra)
 
 

@@ -13,12 +13,15 @@ Models are named with a small spec language, name:key=value,...:
     phase-noise                IID uniform-phase unit-modulus fading
     custom:spectrum=f.json,tail=rayleigh   spectrum file plus a law of H1
 
-A custom spectrum must have unit variance.  The tail names one of three
-laws of H1: rayleigh (Gaussian, any spectrum), onoff (mass 1/2 at zero;
-bounds on any spectrum, simulate only on the on-off spectrum of some W),
-and unit (uniform phase; the flat spectrum only).  Each parameter is given
-once.  Every model is zero-mean, and simulate synthesizes Gaussian paths
-from 4096 harmonics.
+A spectrum file holds {"segments": [[lo, hi, value], ...], "variance": v}
+in JSON numbers, and a custom spectrum must have unit variance.  The tail
+names one of three laws of H1: rayleigh (Gaussian, any spectrum), onoff
+(mass 1/2 at zero; bounds on any spectrum, simulate only on the on-off
+spectrum of some W), and unit (uniform phase; the flat spectrum only).
+Every model, built-in or custom, is a spectrum and one of these laws, and
+a law that does not fit its spectrum is a usage error.  Each parameter is
+given once.  Every model is zero-mean, and simulate synthesizes Gaussian
+paths from 4096 harmonics.
 
 Grids are lo:hi:points (log-spaced, endpoints pinned to lo and hi), a
 comma list, or a single value.  A JSON config file given with --config
@@ -124,8 +127,8 @@ def parse_model(text: str) -> bounds.FadingModel:
         if set(params) != {"spectrum", "tail"}:
             raise DomainError("custom needs spectrum=<json file> and tail=<law>")
         path, law = params["spectrum"], params["tail"]
-        return bounds.law_model(_read_spectrum_file(path), law,
-                                f"custom:{os.path.basename(path)},tail={law}")
+        return bounds.FadingModel(f"custom:{os.path.basename(path)},tail={law}",
+                                  _read_spectrum_file(path), law)
     raise DomainError(f"unknown model {name!r}, have {sorted(bounds.BUILTIN_MODELS)} or custom")
 
 
@@ -268,8 +271,7 @@ def cmd_miso(args) -> int:
             spectra_list.append(spectra.make_rect_band(_number(item[2:])))
         else:
             spectra_list.append(_read_spectrum_file(item))
-    masses = [0.0] * len(spectra_list)
-    value = bounds.miso_prelog_lower(spectra_list, masses)
+    value = bounds.miso_prelog_lower(spectra_list)
     rows = [
         [t, spectra.zero_set_measure(S)] for t, S in enumerate(spectra_list)
     ]

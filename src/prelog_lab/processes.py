@@ -181,12 +181,11 @@ def simulate_phase_noise(n: int, seed: int) -> SamplePath:
 def simulate_model(model: FadingModel, n: int, seed: int) -> SamplePath:
     """Path of the model's process, the sampler picked by its law.
 
-    The unit and onoff laws name processes with fixed spectra, so their
-    paths need the flat spectrum and make_onoff_spectrum(W) respectively.
+    The onoff law names the on-off product process, so its paths need the
+    spectrum make_onoff_spectrum(W) of some W; FadingModel already holds
+    the unit law to the flat spectrum.
     """
     if model.law == "unit":
-        if model.spectrum != make_rect_band(0.5):
-            raise DomainError("a unit-law path needs the flat spectrum")
         return simulate_phase_noise(n, seed)
     if model.law == "onoff":
         return simulate_onoff(_onoff_halfwidth(model.spectrum), n, seed)
@@ -213,9 +212,7 @@ def marginal_draws(model: FadingModel, n: int, seed: int) -> np.ndarray:
         b = g[0::2] + 1j * g[1::2]  # variance 2
         a = rng.integers(0, 2, n)
         return a * b
-    if model.law == "unit":
-        return _unit_phasors(rng, n)
-    raise DomainError(f"model {model.name!r} has no named law")
+    return _unit_phasors(rng, n)
 
 
 def tail_probability(model: FadingModel, upsilon: float) -> float:

@@ -99,13 +99,20 @@ class SpectralDensity:
 
     @classmethod
     def from_json(cls, text: str) -> "SpectralDensity":
+        """Parse {"segments": [[lo, hi, value], ...], "variance": v}, every
+        entry a JSON number; bools, strings and the rest are DomainErrors."""
         try:
-            obj = json.loads(text)
-            segments = tuple(tuple(seg) for seg in obj["segments"])
-            variance = obj["variance"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            # ints parse as floats, so an integer past the float range is inf
+            obj = json.loads(text, parse_int=float)
+            segments, variance = obj["segments"], obj["variance"]
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON
             raise DomainError(f"malformed spectral density JSON: {exc}") from exc
-        return cls(segments=segments, variance=variance)
+        if not (isinstance(segments, list) and isinstance(variance, float) and all(
+                isinstance(seg, list) and len(seg) == 3
+                and all(isinstance(x, float) for x in seg) for seg in segments)):
+            raise DomainError("a spectral density needs [lo, hi, value] segments and a "
+                              "variance, all JSON numbers")
+        return cls(tuple(map(tuple, segments)), variance)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from prelog_lab.bounds import (
     phase_noise_model,
     phase_noise_upper_bound,
     prelog_lower_bound,
+    FadingModel,
     prelog_report,
     rayleigh_band_model,
-    rayleigh_model,
 )
 from prelog_lab.processes import (
     empirical_autocov,
@@ -105,9 +105,10 @@ def test_criterion_5_bound_ordering_random_models():
     snrs = [10.0 ** k for k in range(2, 10)]
     ugrid = default_upsilon_grid()
     for i in range(20):
-        model = rayleigh_model(
-            random_density(rng, unit_variance=True, force_zero_band=True),
+        model = FadingModel(
             f"random-{i}",
+            random_density(rng, unit_variance=True, force_zero_band=True),
+            "rayleigh",
         )
         for snr in snrs:
             _, lb = optimize_upsilon(model, snr, ugrid)
@@ -196,7 +197,7 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_miso():
     t0 = time.perf_counter()
     spectra = [make_rect_band(0.1), make_rect_band(0.2)]
-    value = miso_prelog_lower(spectra, [0.0, 0.0])
+    value = miso_prelog_lower(spectra)
     assert value == 0.8
     per_antenna = max(
         prelog_lower_bound(rayleigh_band_model(0.1)),

@@ -1,6 +1,7 @@
 """Capacity bounds, pre-log reports, and their frozen reference values."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from prelog_lab.bounds import (
     capacity_lower_bound,
     coherent_avg_upper_bound,
     default_upsilon_grid,
-    law_model,
     masspoint_prelog_upper,
     miso_prelog_lower,
     onoff_model,
@@ -24,7 +24,6 @@ from prelog_lab.bounds import (
     prelog_lower_bound,
     prelog_report,
     rayleigh_band_model,
-    rayleigh_model,
 )
 from prelog_lab.errors import DomainError, NumericError, PreconditionError
 from prelog_lab.spectra import make_rect_band, zero_set_measure
@@ -123,15 +122,6 @@ class TestCoherentUpper:
         assert got == pytest.approx(0.5 * math.log1p(2e6), abs=1e-12)
         assert got == pytest.approx(7.254329119262048, abs=1e-12)
 
-    def test_degenerate_zero_support(self):
-        dead = FadingModel(
-            name="dead",
-            spectrum=make_rect_band(0.5),
-            tail=lambda u: 0.0,
-            mass_at_zero=1.0,
-        )
-        assert coherent_avg_upper_bound(dead, 1e4) == 0.0
-
     def test_snr_domain(self):
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
@@ -205,29 +195,25 @@ class TestPhaseNoise:
 class TestMiso:
     def test_two_antennas(self):
         spectra = [make_rect_band(0.1), make_rect_band(0.2)]
-        assert miso_prelog_lower(spectra, [0.0, 0.0]) == pytest.approx(0.8, abs=1e-15)
+        assert miso_prelog_lower(spectra) == pytest.approx(0.8, abs=1e-15)
 
     def test_single_antenna_reduces(self):
         model = rayleigh_band_model(0.15)
-        assert miso_prelog_lower([model.spectrum], [0.0]) == prelog_lower_bound(model)
+        assert miso_prelog_lower([model.spectrum]) == prelog_lower_bound(model)
 
     def test_iid_pair(self):
-        assert miso_prelog_lower([make_rect_band(0.5)] * 2, [0.0, 0.0]) == 0.0
+        assert miso_prelog_lower([make_rect_band(0.5)] * 2) == 0.0
 
     def test_composition_identity(self):
         rng = np.random.default_rng(41)
         spectra = [random_density(rng, unit_variance=True) for _ in range(4)]
-        models = [rayleigh_model(S, f"m{i}") for i, S in enumerate(spectra)]
+        models = [FadingModel(f"m{i}", S, "rayleigh") for i, S in enumerate(spectra)]
         want = max(prelog_lower_bound(m) for m in models)
-        assert miso_prelog_lower(spectra, [0.0] * 4) == want
+        assert miso_prelog_lower(spectra) == want
 
     def test_guards(self):
         with pytest.raises(DomainError):
-            miso_prelog_lower([], [])
-        with pytest.raises(PreconditionError):
-            miso_prelog_lower([make_rect_band(0.1)], [0.25])
-        with pytest.raises(DomainError):
-            miso_prelog_lower([make_rect_band(0.1)], [0.0, 0.0])
+            miso_prelog_lower([])
 
 
 class TestBoundOrdering:
@@ -235,8 +221,8 @@ class TestBoundOrdering:
         rng = np.random.default_rng(43)
         snrs = [10.0 ** k for k in range(2, 10)]
         for _ in range(6):
-            model = rayleigh_model(
-                random_density(rng, unit_variance=True, force_zero_band=True), "rand"
+            model = FadingModel(
+                "rand", random_density(rng, unit_variance=True, force_zero_band=True), "rayleigh"
             )
             for snr in snrs:
                 _, lb = optimize_upsilon(model, snr, default_upsilon_grid())
@@ -318,53 +304,51 @@ class TestPrelogReport:
 
 
 class TestFadingModelValidation:
-    def test_tail_mass_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            FadingModel(
-                name="bad",
-                spectrum=make_rect_band(0.5),
-                tail=lambda u: 0.4,  # tail(0+) should be 1
-                mass_at_zero=0.0,
-            )
-
-    def test_increasing_tail_rejected(self):
-        with pytest.raises(DomainError):
-            FadingModel(
-                name="bad",
-                spectrum=make_rect_band(0.5),
-                tail=lambda u: min(u, 1.0),
-                mass_at_zero=1.0,
-            )
-
-    def test_mass_range(self):
-        with pytest.raises(DomainError):
-            FadingModel(
-                name="bad",
-                spectrum=make_rect_band(0.5),
-                tail=lambda u: math.exp(-u * u),
-                mass_at_zero=1.5,
-            )
-
     def test_rayleigh_needs_unit_variance(self):
         with pytest.raises(DomainError):
-            rayleigh_model(make_rect_band(0.1, variance=2.0), "bad")
+            FadingModel("bad", make_rect_band(0.1, variance=2.0), "rayleigh")
 
     def test_law_model_checks(self):
         for law in LAWS:
             with pytest.raises(DomainError, match="unit variance"):
-                law_model(make_rect_band(0.5, variance=2.0), law, "bad")
+                FadingModel("bad", make_rect_band(0.5, variance=2.0), law)
         with pytest.raises(DomainError, match="flat spectrum"):
-            law_model(make_rect_band(0.1), "unit", "bad")
+            FadingModel("bad", make_rect_band(0.1), "unit")
         with pytest.raises(DomainError, match="unknown law"):
-            law_model(make_rect_band(0.5), "rice", "bad")
+            FadingModel("bad", make_rect_band(0.5), "rice")
         # the onoff tail bounds any spectrum; only its paths need the on-off one
-        assert law_model(make_rect_band(0.1), "onoff", "ok").mass_at_zero == 0.5
+        assert FadingModel("ok", make_rect_band(0.1), "onoff").mass_at_zero == 0.5
 
     def test_builtin_models_carry_their_law(self):
         assert rayleigh_band_model(0.1).law == "rayleigh"
         assert onoff_model(1 / 16).law == "onoff"
         assert phase_noise_model().law == "unit"
-        assert FadingModel("own", make_rect_band(0.5), LAWS["unit"][0], 0.0).law == ""
+
+    def test_three_fields_and_the_law_sets_the_rest(self):
+        assert [f.name for f in fields(FadingModel) if f.init] == ["name", "spectrum", "law"]
+        for law, (tail, mass) in LAWS.items():
+            model = FadingModel("m", make_rect_band(0.5), law)
+            assert model.tail is tail and model.mass_at_zero == mass
+
+    def test_closed_loopholes(self):
+        # a law's variance and a unit law's spectrum are checked at build time
+        with pytest.raises(DomainError, match="unit variance"):
+            FadingModel("x", make_rect_band(0.1, variance=2.0), "onoff")
+        with pytest.raises(DomainError, match="flat spectrum"):
+            FadingModel("x", make_rect_band(0.1), "unit")
+
+
+# thresholds on which every tail of LAWS is checked, 0+ first
+TAIL_PROBES = (1e-9, 0.25, 0.5, 1.0, 2.0, 4.0, 40.0)
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_law_tail_is_a_tail(law):
+    tail, mass = LAWS[law]
+    assert abs(tail(TAIL_PROBES[0]) - (1.0 - mass)) <= 1e-6
+    values = [tail(u) for u in TAIL_PROBES]
+    assert all(0.0 <= t <= 1.0 for t in values)
+    assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 class TestReportInvariantGuard:

@@ -81,6 +81,38 @@ def test_non_utf8_file_is_usage(capsys, tmp_path, argv):
     assert "not UTF-8" in err
 
 
+MALFORMED_SPECTRA = {
+    "two-entry-segment": '{"segments": [[-0.5, 0.5]], "variance": 1.0}',
+    "string-value": '{"segments": [[-0.5, 0.5, "x"]], "variance": 1.0}',
+    "list-value": '{"segments": [[-0.5, 0.5, [1]]], "variance": 1.0}',
+    "bool-variance": '{"segments": [[-0.5, 0.5, 1]], "variance": true}',
+    "string-variance": '{"segments": [[-0.5, 0.5, 1]], "variance": "1"}',
+    "huge-int-variance": '{"segments": [[-0.5, 0.5, 1]], "variance": 1%s}' % ("0" * 400),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPECTRA.values(), ids=MALFORMED_SPECTRA)
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "custom:spectrum={f},tail=rayleigh"],
+    ["miso", "--spectra", "W=0.1,{f}"],
+], ids=["custom-spectrum", "miso-spectra"])
+def test_malformed_spectrum_file_is_usage(capsys, tmp_path, argv, text):
+    sfile = tmp_path / "s.json"
+    sfile.write_text(text)
+    code, out, err = run(capsys, [a.format(f=sfile) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_integer_spectrum_entries_are_numbers(capsys, tmp_path):
+    sfile = tmp_path / "s.json"
+    sfile.write_text('{"segments": [[-0.5, 0.5, 1]], "variance": 1}')
+    code, out, _ = run(capsys, ["miso", "--spectra", str(sfile)])
+    assert code == 0
+    assert "# prelog_lower=0.0" in out
+
+
 class TestExitCodes:
     def test_unknown_model_is_usage(self, capsys):
         code, _, err = run(capsys, ["bound-sweep", "--model", "nosuch:W=1"])

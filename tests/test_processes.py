@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from prelog_lab.bounds import (
-    LAWS,
     FadingModel,
     onoff_model,
     phase_noise_model,
@@ -213,14 +212,8 @@ class TestModelDispatch:
                                  (0.1, 0.45, 0.0), (0.45, 0.5, v)])
         for law, S in [("unit", make_rect_band(0.1)), ("onoff", make_rect_band(0.1)),
                        ("onoff", make_rect_band(0.3)), ("onoff", uneven)]:
-            tail, mass = LAWS[law]
             with pytest.raises(DomainError):
-                simulate_model(FadingModel("fake", S, tail, mass, law), 32, 1)
-
-    def test_own_tail_has_no_monte_carlo_law(self):
-        model = FadingModel("own", make_rect_band(0.1), LAWS["rayleigh"][0], 0.0)
-        with pytest.raises(DomainError):
-            marginal_draws(model, 16, 1)
+                simulate_model(FadingModel("fake", S, law), 32, 1)
 
     def test_routes(self):
         assert simulate_model(phase_noise_model(), 32, 1).model_name == "phase-noise"
