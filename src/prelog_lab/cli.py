@@ -3,8 +3,8 @@
 Commands mirror the library one to one and print exactly the numbers the
 library returns (floats formatted with repr, so nothing is lost to
 rounding and reruns are byte-identical).  This module is the package's one
-CSV/JSON writer.  Exit codes: 0 success, 2 usage or domain errors, 3 I/O
-errors, 4 numeric failures.
+CSV/JSON writer.  Exit codes: 0 success, 2 usage or domain errors (a size
+too large to allocate included), 3 I/O errors, 4 numeric failures.
 
 Models are named with a small spec language, name:key=value,...:
 
@@ -249,7 +249,7 @@ def cmd_simulate(args) -> int:
         rows.append(
             [m, est.real, est.imag, analytic.real, analytic.imag, abs(est - analytic)]
         )
-    nonzero = float((abs(path.values) > 0).sum()) / n
+    nonzero = float((path.values != 0).sum()) / n
     scalars = {
         "model": model.name,
         "n": n,
@@ -411,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else EXIT_USAGE
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:  # too large to allocate is usage
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

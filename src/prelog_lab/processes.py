@@ -36,6 +36,12 @@ STREAM_TAIL_MC = 5
 HARMONICS = 4096
 # block height of the harmonic power table; trades memory for gemm size
 _SYNTH_BLOCK = 2048
+# complex elements in 256 KiB: from this size up numpy evaluates
+# a * np.conj(b) as multiply(conj_tmp, a, out=conj_tmp) (temporary elision)
+_ELIDE_LEN = 256 * 1024 // 16
+# complex elements per block of a lag sum: a 256 KiB buffer stays in cache
+# with the two path slices it reads; at least numpy's 64-element leaf
+_SUM_BLOCK = 1 << 14
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -226,6 +232,9 @@ def tail_probability_mc(
 ) -> float:
     """Monte Carlo estimate of the tail, the cross-check for closed forms."""
     check_positive("threshold", upsilon)
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise DomainError(f"the Monte Carlo sample count must be an integer >= 1, "
+                          f"got {n_samples!r}")
     draws = marginal_draws(model, n_samples, seed)
     return float(np.mean(np.abs(draws) >= upsilon))
 
@@ -235,6 +244,19 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
 
     r(m) = (1/n) sum_k (H_{k+m} - mean)(H_k - mean)*; the 1/n normalization
     keeps the estimated sequence positive semidefinite.
+
+    Each lag's sum has the bits of np.sum(h[m:] * np.conj(h[:n-m])), but
+    runs over cache-sized blocks instead of path-length temporaries.
+    Two choices in that expression decide the last bit, so both are kept:
+
+    - the operand order of the product: numpy elides the conj temporary
+      once it holds 256 KiB (n - m >= 16384) and computes
+      multiply(conj, h[m:]) in place, and below that multiply(h[m:], conj);
+      with fused multiply-adds the two orders round differently;
+    - the order of the sum: np.sum is numpy's pairwise sum, and
+      _pairwise_sum splits the lag exactly where numpy would, so each block
+      is a whole subtree of numpy's tree and the block sums are added in
+      its order.
     """
     n = path.n
     if m_max < 0:
@@ -242,27 +264,61 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
     if m_max >= n:
         raise DomainError(f"m_max = {m_max} needs a path longer than {n}")
     h = path.values - np.mean(path.values)
+    buf = np.empty(min(n, _SUM_BLOCK), dtype=np.complex128)
     vals = []
     for m in range(m_max + 1):
-        if m == 0:
-            vals.append(complex(np.sum(h * np.conj(h)).real / n))
-        else:
-            vals.append(complex(np.sum(h[m:] * np.conj(h[:-m])) / n))
+        total = _lag_sum(h, m, buf)
+        vals.append(complex(total.real / n) if m == 0 else complex(total / n))
     return AutocovarianceSeq(tuple(vals))
+
+
+def _lag_sum(h: np.ndarray, m: int, buf: np.ndarray) -> np.complex128:
+    """sum_k h[k+m] conj(h[k]), bit for bit as np.sum(h[m:] * np.conj(h[:n-m]))."""
+    length = h.size - m
+    if length < _ELIDE_LEN:  # fits in cache: numpy's own expression
+        return np.sum(h[m:] * np.conj(h[:length]))
+
+    def block_sum(start: int, count: int) -> np.complex128:
+        b = buf[:count]
+        np.conjugate(h[start:start + count], out=b)
+        np.multiply(b, h[m + start:m + start + count], out=b)
+        return np.add.reduce(b, initial=0j)
+
+    return _pairwise_sum(block_sum, length)
+
+
+def _pairwise_sum(block_sum, length: int, start: int = 0) -> np.complex128:
+    """numpy's pairwise sum of `length` complex elements from `start`,
+    with block_sum(start, count) summing each block of at most _SUM_BLOCK.
+
+    numpy sums a complex array as 2*length doubles and splits a piece of
+    N > 128 doubles after N/2 - (N/2 mod 8); the split depends only on the
+    piece's length, so a block handed to np.add.reduce is summed exactly as
+    the same piece inside the whole array.
+    """
+    if length <= _SUM_BLOCK:
+        return block_sum(start, length)
+    left = (length - length % 8) // 2
+    return (_pairwise_sum(block_sum, left, start)
+            + _pairwise_sum(block_sum, length - left, start + left))
 
 
 # ---------------------------------------------------------------------------
 # path files
 
 _HEADER = struct.Struct("<QQ")  # n, seed
+_CSV_ROWS = 16384  # rows formatted per write, so memory stays bounded
 
 
 def write_path_csv(path: SamplePath, fname: str) -> None:
     """Write k, re, im rows; floats at full round-trip precision."""
     with open(fname, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,re,im\n")
-        for k, v in enumerate(path.values):
-            fh.write(f"{k},{float(v.real)!r},{float(v.imag)!r}\n")
+        for start in range(0, path.n, _CSV_ROWS):
+            rows = path.values[start:start + _CSV_ROWS]
+            ks = range(start, start + rows.size)
+            fh.write("".join(f"{k},{re!r},{im!r}\n" for k, re, im in
+                             zip(ks, rows.real.tolist(), rows.imag.tolist())))
 
 
 def write_path_binary(path: SamplePath, fname: str) -> None:

@@ -3,7 +3,9 @@
 Nothing here may call the routine it checks: integrals go through adaptive
 Simpson quadrature with Richardson extrapolation evaluated pointwise on
 the density, eigenvalues through numpy's general LAPACK solver, tails through
-Monte Carlo draws, the threshold optimum through a plain-float loop.
+Monte Carlo draws, the threshold optimum through a plain-float loop, the
+empirical autocovariance through one whole-path np.sum per lag, and path
+CSV files through one write per row.
 Random piecewise densities exercise the closed forms away from the
 hand-picked examples.
 """
@@ -132,3 +134,24 @@ def toeplitz_matrix(first_row) -> np.ndarray:
             d = k - j
             M[j, k] = r[d] if d >= 0 else np.conj(r[-d])
     return M
+
+
+def direct_autocov(values, m_max: int) -> list[complex]:
+    """Biased autocovariance over lags 0..m_max, one whole-path sum per lag."""
+    h = values - np.mean(values)
+    n = h.size
+    vals = []
+    for m in range(m_max + 1):
+        if m == 0:
+            vals.append(complex(np.sum(h * np.conj(h)).real / n))
+        else:
+            vals.append(complex(np.sum(h[m:] * np.conj(h[:-m])) / n))
+    return vals
+
+
+def path_csv_rows(values, fname: str) -> None:
+    """k, re, im rows of a path, one row per write."""
+    with open(fname, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k,re,im\n")
+        for k, v in enumerate(values):
+            fh.write(f"{k},{float(v.real)!r},{float(v.imag)!r}\n")

@@ -373,6 +373,16 @@ class TestSimulateCommand:
         assert out == ""
         assert "seed" in err
 
+    @pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "onoff:W=0.0625"])
+    def test_path_too_large_to_allocate_is_usage(self, capsys, model):
+        # the synthesis table for 1e17 samples needs exabytes, more than any
+        # address space holds, so allocating it fails whatever the kernel's
+        # overcommit policy
+        code, out, err = run(capsys, ["simulate", "--model", model, "--n", str(10**17)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMisoCommand:
     def test_example(self, capsys):

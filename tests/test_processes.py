@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from prelog_lab import processes
 from prelog_lab.bounds import (
     FadingModel,
     onoff_model,
@@ -26,6 +27,8 @@ from prelog_lab.processes import (
     write_path_csv,
 )
 from prelog_lab.spectra import autocovariance, make_piecewise, make_rect_band, sinc
+
+from oracles import path_csv_rows
 
 
 class TestReproducibility:
@@ -165,6 +168,11 @@ class TestTails:
             with pytest.raises(DomainError):
                 tail_probability_mc(model, bad, n_samples=16)
 
+    @pytest.mark.parametrize("n_samples", [0, -5, 1000.0])
+    def test_monte_carlo_needs_a_sample(self, n_samples):
+        with pytest.raises(DomainError):
+            tail_probability_mc(rayleigh_band_model(0.1), 1.0, n_samples=n_samples)
+
     @pytest.mark.parametrize(
         "model", [rayleigh_band_model(0.1), onoff_model(1 / 16)], ids=["rayleigh", "onoff"]
     )
@@ -244,6 +252,20 @@ class TestPathFiles:
             fh.truncate(16 + 8 * 7)
         with pytest.raises(DomainError):
             read_path_binary(fname)
+
+    def test_csv_bytes_match_row_writer(self, tmp_path, monkeypatch):
+        # a block size that splits the rows unevenly, and values whose repr
+        # is easy to get wrong: signed zeros, subnormals, extremes
+        monkeypatch.setattr(processes, "_CSV_ROWS", 7)
+        special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -5e-324),
+                   complex(-2.2250738585072014e-308, 1e-310),
+                   complex(1.7976931348623157e308, -1e300), complex(1 / 3, -2 / 3)]
+        values = np.concatenate([special, simulate_gaussian(make_rect_band(0.3), 40, 5).values])
+        for n in (1, 7, 8, values.size):
+            path = processes.SamplePath(values[:n], "rows", 0)
+            write_path_csv(path, str(tmp_path / "lib.csv"))
+            path_csv_rows(path.values, str(tmp_path / "ref.csv"))
+            assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_csv_layout(self, tmp_path):
         src = simulate_phase_noise(4, 2)

@@ -1,7 +1,8 @@
-"""Properties over drawn spectra, laws and snr grids.
+"""Properties over drawn spectra, laws, snr grids and sample paths.
 
-Sizes stay small (at most 6 snr points, n <= 64) so the tier1 profile's
-fixed examples keep Tier-1 fast.
+Sizes stay small (at most 6 snr points, n <= 64 for Toeplitz matrices,
+paths of at most 40000 samples and 300 lags) so the tier1 profile's fixed
+examples keep Tier-1 fast.
 """
 
 import numpy as np
@@ -10,11 +11,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from prelog_lab.bounds import FadingModel, bound_sweep  # noqa: E402
+from prelog_lab import processes  # noqa: E402
+from prelog_lab.bounds import (  # noqa: E402
+    FadingModel,
+    bound_sweep,
+    onoff_model,
+    phase_noise_model,
+    rayleigh_band_model,
+)
 from prelog_lab.spectra import autocovariance_sequence  # noqa: E402
 from prelog_lab.toeplitz import szego_logdet_rate  # noqa: E402
 
-from oracles import random_density, toeplitz_matrix  # noqa: E402
+from oracles import direct_autocov, random_density, toeplitz_matrix  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
 snr_grids = st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=6, unique=True).map(sorted)
@@ -36,3 +44,44 @@ def test_levinson_rate_matches_slogdet(seed, n, snr):
     assert sign.real > 0
     r0 = row[0].real
     assert abs(szego_logdet_rate(S, snr, n) - logdet / n) <= 1e-13 * snr * max(1.0, r0)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.complex128).tobytes()
+
+
+@given(seeds, st.integers(1, 200_000))
+def test_blocked_pairwise_sum_is_numpy_sum(seed, length):
+    # guards the split rule empirical_autocov copies from numpy's pairwise sum
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.uniform(-30.0, 30.0, length))
+    x = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) * scale
+
+    def block_sum(start, count):
+        return np.add.reduce(x[start:start + count], initial=0j)
+
+    assert _bits(processes._pairwise_sum(block_sum, length)) == _bits(np.sum(x))
+
+
+_PATH_LEN = 40_000
+
+
+@pytest.fixture(scope="module")
+def law_paths():
+    """One long path per law; examples take slices of them."""
+    models = {"rayleigh": rayleigh_band_model(0.1), "onoff": onoff_model(1 / 16),
+              "unit": phase_noise_model()}
+    return {law: processes.simulate_model(model, _PATH_LEN, 3).values
+            for law, model in models.items()}
+
+
+@given(st.sampled_from(["rayleigh", "onoff", "unit"]),
+       # lengths next to 16384 put n - m on both sides of numpy's elision size
+       st.integers(1, _PATH_LEN) | st.integers(16_384 - 8, 16_384 + 300),
+       st.integers(0, 300), st.integers(0, _PATH_LEN))
+def test_empirical_autocov_is_direct_sum(law_paths, law, n, m_max, offset):
+    offset = min(offset, _PATH_LEN - n)
+    path = processes.SamplePath(law_paths[law][offset:offset + n], law, 0)
+    m_max = min(m_max, n - 1)
+    got = processes.empirical_autocov(path, m_max).values
+    assert _bits(got) == _bits(direct_autocov(path.values, m_max))
