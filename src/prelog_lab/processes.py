@@ -7,6 +7,12 @@ equal-mass stratum).  The empirical autocovariance of such a path matches
 the closed form of the spectrum, and the law is asymptotically Gaussian in
 M.
 
+Memory: a path of n samples costs the path itself (16 n bytes), the chunk
+matrix of amplitudes (about 32 n bytes) and one block of _SYNTH_BLOCK rows
+of the harmonic power table (16 MiB), never the whole 128 MiB table.
+On-off paths compute only the samples they keep and write the others as
+exact zeros.
+
 Reproducibility contract: identical (model, n, seed) gives bit-identical
 paths.  The generator is counter-based (Philox) keyed by (seed, stream),
 with a distinct stream per draw purpose so fading, parity, phases and
@@ -34,8 +40,13 @@ STREAM_PHASE = 4
 STREAM_TAIL_MC = 5
 
 HARMONICS = 4096
-# block height of the harmonic power table; trades memory for gemm size
-_SYNTH_BLOCK = 2048
+# rows of the harmonic power table: a path is synthesized in chunks of this
+# many samples, and sample k takes row k mod _TABLE_ROWS
+_TABLE_ROWS = 2048
+# rows of that table held at once (16 MiB, an eighth of the table): on a
+# 2-vCPU Xeon a 1e6-sample Gaussian path took 0.48 s with blocks of 256
+# rows, as with the whole table, 0.51 s with 128 and 0.45 s with 512 rows
+_SYNTH_BLOCK = 256
 # complex elements in 256 KiB: from this size up numpy evaluates
 # a * np.conj(b) as multiply(conj_tmp, a, out=conj_tmp) (temporary elision)
 _ELIDE_LEN = 256 * 1024 // 16
@@ -95,27 +106,76 @@ def _draw_frequencies(S: SpectralDensity, M: int, rng: np.random.Generator) -> n
     return los[idx] + (t - cum[idx]) / vals[idx]
 
 
-def _synthesize(lam: np.ndarray, amp: np.ndarray, n: int) -> np.ndarray:
+def _synthesize(lam: np.ndarray, amp: np.ndarray, n: int,
+                off_parity: int | None = None) -> np.ndarray:
     """sum_j amp_j exp(i 2 pi lam_j k) for k = 0..n-1, blockwise.
 
-    Builds a (block, M) table of per-step phasor powers once, then walks
-    the path in chunks with a single matrix product per chunk.
+    With T[d, j] = exp(i 2 pi lam_j d) the harmonic power table of D rows
+    and W[j, c] = amp_j exp(i 2 pi lam_j D c) the chunk matrix, sample
+    k = c D + d is (T @ W)[d, c].  The rows T[d] = T[d-1] z are built in
+    blocks of about _SYNTH_BLOCK and each block goes through one product,
+    so the bits are those of the whole-table product.  No block has a
+    single row unless D = 1: numpy hands a one-row product to another BLAS
+    routine (gemv for gemm, dot for gemv), which rounds differently.
+
+    off_parity: samples k with k % 2 == off_parity are exact zeros and are
+    not computed.  D is even or there is a single chunk, so a sample's
+    parity is its row's.  With more than one chunk only the kept rows of a
+    block go through the product (128 of 256, still a gemm); a single chunk
+    takes every row, since its kept rows may be just one.
     """
     M = lam.size
-    D = min(_SYNTH_BLOCK, n)
-    z = np.exp(2j * np.pi * lam)
-    P = np.empty((D, M), dtype=np.complex128)
-    P[0] = 1.0
-    for d in range(1, D):
-        P[d] = P[d - 1] * z
+    D = min(_TABLE_ROWS, n)
     chunks = -(-n // D)
-    zD = np.exp(2j * np.pi * lam * D)
+    # both n-sized allocations come first, so a path too long to hold fails
+    # before any table row is built
+    out = np.empty((chunks, D), dtype=np.complex128)
     W = np.empty((M, chunks), dtype=np.complex128)
+    zD = np.exp(2j * np.pi * lam * D)
     col = amp.astype(np.complex128)
     for c in range(chunks):
         W[:, c] = col
         col = col * zD
-    return (P @ W).T.ravel()[:n]
+    z = np.exp(2j * np.pi * lam)
+    nblk = -(-D // _SYNTH_BLOCK)
+    block = np.empty((-(-D // nblk), M), dtype=np.complex128)
+    block[0] = 1.0
+    lo = 0
+    for i in range(1, nblk + 1):
+        hi = D * i // nblk
+        rows = block[:hi - lo]
+        if lo:  # continue the recurrence from the previous block's last row
+            np.multiply(prev, z, out=rows[0])
+        for d in range(1, hi - lo):
+            np.multiply(rows[d - 1], z, out=rows[d])
+        if off_parity is None or chunks == 1:
+            out[:, lo:hi] = (rows @ W).T
+        else:
+            s = (1 - off_parity - lo) % 2
+            out[:, lo + s:hi:2] = (rows[s::2] @ W).T
+        prev = rows[-1]
+        lo = hi
+    path = out.ravel()[:n]
+    if off_parity is not None:
+        path[off_parity::2] = 0.0
+    return path
+
+
+def _check_length(n: int) -> None:
+    # 16 n bytes must fit numpy's address arithmetic (n < 2**59), or the
+    # allocation raises ValueError instead of MemoryError
+    if not 1 <= n < 2**59:
+        raise DomainError(f"path length must lie in [1, 2**59), got {n}")
+
+
+def _harmonics(S: SpectralDensity, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and complex amplitudes of the harmonics of a path with
+    spectrum S: HARMONICS stratified frequencies with IID uniform phases."""
+    rng = stream_rng(seed, STREAM_FADING)
+    lam = _draw_frequencies(S, HARMONICS, rng)
+    phases = rng.uniform(0.0, 2.0 * np.pi, HARMONICS)
+    amp = np.sqrt(S.variance / HARMONICS) * np.exp(1j * phases)
+    return lam, amp
 
 
 def simulate_gaussian(S: SpectralDensity, n: int, seed: int) -> SamplePath:
@@ -124,13 +184,8 @@ def simulate_gaussian(S: SpectralDensity, n: int, seed: int) -> SamplePath:
     Harmonic superposition of HARMONICS stratified spectral frequencies
     with IID uniform phases.
     """
-    if n < 1:
-        raise DomainError(f"path length must be >= 1, got {n}")
-    rng = stream_rng(seed, STREAM_FADING)
-    lam = _draw_frequencies(S, HARMONICS, rng)
-    phases = rng.uniform(0.0, 2.0 * np.pi, HARMONICS)
-    amp = np.sqrt(S.variance / HARMONICS) * np.exp(1j * phases)
-    return SamplePath(_synthesize(lam, amp, n), f"gaussian:{S.to_json()}", seed)
+    _check_length(n)
+    return SamplePath(_synthesize(*_harmonics(S, seed), n), f"gaussian:{S.to_json()}", seed)
 
 
 def simulate_onoff(W: float, n: int, seed: int) -> SamplePath:
@@ -138,18 +193,15 @@ def simulate_onoff(W: float, n: int, seed: int) -> SamplePath:
 
     B is bandlimited Gaussian fading of half-width W and variance 2; A
     turns one whole parity class of time indices off, the class chosen by
-    a fair coin per path.  Half the samples are exact zeros.
+    a fair coin per path.  Half the samples are exact zeros, and only the
+    other half of B is computed.
     """
     if not 0 < W < 0.25:
         raise DomainError(f"on-off half-width must lie in (0, 1/4), got {W}")
-    if n < 1:
-        raise DomainError(f"path length must be >= 1, got {n}")
-    spectrum_b = make_rect_band(W, variance=2.0)
-    b_path = simulate_gaussian(spectrum_b, n, seed)
+    _check_length(n)
     parity = int(stream_rng(seed, STREAM_PARITY).integers(0, 2))
-    vals = np.array(b_path.values, copy=True)
-    vals[parity::2] = 0.0
-    return SamplePath(vals, f"onoff:W={W!r}", seed)
+    lam, amp = _harmonics(make_rect_band(W, variance=2.0), seed)
+    return SamplePath(_synthesize(lam, amp, n, parity), f"onoff:W={W!r}", seed)
 
 
 def _unit_phasors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -178,8 +230,7 @@ def simulate_phase_noise(n: int, seed: int) -> SamplePath:
 
     Every sample satisfies |H_k| = 1 exactly, not merely to rounding.
     """
-    if n < 1:
-        raise DomainError(f"path length must be >= 1, got {n}")
+    _check_length(n)
     rng = stream_rng(seed, STREAM_PHASE)
     return SamplePath(_unit_phasors(rng, n), "phase-noise", seed)
 
@@ -324,12 +375,9 @@ def write_path_csv(path: SamplePath, fname: str) -> None:
 def write_path_binary(path: SamplePath, fname: str) -> None:
     """16-byte header (n, seed as little-endian u64) then interleaved
     re/im little-endian doubles."""
-    flat = np.empty(2 * path.n, dtype="<f8")
-    flat[0::2] = path.values.real
-    flat[1::2] = path.values.imag
     with open(fname, "wb") as fh:
         fh.write(_HEADER.pack(path.n, path.seed & 0xFFFFFFFFFFFFFFFF))
-        fh.write(flat.tobytes())
+        fh.write(np.ascontiguousarray(path.values, dtype="<c16"))
 
 
 def read_path_binary(fname: str) -> SamplePath:
@@ -339,7 +387,7 @@ def read_path_binary(fname: str) -> SamplePath:
         if len(head) != _HEADER.size:
             raise DomainError(f"{fname}: truncated header")
         n, seed = _HEADER.unpack(head)
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    if flat.size != 2 * n:
-        raise DomainError(f"{fname}: expected {2 * n} floats, found {flat.size}")
-    return SamplePath(flat[0::2] + 1j * flat[1::2], "binary", int(seed))
+        body = fh.read()
+    if len(body) != 16 * n:
+        raise DomainError(f"{fname}: expected {16 * n} bytes of samples, found {len(body)}")
+    return SamplePath(np.frombuffer(body, dtype="<c16"), "binary", int(seed))

@@ -4,8 +4,9 @@ Nothing here may call the routine it checks: integrals go through adaptive
 Simpson quadrature with Richardson extrapolation evaluated pointwise on
 the density, eigenvalues through numpy's general LAPACK solver, tails through
 Monte Carlo draws, the threshold optimum through a plain-float loop, the
-empirical autocovariance through one whole-path np.sum per lag, and path
-CSV files through one write per row.
+empirical autocovariance through one whole-path np.sum per lag, Gaussian
+path synthesis through one product with the whole harmonic power table,
+and path CSV and binary files through one write per row or sample.
 Random piecewise densities exercise the closed forms away from the
 hand-picked examples.
 """
@@ -13,6 +14,7 @@ hand-picked examples.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -155,3 +157,31 @@ def path_csv_rows(values, fname: str) -> None:
         fh.write("k,re,im\n")
         for k, v in enumerate(values):
             fh.write(f"{k},{float(v.real)!r},{float(v.imag)!r}\n")
+
+
+def path_binary_elements(values, seed: int, fname: str) -> None:
+    """n, seed header then re, im of each sample, one struct.pack per sample."""
+    with open(fname, "wb") as fh:
+        fh.write(struct.pack("<QQ", len(values), seed))
+        for v in values:
+            fh.write(struct.pack("<dd", v.real, v.imag))
+
+
+def whole_table_synthesis(lam, amp, n: int) -> np.ndarray:
+    """sum_j amp_j exp(i 2 pi lam_j k) for k = 0..n-1 as one product of the
+    whole (min(2048, n), M) harmonic power table with the chunk matrix."""
+    M = lam.size
+    D = min(2048, n)
+    z = np.exp(2j * np.pi * lam)
+    P = np.empty((D, M), dtype=np.complex128)
+    P[0] = 1.0
+    for d in range(1, D):
+        P[d] = P[d - 1] * z
+    chunks = -(-n // D)
+    zD = np.exp(2j * np.pi * lam * D)
+    W = np.empty((M, chunks), dtype=np.complex128)
+    col = amp.astype(np.complex128)
+    for c in range(chunks):
+        W[:, c] = col
+        col = col * zD
+    return (P @ W).T.ravel()[:n]

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import prelog_lab
 from prelog_lab import bounds, spectra, toeplitz
 from prelog_lab.cli import main, parse_grid, parse_model
 from prelog_lab.errors import DomainError
@@ -379,6 +383,40 @@ class TestSimulateCommand:
         # address space holds, so allocating it fails whatever the kernel's
         # overcommit policy
         code, out, err = run(capsys, ["simulate", "--model", model, "--n", str(10**17)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    @pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "onoff:W=0.0625"])
+    def test_path_too_large_fails_before_synthesis(self, model):
+        # the path and the chunk matrix are allocated before the first row of
+        # the harmonic power table, so a path too long to hold costs no
+        # table: the process stays near its size after import (about
+        # 40 MiB), where the 128 MiB table would take it past 160 MiB.  A
+        # process of its own, because the peak resident set never falls;
+        # VmHWM, because ru_maxrss keeps the peak of the forking process.
+        script = ("import re, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from prelog_lab.cli import main\n"
+                  "code = main(sys.argv[2:])\n"
+                  "status = open('/proc/self/status').read()\n"
+                  "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n")
+        src = os.path.dirname(os.path.dirname(prelog_lab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, src, "simulate", "--model", model,
+             "--n", str(10**17)],
+            capture_output=True, text=True, timeout=120, check=True)
+        code, hwm_kib = map(int, proc.stdout.split())
+        assert code == 2
+        assert proc.stderr.startswith("error: ")
+        assert hwm_kib < 96 * 1024
+
+    @pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "onoff:W=0.0625", "phase-noise"])
+    def test_path_past_address_arithmetic_is_usage(self, capsys, model):
+        # 16 * 10**18 bytes is more than numpy can size an array, which it
+        # reports as ValueError, not MemoryError
+        code, out, err = run(capsys, ["simulate", "--model", model, "--n", str(10**18)])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 """Sample-path laws and path file formats."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from prelog_lab.processes import (
 )
 from prelog_lab.spectra import autocovariance, make_piecewise, make_rect_band, sinc
 
-from oracles import path_csv_rows
+from oracles import path_binary_elements, path_csv_rows
 
 
 class TestReproducibility:
@@ -74,6 +75,9 @@ class TestGaussianPath:
     def test_guards(self):
         with pytest.raises(DomainError):
             simulate_gaussian(make_rect_band(0.25), 0, 1)
+        # 16 bytes a sample past 2**63 bytes: numpy cannot even size the array
+        with pytest.raises(DomainError):
+            simulate_gaussian(make_rect_band(0.25), 2**59, 1)
 
 
 class TestOnoffPath:
@@ -115,6 +119,25 @@ class TestOnoffPath:
             simulate_onoff(0.3, 100, 1)
         with pytest.raises(DomainError):
             simulate_onoff(1 / 16, 0, 1)
+        with pytest.raises(DomainError):
+            simulate_onoff(1 / 16, 2**59, 1)
+
+
+class TestSynthesisMemory:
+    @pytest.mark.parametrize("simulate", [
+        lambda seed: simulate_gaussian(make_rect_band(0.1), 100_000, seed),
+        lambda seed: simulate_onoff(0.125, 100_000, seed),
+    ], ids=["gaussian", "onoff"])
+    def test_traced_peak(self, simulate):
+        # one 16 MiB block of table rows, the chunk matrix and the path; the
+        # whole harmonic power table alone would be 128 MiB
+        tracemalloc.start()
+        try:
+            simulate(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestPhaseNoisePath:
@@ -133,6 +156,11 @@ class TestPhaseNoisePath:
         assert emp.values[0].real == pytest.approx(1.0, abs=0.02)
         for m in (1, 2, 3, 4):
             assert abs(emp.values[m]) <= 0.02
+
+    def test_guards(self):
+        for n in (0, 2**59):
+            with pytest.raises(DomainError):
+                simulate_phase_noise(n, 1)
 
 
 class TestErgodicAverages:
@@ -234,6 +262,15 @@ class TestModelDispatch:
         )
 
 
+# values whose bits are easy to lose: signed zeros, subnormals, extremes,
+# infinities and a nan
+_SPECIAL = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                     complex(5e-324, -5e-324), complex(-2.2250738585072014e-308, 1e-310),
+                     complex(1.7976931348623157e308, -1e300), complex(1 / 3, -2 / 3),
+                     complex(1.0, math.inf), complex(-math.inf, -0.0),
+                     complex(math.nan, 2.0)])
+
+
 class TestPathFiles:
     def test_binary_round_trip(self, tmp_path):
         src = simulate_gaussian(make_rect_band(0.3), 777, 123)
@@ -243,6 +280,25 @@ class TestPathFiles:
         assert back.n == src.n
         assert back.seed == src.seed
         assert np.array_equal(back.values, src.values)
+        # bytes, not np.array_equal, which cannot see the sign of zero
+        special = processes.SamplePath(_SPECIAL, "special", 2**64 - 1)
+        write_path_binary(special, fname)
+        back = read_path_binary(fname)
+        assert back.seed == special.seed
+        assert back.values.tobytes() == special.values.tobytes()
+
+    def test_binary_bytes_match_sample_writer(self, tmp_path):
+        values = np.concatenate([_SPECIAL, simulate_gaussian(make_rect_band(0.3), 40, 5).values])
+        for n, seed in ((1, 0), (values.size, 7), (values.size, 2**64 - 1)):
+            path = processes.SamplePath(values[:n], "samples", seed)
+            write_path_binary(path, str(tmp_path / "lib.bin"))
+            path_binary_elements(path.values, seed, str(tmp_path / "ref.bin"))
+            assert (tmp_path / "lib.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+        # a strided path is written in sample order too
+        path = processes.SamplePath(values[::3], "strided", 1)
+        write_path_binary(path, str(tmp_path / "lib.bin"))
+        path_binary_elements(path.values, 1, str(tmp_path / "ref.bin"))
+        assert (tmp_path / "lib.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
 
     def test_binary_truncation_detected(self, tmp_path):
         src = simulate_phase_noise(32, 1)
@@ -257,10 +313,7 @@ class TestPathFiles:
         # a block size that splits the rows unevenly, and values whose repr
         # is easy to get wrong: signed zeros, subnormals, extremes
         monkeypatch.setattr(processes, "_CSV_ROWS", 7)
-        special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -5e-324),
-                   complex(-2.2250738585072014e-308, 1e-310),
-                   complex(1.7976931348623157e308, -1e300), complex(1 / 3, -2 / 3)]
-        values = np.concatenate([special, simulate_gaussian(make_rect_band(0.3), 40, 5).values])
+        values = np.concatenate([_SPECIAL, simulate_gaussian(make_rect_band(0.3), 40, 5).values])
         for n in (1, 7, 8, values.size):
             path = processes.SamplePath(values[:n], "rows", 0)
             write_path_csv(path, str(tmp_path / "lib.csv"))

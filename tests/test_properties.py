@@ -1,15 +1,15 @@
 """Properties over drawn spectra, laws, snr grids and sample paths.
 
 Sizes stay small (at most 6 snr points, n <= 64 for Toeplitz matrices,
-paths of at most 40000 samples and 300 lags) so the tier1 profile's fixed
-examples keep Tier-1 fast.
+paths of at most 40000 samples and 300 lags, synthesized paths of at most
+1e5 samples) so the tier1 profile's fixed examples keep Tier-1 fast.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from prelog_lab import processes  # noqa: E402
 from prelog_lab.bounds import (  # noqa: E402
@@ -19,10 +19,15 @@ from prelog_lab.bounds import (  # noqa: E402
     phase_noise_model,
     rayleigh_band_model,
 )
-from prelog_lab.spectra import autocovariance_sequence  # noqa: E402
+from prelog_lab.spectra import autocovariance_sequence, make_rect_band  # noqa: E402
 from prelog_lab.toeplitz import szego_logdet_rate  # noqa: E402
 
-from oracles import direct_autocov, random_density, toeplitz_matrix  # noqa: E402
+from oracles import (  # noqa: E402
+    direct_autocov,
+    random_density,
+    toeplitz_matrix,
+    whole_table_synthesis,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 snr_grids = st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=6, unique=True).map(sorted)
@@ -85,3 +90,36 @@ def test_empirical_autocov_is_direct_sum(law_paths, law, n, m_max, offset):
     m_max = min(m_max, n - 1)
     got = processes.empirical_autocov(path, m_max).values
     assert _bits(got) == _bits(direct_autocov(path.values, m_max))
+
+
+# small odd lengths; lengths next to the 2048-row table height; lengths
+# 256 k + 1, whose table of n rows would end in a one-row block if cut
+# into 256-row blocks from the top; and paths of several chunks, where
+# on-off paths take only their kept rows through the product
+synthesis_lengths = (st.integers(0, 20).map(lambda k: 2 * k + 1)
+                     | st.sampled_from([2047, 2048, 2049])
+                     | st.integers(1, 7).map(lambda k: 256 * k + 1)
+                     | st.integers(2050, 100_000))
+
+
+@settings(max_examples=24)
+@given(seeds, synthesis_lengths)
+@example(seed=1, n=2049)
+@example(seed=2, n=100_000)
+@example(seed=3, n=2)  # a parity class of one sample: a dot product
+@example(seed=3, n=3)
+def test_synthesis_is_whole_table_product(seed, n):
+    S = random_density(np.random.default_rng(seed), unit_variance=True)
+    want = whole_table_synthesis(*processes._harmonics(S, seed), n)
+    assert _bits(processes.simulate_gaussian(S, n, seed).values) == _bits(want)
+
+    W = 1 / 8
+    lam, amp = processes._harmonics(make_rect_band(W, variance=2.0), seed)
+    whole = whole_table_synthesis(lam, amp, n)
+    parity = int(processes.stream_rng(seed, processes.STREAM_PARITY).integers(0, 2))
+    for off in (parity, 1 - parity):
+        want = whole.copy()
+        want[off::2] = 0.0
+        got = (processes.simulate_onoff(W, n, seed).values if off == parity
+               else processes._synthesize(lam, amp, n, off))
+        assert _bits(got) == _bits(want)
