@@ -1,9 +1,10 @@
 """Capacity pre-log analysis for noncoherent fading channels with memory.
 
-Four layers: spectra (spectral densities and their closed forms), toeplitz
-(covariance matrices and the Szego log-det rate), bounds (capacity bounds
-and pre-log reports), processes (sample-path simulation and Monte Carlo
-checks).  The prelog-lab CLI exposes the same operations as CSV/JSON.
+Five layers: spectra (spectral densities and their closed forms), toeplitz
+(the Szego log-det rate by Levinson-Durbin, plus the dense covariance and
+its eigenvalues as a check), bounds (capacity bounds and pre-log reports),
+processes (sample-path simulation and Monte Carlo checks), and cli (the
+prelog-lab command, which prints the same operations as CSV/JSON).
 """
 
 from .bounds import (
@@ -48,7 +49,6 @@ from .spectra import (
     zero_set_measure,
 )
 from .toeplitz import (
-    ToeplitzCov,
     covariance_matrix,
     hermitian_eigenvalues,
     szego_gap,
@@ -67,7 +67,6 @@ __all__ = [
     "PrelogReport",
     "SamplePath",
     "SpectralDensity",
-    "ToeplitzCov",
     "autocovariance",
     "autocovariance_sequence",
     "bound_sweep",

@@ -34,7 +34,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PreconditionError, check_positive
+from .errors import DomainError, NumericError, PreconditionError, check_finite, check_positive
 from .spectra import (
     SpectralDensity,
     make_onoff_spectrum,
@@ -110,10 +110,6 @@ class BoundCurve:
         snrs = [s for s, _ in self.points]
         if any(b <= a for a, b in zip(snrs, snrs[1:])):
             raise DomainError("snr grid must be strictly increasing")
-
-    @property
-    def snrs(self) -> tuple[float, ...]:
-        return tuple(s for s, _ in self.points)
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -292,11 +288,12 @@ def coherent_avg_upper_bound(model: FadingModel, snr: float) -> float:
     """Coherent average-power capacity ceiling p log(1 + snr/p), in nats.
 
     p = P(|H1| > 0), which is positive for every law; Jensen applied to the
-    nonzero fading fraction.
+    nonzero fading fraction.  Raises NumericError when snr/p overflows
+    the float range.
     """
     check_positive("snr", snr)
     p = 1.0 - model.mass_at_zero
-    return p * math.log1p(snr / p)
+    return check_finite("the coherent upper bound", p * math.log1p(snr / p))
 
 
 def masspoint_prelog_upper(model: FadingModel) -> float:
@@ -309,14 +306,16 @@ def phase_noise_lower_bound(snr: float) -> float:
 
     log snr - (1/2) log(4 pi e (2 + 4 snr)) + log 2, with unit noise
     variance so snr equals the peak power.  Asymptotic slope 1/2 per
-    ln-unit of snr.
+    ln-unit of snr.  Raises NumericError when 4 pi e (2 + 4 snr) overflows
+    the float range, from snr of about 1.3e306.
     """
     check_positive("snr", snr)
-    return (
+    value = (
         math.log(snr)
         - 0.5 * math.log(4.0 * math.pi * math.e * (2.0 + 4.0 * snr))
         + math.log(2.0)
     )
+    return check_finite("the phase-noise lower bound", value)
 
 
 def phase_noise_upper_bound(snr: float) -> float:
@@ -396,15 +395,10 @@ def prelog_report(
     limit is absent and the ceiling is P(|H1| > 0); for the unit law both
     are 1/2.
     """
-    if not snr_grid:
-        raise DomainError("snr grid must be nonempty")
-    snrs = list(snr_grid)
-    if any(b <= a for a, b in zip(snrs, snrs[1:])):
-        raise DomainError("snr grid must be strictly increasing")
-    if any(s <= 1 for s in snrs):
+    if any(s <= 1 for s in snr_grid):
         raise DomainError("pre-log ratios need snr > 1")
 
-    low, _ = bound_sweep(model, snrs, upsilon_grid)
+    low, _ = bound_sweep(model, snr_grid, upsilon_grid)
     if low.kind == "PHASE_LB":
         analytic, upper = 0.5, 0.5
     elif model.mass_at_zero > 0:
@@ -412,9 +406,9 @@ def prelog_report(
     else:
         analytic, upper = prelog_lower_bound(model), 1.0
 
-    raw = [lb / math.log(snr) for snr, lb in low.points]
-    floored = tuple(r < 0 for r in raw)
-    ratios = tuple((snr, max(r, 0.0)) for snr, r in zip(snrs, raw))
+    raw = [(snr, lb / math.log(snr)) for snr, lb in low.points]
+    floored = tuple(r < 0 for _, r in raw)
+    ratios = tuple((snr, max(r, 0.0)) for snr, r in raw)
     return PrelogReport(
         analytic_limit=analytic,
         finite_ratios=ratios,

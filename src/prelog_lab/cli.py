@@ -4,7 +4,12 @@ Commands mirror the library one to one and print exactly the numbers the
 library returns (floats formatted with repr, so nothing is lost to
 rounding and reruns are byte-identical).  This module is the package's one
 CSV/JSON writer.  Exit codes: 0 success, 2 usage or domain errors (a size
-too large to allocate included), 3 I/O errors, 4 numeric failures.
+too large to allocate included), 3 I/O errors, 4 numeric failures.  A
+value that overflows the float range is a numeric failure, so no output
+holds inf or nan: szego, bound-sweep and prelog-report exit 4 with empty
+stdout at an snr that large: snr F' past about 1.8e308 in the spectral
+integral, snr / P(|H1| > 0) past it in the coherent upper bound, snr past
+about 1.3e306 in the phase-noise lower bound.
 
 Models are named with a small spec language, name:key=value,...:
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, check_positive
+from .errors import DomainError, check_finite, check_positive
 
 # mass bookkeeping tolerance for validated densities
 MASS_TOL = 1e-12
@@ -125,7 +125,6 @@ class AutocovarianceSeq:
     """
 
     values: tuple[complex, ...]
-    variance: float = field(init=False)
 
     def __post_init__(self):
         vals = tuple(complex(v) for v in self.values)
@@ -137,7 +136,6 @@ class AutocovarianceSeq:
             raise DomainError(f"r(0) must be real, got {r0}")
         if r0.real < 0:
             raise DomainError(f"r(0) must be nonnegative, got {r0.real}")
-        object.__setattr__(self, "variance", r0.real)
         # PSD sequences satisfy |r(m)| <= r(0); allow rounding slack
         bound = r0.real * (1 + 1e-9) + 1e-12
         for m, v in enumerate(vals):
@@ -146,12 +144,6 @@ class AutocovarianceSeq:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def lag(self, m: int) -> complex:
-        """r(m) for any lag with |m| < len, using r(-m) = conj(r(m))."""
-        if abs(m) >= len(self.values):
-            raise DomainError(f"lag {m} not available, have 0..{len(self.values) - 1}")
-        return self.values[m] if m >= 0 else self.values[-m].conjugate()
 
 
 def make_rect_band(W: float, variance: float = 1.0) -> SpectralDensity:
@@ -172,8 +164,8 @@ def make_rect_band(W: float, variance: float = 1.0) -> SpectralDensity:
     )
 
 
-def make_onoff_spectrum(W: float, variance: float = 1.0) -> SpectralDensity:
-    """Four flat bands of density variance/(4W): |lam| <= W and |lam| >= 1/2 - W.
+def make_onoff_spectrum(W: float) -> SpectralDensity:
+    """Four flat bands of density 1/(4W): |lam| <= W and |lam| >= 1/2 - W.
 
     This is the spectrum of a product of an alternating on-off process and
     a bandlimited process of half-width W; the band at the edge of the
@@ -182,9 +174,7 @@ def make_onoff_spectrum(W: float, variance: float = 1.0) -> SpectralDensity:
     """
     if not 0 < W < 0.25:
         raise DomainError(f"on-off half-width must lie in (0, 1/4), got {W}")
-    if variance <= 0:
-        raise DomainError(f"variance must be positive, got {variance}")
-    v = variance / (4 * W)
+    v = 1.0 / (4 * W)
     return SpectralDensity(
         (
             (-0.5, -0.5 + W, v),
@@ -192,8 +182,7 @@ def make_onoff_spectrum(W: float, variance: float = 1.0) -> SpectralDensity:
             (-W, W, v),
             (W, 0.5 - W, 0.0),
             (0.5 - W, 0.5, v),
-        ),
-        variance,
+        )
     )
 
 
@@ -253,11 +242,13 @@ def spectral_log_integral(S: SpectralDensity, snr: float) -> float:
     """Integral of log(1 + snr F'(lam)) over [-1/2, 1/2], in nats.
 
     Closed form: sum over segments of (hi - lo) log(1 + snr value).
+    Raises NumericError when snr value overflows the float range.
     """
     check_positive("snr", snr)
-    return math.fsum(
+    total = math.fsum(
         (hi - lo) * math.log1p(snr * v) for lo, hi, v in S.segments if v > 0.0
     )
+    return check_finite("the spectral log-integral", total)
 
 
 def limiting_ratio(S: SpectralDensity) -> float:

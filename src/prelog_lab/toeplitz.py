@@ -18,8 +18,6 @@ mechanism behind the pre-log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NumericError, check_positive
@@ -28,36 +26,9 @@ from .spectra import AutocovarianceSeq, SpectralDensity, autocovariance_sequence
 HERMITIAN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ToeplitzCov:
-    """Hermitian Toeplitz covariance defined by its first row r(0..n-1)."""
-
-    first_row: tuple[complex, ...]
-    n: int
-
-    def __post_init__(self):
-        row = tuple(complex(v) for v in self.first_row)
-        object.__setattr__(self, "first_row", row)
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.n}")
-        if len(row) != self.n:
-            raise DomainError(f"first row has {len(row)} lags, need {self.n}")
-        r0 = row[0]
-        if abs(r0.imag) > 1e-12 * max(1.0, abs(r0.real)) or r0.real <= 0:
-            raise DomainError(f"r(0) must be real positive, got {r0}")
-
-    def matrix(self) -> np.ndarray:
-        """Materialize M[j, k] = r(k - j) with r(-m) = conj(r(m))."""
-        r = np.asarray(self.first_row, dtype=np.complex128)
-        idx = np.subtract.outer(np.arange(self.n), np.arange(self.n))
-        M = np.where(idx <= 0, r[np.abs(idx)], np.conj(r[np.abs(idx)]))
-        # exact Hermitian symmetry regardless of rounding in the source lags
-        return (M + M.conj().T) / 2
-
-
-def covariance_matrix(r: AutocovarianceSeq, n: int) -> ToeplitzCov:
-    """ToeplitzCov of dimension n from the autocovariance sequence.
+def covariance_matrix(r: AutocovarianceSeq, n: int) -> np.ndarray:
+    """n x n Hermitian Toeplitz covariance M[j, k] = r(k - j), with
+    r(-m) = conj(r(m)), from the autocovariance sequence.
 
     Needs lags 0..n-1; raises DomainError when the sequence is shorter.
     """
@@ -65,12 +36,16 @@ def covariance_matrix(r: AutocovarianceSeq, n: int) -> ToeplitzCov:
         raise DomainError(f"dimension must be >= 1, got {n}")
     if len(r) < n:
         raise DomainError(f"need lags 0..{n - 1}, sequence has only {len(r)}")
-    return ToeplitzCov(tuple(r.values[:n]), n)
+    row = np.asarray(r.values[:n], dtype=np.complex128)
+    idx = np.subtract.outer(np.arange(n), np.arange(n))
+    M = np.where(idx <= 0, row[np.abs(idx)], np.conj(row[np.abs(idx)]))
+    # exact Hermitian symmetry regardless of rounding in the source lags
+    return (M + M.conj().T) / 2
 
 
-def hermitian_eigenvalues(M: ToeplitzCov | np.ndarray) -> np.ndarray:
+def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian (Toeplitz) covariance, ascending."""
-    A = np.asarray(M.matrix() if isinstance(M, ToeplitzCov) else M, dtype=np.complex128)
+    A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError(f"need a square matrix, got shape {A.shape}")
     scale = max(1.0, float(np.max(np.abs(A))))

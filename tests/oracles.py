@@ -6,7 +6,9 @@ the density, eigenvalues through numpy's general LAPACK solver, tails through
 Monte Carlo draws, the threshold optimum through a plain-float loop, the
 empirical autocovariance through one whole-path np.sum per lag, Gaussian
 path synthesis through one product with the whole harmonic power table,
-and path CSV and binary files through one write per row or sample.
+unit-modulus phasors through one draw of 1.5 times the phasors still
+missing, and path CSV and binary files through one write per row or
+sample.
 Random piecewise densities exercise the closed forms away from the
 hand-picked examples.
 """
@@ -149,6 +151,22 @@ def direct_autocov(values, m_max: int) -> list[complex]:
         else:
             vals.append(complex(np.sum(h[m:] * np.conj(h[:-m])) / n))
     return vals
+
+
+def unit_phasors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The first n exactly-unit phasors cos + i sin of the rng's uniform
+    angles on [-pi, pi), each round drawing 1.5 times the phasors still
+    missing plus 16 angles."""
+    out = np.empty(n, dtype=np.complex128)
+    filled = 0
+    while filled < n:
+        theta = rng.uniform(-np.pi, np.pi, int((n - filled) * 1.5) + 16)
+        z = np.cos(theta) + 1j * np.sin(theta)
+        z = z[np.abs(z) == 1.0]
+        take = min(n - filled, z.size)
+        out[filled:filled + take] = z[:take]
+        filled += take
+    return out
 
 
 def path_csv_rows(values, fname: str) -> None:

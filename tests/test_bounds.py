@@ -127,6 +127,15 @@ class TestCoherentUpper:
             with pytest.raises(DomainError):
                 coherent_avg_upper_bound(rayleigh_band_model(0.1), bad)
 
+    def test_overflow_is_numeric_error(self):
+        # snr / p overflows past 8.99e307 at p = 1/2; at p = 1 it cannot
+        model = onoff_model(1 / 16)
+        assert coherent_avg_upper_bound(model, 8.9e307) == 0.5 * math.log1p(8.9e307 / 0.5)
+        for snr in (9e307, 1e308, 1.7e308):
+            with pytest.raises(NumericError):
+                coherent_avg_upper_bound(model, snr)
+        assert coherent_avg_upper_bound(rayleigh_band_model(0.1), 1.7e308) == math.log1p(1.7e308)
+
 
 class TestMasspointUpper:
     def test_values(self):
@@ -235,7 +244,7 @@ class TestBoundSweep:
         snrs = [1e2, 1e4, 1e6]
         low, up = bound_sweep(model, snrs)
         assert low.kind == "LOWER_LB" and up.kind == "UPPER_COHERENT"
-        assert low.snrs == (1e2, 1e4, 1e6)
+        assert [s for s, _ in low.points] == snrs
         for (snr, lb), star in zip(low.points, low.params):
             assert lb == capacity_lower_bound(model, snr, star)
         for snr, ub in up.points:
@@ -295,12 +304,38 @@ class TestPrelogReport:
 
     def test_grid_guards(self):
         model = rayleigh_band_model(0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="nonempty"):
             prelog_report(model, [])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="strictly increasing"):
             prelog_report(model, [1e6, 1e4])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="snr > 1"):
             prelog_report(model, [0.5, 1e4])
+
+
+class TestOverflow:
+    """A bound past the float range raises NumericError instead of
+    returning inf, and prelog_report does not floor it to a zero ratio."""
+
+    def test_phase_noise_lower_bound(self):
+        snr = 1.3e306
+        assert phase_noise_lower_bound(snr) == (
+            math.log(snr) - 0.5 * math.log(4.0 * math.pi * math.e * (2.0 + 4.0 * snr))
+            + math.log(2.0)
+        )
+        for snr in (1.4e306, 1e308, 1.7e308):
+            with pytest.raises(NumericError):
+                phase_noise_lower_bound(snr)
+
+    @pytest.mark.parametrize("model, snrs", [
+        (phase_noise_model(), [1e308]),
+        (onoff_model(0.0625), [1e308]),
+        (rayleigh_band_model(0.1), [1e300, 1.7e308]),
+    ], ids=["phase", "onoff", "rayleigh"])
+    def test_sweep_and_report(self, model, snrs):
+        with pytest.raises(NumericError):
+            bound_sweep(model, snrs)
+        with pytest.raises(NumericError):
+            prelog_report(model, snrs)
 
 
 class TestFadingModelValidation:

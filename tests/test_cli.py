@@ -293,6 +293,24 @@ def test_nonfinite_snr_or_threshold_is_usage(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-sweep", "--model", "phase-noise", "--snr", "1e308"],
+        ["bound-sweep", "--model", "onoff:W=0.0625", "--snr", "1e308"],
+        ["szego", "--model", "rayleigh-band:W=0.1", "--snr", "1e308", "--n", "1"],
+        ["prelog-report", "--model", "rayleigh-band:W=0.1", "--snr", "1e300,1.7e308"],
+    ],
+)
+def test_overflowing_snr_is_numeric(capsys, argv, fmt):
+    # no -inf, inf or -Infinity in the output: exit 4 and nothing on stdout
+    code, out, err = run(capsys, argv + ["--format", fmt])
+    assert code == 4
+    assert out == ""
+    assert "overflows" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

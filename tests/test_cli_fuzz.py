@@ -1,5 +1,5 @@
-"""Drawn argv for every command: the CLI exits 0, 2, 3 or 4 and never
-raises out of main.
+"""Drawn argv for every command: the CLI exits 0, 2, 3 or 4, never
+raises out of main, and prints only finite numbers when it exits 0.
 
 Flags, values and files are drawn together: well-formed and malformed
 numbers, grids and model specs, plus files that are missing, a directory,
@@ -8,6 +8,8 @@ and path lengths stay small so the tier1 profile's fixed examples keep
 Tier-1 fast.
 """
 
+import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -46,8 +48,10 @@ def mostly(good, odd):
     return st.one_of(good, good, good, odd)
 
 
+# 2e306 overflows the phase-noise lower bound, 1.7e308 every spectral
+# integral with a density above 1
 odd_numbers = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300",
-                               "abc", "", " 3"])
+                               "2e306", "1.7e308", "abc", "", " 3"])
 widths = mostly(st.sampled_from(["0.05", "0.0625", "0.1", "0.2", "0.25"]),
                 odd_numbers | st.just("0.5"))
 numbers = mostly(st.floats(1e-3, 1e12).map(repr), odd_numbers)
@@ -126,14 +130,60 @@ def argvs(draw, command, root):
     return argv
 
 
+def nonfinite_numbers(text: str) -> list:
+    """The inf and nan numbers of a CSV or JSON output: JSON's Infinity,
+    -Infinity and NaN, and CSV cells or # scalars that parse as a float
+    that is not finite."""
+    found = []
+    if text.startswith("{"):
+        json.loads(text, parse_constant=found.append)
+        return found
+    for line in text.splitlines():
+        for cell in line.partition("=")[2:] if line.startswith("# ") else line.split(","):
+            try:
+                if not math.isfinite(float(cell)):
+                    found.append(cell)
+            except ValueError:
+                pass
+    return found
+
+
+def run(argv):
+    """main(argv) with its exit code checked; returns (code, stdout)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("command", sorted(FLAGS))
 def test_exit_codes_and_no_traceback(files, command):
     @given(argvs(command, files))
     def check(argv):
-        out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code, out = run(argv)
+        if code == 0 and command != "manual":
+            assert nonfinite_numbers(out) == [], argv
+
+    check()
+
+
+huge_snrs = (st.sampled_from(["1e300", "2e306", "1e308", "1.7e308"])
+             | st.floats(1e300, 1.7976931348623157e308).map(repr))
+
+
+@pytest.mark.parametrize("command", ["bound-sweep", "prelog-report", "szego"])
+def test_huge_snr_exits_4_or_prints_finite_numbers(files, command):
+    @given(models(files), huge_snrs, st.sampled_from(["csv", "json"]))
+    def check(model, snr, fmt):
+        argv = [command, "--model", model, "--snr", snr, "--format", fmt]
+        if command == "szego":
+            argv += ["--n", "1,8"]
+        code, out = run(argv)
+        if code == 0:
+            assert nonfinite_numbers(out) == [], argv
+        else:
+            assert out == ""
 
     check()

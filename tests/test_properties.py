@@ -2,7 +2,8 @@
 
 Sizes stay small (at most 6 snr points, n <= 64 for Toeplitz matrices,
 paths of at most 40000 samples and 300 lags, synthesized paths of at most
-1e5 samples) so the tier1 profile's fixed examples keep Tier-1 fast.
+1e5 samples, phasor paths of at most about 2e5 samples) so the tier1
+profile's fixed examples keep Tier-1 fast.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (  # noqa: E402
     direct_autocov,
     random_density,
     toeplitz_matrix,
+    unit_phasors,
     whole_table_synthesis,
 )
 
@@ -86,7 +88,7 @@ def law_paths():
        st.integers(0, 300), st.integers(0, _PATH_LEN))
 def test_empirical_autocov_is_direct_sum(law_paths, law, n, m_max, offset):
     offset = min(offset, _PATH_LEN - n)
-    path = processes.SamplePath(law_paths[law][offset:offset + n], law, 0)
+    path = processes.SamplePath(law_paths[law][offset:offset + n], 0)
     m_max = min(m_max, n - 1)
     got = processes.empirical_autocov(path, m_max).values
     assert _bits(got) == _bits(direct_autocov(path.values, m_max))
@@ -123,3 +125,27 @@ def test_synthesis_is_whole_table_product(seed, n):
         got = (processes.simulate_onoff(W, n, seed).values if off == parity
                else processes._synthesize(lam, amp, n, off))
         assert _bits(got) == _bits(want)
+
+
+def _kept_in_rounds(seed: int, stream: int, rounds: int) -> int:
+    """Exactly-unit phasors among the first rounds * _PHASOR_BLOCK angles."""
+    theta = processes.stream_rng(seed, stream).uniform(
+        -np.pi, np.pi, rounds * processes._PHASOR_BLOCK)
+    return int(np.count_nonzero(np.abs(np.cos(theta) + 1j * np.sin(theta)) == 1.0))
+
+
+# n next to the phasors kept from 0, 1 or 2 whole rounds of angles, so a
+# path ends just before, at or just after the end of a round, or anywhere
+@settings(max_examples=24)
+@given(seeds, st.integers(0, 2), st.integers(-2, 2) | st.integers(1, 100_000))
+@example(seed=0, rounds=1, offset=0)
+@example(seed=0, rounds=1, offset=1)
+@example(seed=1, rounds=2, offset=-1)
+def test_unit_phasors_are_the_stream_s_first(seed, rounds, offset):
+    for stream, draw in (
+        (processes.STREAM_PHASE, lambda n: processes.simulate_phase_noise(n, seed).values),
+        (processes.STREAM_TAIL_MC, lambda n: processes.marginal_draws(phase_noise_model(), n, seed)),
+    ):
+        n = max(1, _kept_in_rounds(seed, stream, rounds) + offset)
+        want = unit_phasors(processes.stream_rng(seed, stream), n)
+        assert _bits(draw(n)) == _bits(want)

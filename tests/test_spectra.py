@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from prelog_lab.errors import DomainError
+from prelog_lab.errors import DomainError, NumericError
 from prelog_lab.spectra import (
     AutocovarianceSeq,
     SpectralDensity,
@@ -150,10 +150,7 @@ class TestAutocovariance:
     def test_sequence(self):
         seq = autocovariance_sequence(make_rect_band(0.5), 4)
         assert len(seq) == 5
-        assert seq.variance == 1.0
-        assert seq.lag(-2) == np.conj(seq.lag(2))
-        with pytest.raises(DomainError):
-            seq.lag(5)
+        assert seq.values[0] == 1.0
         with pytest.raises(DomainError):
             autocovariance_sequence(make_rect_band(0.5), -1)
 
@@ -161,7 +158,7 @@ class TestAutocovariance:
 class TestAutocovarianceSeqType:
     def test_r0_zero_allowed(self):
         seq = AutocovarianceSeq((0j, 0j))
-        assert seq.variance == 0.0
+        assert seq.values == (0j, 0j)
 
     def test_r0_complex_rejected(self):
         with pytest.raises(DomainError):
@@ -196,6 +193,14 @@ class TestLogIntegral:
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
                 spectral_log_integral(make_rect_band(0.25), bad)
+
+    def test_overflow_is_numeric_error(self):
+        # density 5: snr 5 stays finite up to snr 3.59e307
+        S = make_rect_band(0.1)
+        assert spectral_log_integral(S, 3.5e307) == 0.2 * math.log1p(5 * 3.5e307)
+        for snr in (3.6e307, 1e308, 1.7e308):
+            with pytest.raises(NumericError):
+                spectral_log_integral(S, snr)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(11)
@@ -261,7 +266,7 @@ class TestLimitingRatio:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        for S in (make_rect_band(0.1), make_onoff_spectrum(0.2, variance=3.0)):
+        for S in (make_rect_band(0.1), make_rect_band(0.2, variance=3.0), make_onoff_spectrum(0.2)):
             back = SpectralDensity.from_json(S.to_json())
             assert back == S
 

@@ -7,6 +7,7 @@ import pytest
 
 from prelog_lab.errors import DomainError, NumericError
 from prelog_lab.spectra import (
+    AutocovarianceSeq,
     autocovariance_sequence,
     make_piecewise,
     make_rect_band,
@@ -14,7 +15,6 @@ from prelog_lab.spectra import (
     spectral_log_integral,
 )
 from prelog_lab.toeplitz import (
-    ToeplitzCov,
     _innovation_variances,
     covariance_matrix,
     hermitian_eigenvalues,
@@ -25,23 +25,23 @@ from prelog_lab.toeplitz import (
 from oracles import eig_oracle, random_density, toeplitz_matrix
 
 
-def random_toeplitz(rng, n, decay=0.3):
-    r = np.concatenate(
+def random_row(rng, n, decay=0.3):
+    """First row r(0..n-1) of a random Hermitian Toeplitz matrix."""
+    return np.concatenate(
         ([1.5], decay * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)) / np.arange(1, n))
     )
-    return ToeplitzCov(tuple(r), n)
 
 
 class TestCovarianceMatrix:
     def test_iid_gives_identity(self):
         seq = autocovariance_sequence(make_rect_band(0.5), 3)
-        M = covariance_matrix(seq, 4).matrix()
+        M = covariance_matrix(seq, 4)
         assert np.allclose(M, np.eye(4), atol=1e-12)
 
     def test_two_by_two_band(self):
         W = 0.2
         seq = autocovariance_sequence(make_rect_band(W), 1)
-        M = covariance_matrix(seq, 2).matrix()
+        M = covariance_matrix(seq, 2)
         c = sinc(2 * W)
         assert M == pytest.approx(np.array([[1.0, c], [c, 1.0]]), abs=1e-12)
 
@@ -54,16 +54,10 @@ class TestCovarianceMatrix:
 
     def test_matrix_is_hermitian_and_matches_oracle_layout(self):
         rng = np.random.default_rng(3)
-        cov = random_toeplitz(rng, 6)
-        M = cov.matrix()
+        row = random_row(rng, 6)
+        M = covariance_matrix(AutocovarianceSeq(tuple(row)), 6)
         assert np.array_equal(M, M.conj().T)
-        assert np.allclose(M, toeplitz_matrix(cov.first_row), atol=1e-12)
-
-    def test_r0_must_be_real_positive(self):
-        with pytest.raises(DomainError):
-            ToeplitzCov((1.0 + 0.5j, 0.1 + 0j), 2)
-        with pytest.raises(DomainError):
-            ToeplitzCov((-1.0 + 0j, 0.1 + 0j), 2)
+        assert np.allclose(M, toeplitz_matrix(row), atol=1e-12)
 
 
 class TestEigensolver:
@@ -74,23 +68,20 @@ class TestEigensolver:
 
     def test_two_by_two_closed_form(self):
         c = 0.37
-        cov = ToeplitzCov((1.0, c), 2)
-        vals = hermitian_eigenvalues(cov)
+        vals = hermitian_eigenvalues(toeplitz_matrix([1.0, c]))
         assert vals == pytest.approx([1 - c, 1 + c], abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_oracle_small(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(5):
-            cov = random_toeplitz(rng, n)
-            mine = hermitian_eigenvalues(cov)
-            ora = eig_oracle(cov.matrix())
-            assert np.max(np.abs(mine - ora)) <= 1e-8
+            A = toeplitz_matrix(random_row(rng, n))
+            assert np.max(np.abs(hermitian_eigenvalues(A) - eig_oracle(A))) <= 1e-8
 
     def test_matches_oracle_medium(self):
         rng = np.random.default_rng(7)
-        cov = random_toeplitz(rng, 48)
-        assert np.max(np.abs(hermitian_eigenvalues(cov) - eig_oracle(cov.matrix()))) <= 1e-8
+        A = toeplitz_matrix(random_row(rng, 48))
+        assert np.max(np.abs(hermitian_eigenvalues(A) - eig_oracle(A))) <= 1e-8
 
     def test_general_hermitian_array(self):
         rng = np.random.default_rng(23)
@@ -106,18 +97,18 @@ class TestEigensolver:
     def test_trace_conservation(self):
         rng = np.random.default_rng(29)
         for n in (3, 9, 33):
-            cov = random_toeplitz(rng, n)
-            vals = hermitian_eigenvalues(cov)
-            r0 = cov.first_row[0].real
-            assert np.sum(vals) == pytest.approx(n * r0, rel=1e-8)
+            row = random_row(rng, n)
+            vals = hermitian_eigenvalues(toeplitz_matrix(row))
+            assert np.sum(vals) == pytest.approx(n * row[0].real, rel=1e-8)
 
     def test_interlacing_against_oracle(self):
         rng = np.random.default_rng(31)
         for n in (4, 8, 16):
-            cov = random_toeplitz(rng, n)
-            big = hermitian_eigenvalues(cov)
-            small = hermitian_eigenvalues(covariance_matrix_like(cov, n - 1))
-            assert np.allclose(big, eig_oracle(cov.matrix()), atol=1e-8)
+            row = random_row(rng, n)
+            big = hermitian_eigenvalues(toeplitz_matrix(row))
+            # leading principal submatrix of a Toeplitz matrix is Toeplitz
+            small = hermitian_eigenvalues(toeplitz_matrix(row[:n - 1]))
+            assert np.allclose(big, eig_oracle(toeplitz_matrix(row)), atol=1e-8)
             for k in range(n - 1):
                 assert big[k] <= small[k] + 1e-10
                 assert small[k] <= big[k + 1] + 1e-10
@@ -129,11 +120,6 @@ class TestEigensolver:
             seq = autocovariance_sequence(S, 23)
             vals = hermitian_eigenvalues(covariance_matrix(seq, 24))
             assert vals[0] >= -1e-9 * S.variance
-
-
-def covariance_matrix_like(cov: ToeplitzCov, n: int) -> ToeplitzCov:
-    # leading principal submatrix of a Toeplitz matrix is Toeplitz
-    return ToeplitzCov(cov.first_row[:n], n)
 
 
 class TestSzego:
@@ -201,10 +187,10 @@ class TestLevinson:
     @pytest.mark.parametrize("n", sorted(STALLING_SPECTRA))
     def test_rate_matches_slogdet(self, n, snr):
         S = make_piecewise(STALLING_SPECTRA[n])
-        cov = covariance_matrix(autocovariance_sequence(S, n - 1), n)
-        sign, logdet = np.linalg.slogdet(np.eye(n) + snr * cov.matrix())
+        row = np.asarray(autocovariance_sequence(S, n - 1).values)
+        sign, logdet = np.linalg.slogdet(np.eye(n) + snr * toeplitz_matrix(row))
         assert sign.real > 0
-        r0 = cov.first_row[0].real
+        r0 = row[0].real
         assert abs(szego_logdet_rate(S, snr, n) - logdet / n) <= 1e-13 * snr * max(1.0, r0)
 
     def test_zero_band_at_huge_snr(self):
