@@ -32,7 +32,6 @@ from .processes import (
     simulate_gaussian,
     simulate_onoff,
     simulate_phase_noise,
-    tail_probability,
     tail_probability_mc,
 )
 from .spectra import (
@@ -43,7 +42,6 @@ from .spectra import (
     finite_snr_ratios,
     limiting_ratio,
     make_onoff_spectrum,
-    make_piecewise,
     make_rect_band,
     spectral_log_integral,
     zero_set_measure,
@@ -51,7 +49,6 @@ from .spectra import (
 from .toeplitz import (
     covariance_matrix,
     hermitian_eigenvalues,
-    szego_gap,
     szego_logdet_rate,
 )
 
@@ -78,7 +75,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "limiting_ratio",
     "make_onoff_spectrum",
-    "make_piecewise",
     "make_rect_band",
     "masspoint_prelog_upper",
     "miso_prelog_lower",
@@ -94,9 +90,7 @@ __all__ = [
     "simulate_onoff",
     "simulate_phase_noise",
     "spectral_log_integral",
-    "szego_gap",
     "szego_logdet_rate",
-    "tail_probability",
     "tail_probability_mc",
     "zero_set_measure",
 ]

@@ -106,11 +106,6 @@ class BoundCurve:
     points: tuple[tuple[float, float], ...]
     params: tuple = ()
 
-    def __post_init__(self):
-        snrs = [s for s, _ in self.points]
-        if any(b <= a for a, b in zip(snrs, snrs[1:])):
-            raise DomainError("snr grid must be strictly increasing")
-
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
@@ -245,12 +240,10 @@ def capacity_lower_bound(
     return values if table is upsilon else float(values[0])
 
 
-def default_upsilon_grid(lo: float = 1e-3, hi: float = 4.0, points: int = 60) -> list[float]:
-    """Logarithmic threshold grid used when the caller does not pick one."""
-    if points < 1 or lo <= 0 or hi <= lo:
-        raise DomainError("threshold grid needs 0 < lo < hi and points >= 1")
-    if points == 1:
-        return [lo]
+def default_upsilon_grid() -> list[float]:
+    """Logarithmic threshold grid used when the caller does not pick one:
+    60 points from 1e-3 to 4."""
+    lo, hi, points = 1e-3, 4.0, 60
     step = (math.log(hi) - math.log(lo)) / (points - 1)
     return [math.exp(math.log(lo) + k * step) for k in range(points)]
 
@@ -350,7 +343,8 @@ def bound_sweep(
 
     Models of the unit law pair the specialized unit-modulus bounds; all
     others pair the threshold-optimized lower bound with the coherent
-    average-power ceiling.
+    average-power ceiling.  The snr grid must be nonempty and strictly
+    increasing, and is checked before any point is evaluated.
 
     threads > 1 spreads the snr points over a thread pool, in grid order.
     The pool is bound by the GIL and is no faster than the serial loop;
@@ -359,6 +353,8 @@ def bound_sweep(
     """
     if not snrs:
         raise DomainError("snr grid must be nonempty")
+    if any(b <= a for a, b in zip(snrs, snrs[1:])):
+        raise DomainError("snr grid must be strictly increasing")
     if model.law == "unit":
         lows = _map_ordered(phase_noise_lower_bound, list(snrs), threads)
         ups = _map_ordered(phase_noise_upper_bound, list(snrs), threads)

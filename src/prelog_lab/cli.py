@@ -9,7 +9,9 @@ value that overflows the float range is a numeric failure, so no output
 holds inf or nan: szego, bound-sweep and prelog-report exit 4 with empty
 stdout at an snr that large: snr F' past about 1.8e308 in the spectral
 integral, snr / P(|H1| > 0) past it in the coherent upper bound, snr past
-about 1.3e306 in the phase-noise lower bound.
+about 1.3e306 in the phase-noise lower bound.  An snr grid that does not
+strictly increase exits 2 before any point is evaluated, even one that
+would overflow.
 
 Models are named with a small spec language, name:key=value,...:
 

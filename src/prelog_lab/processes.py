@@ -36,7 +36,7 @@ from .spectra import AutocovarianceSeq, SpectralDensity, make_onoff_spectrum, ma
 # Philox stream tags, one per draw purpose; a tag is never renumbered, so
 # every path keeps its bits
 STREAM_FADING = 1
-STREAM_NOISE = 2  # reserved for channel noise
+STREAM_NOISE = 2  # channel noise is gone; reserved so no purpose is renumbered
 STREAM_PARITY = 3
 STREAM_PHASE = 4
 STREAM_TAIL_MC = 5
@@ -275,12 +275,6 @@ def marginal_draws(model: FadingModel, n: int, seed: int) -> np.ndarray:
         a = rng.integers(0, 2, n)
         return a * b
     return _unit_phasors(rng, n)
-
-
-def tail_probability(model: FadingModel, upsilon: float) -> float:
-    """Closed-form P(|H1| >= upsilon) from the model's tail function."""
-    check_positive("threshold", upsilon)
-    return model.tail(upsilon)
 
 
 def tail_probability_mc(

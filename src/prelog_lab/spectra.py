@@ -22,17 +22,8 @@ from .errors import DomainError, check_finite, check_positive
 
 # mass bookkeeping tolerance for validated densities
 MASS_TOL = 1e-12
-# tolerance when checking a user-supplied target variance in make_piecewise
-TARGET_MASS_TOL = 1e-9
 
 DIAGNOSTIC_SNRS = (1e3, 1e6, 1e12)
-
-
-def sinc(x: float) -> float:
-    """Normalized sinc, sin(pi x)/(pi x) with sinc(0) = 1."""
-    if x == 0:
-        return 1.0
-    return math.sin(math.pi * x) / (math.pi * x)
 
 
 @dataclass(frozen=True)
@@ -75,27 +66,6 @@ class SpectralDensity:
             raise DomainError(
                 f"segment mass {mass!r} does not match variance {self.variance!r}"
             )
-
-    def density_at(self, lam: float) -> float:
-        """Density value at harmonic lam.
-
-        Boundary harmonics belong to the segment on their left; -1/2
-        belongs to the first segment.
-        """
-        if not -0.5 <= lam <= 0.5:
-            raise DomainError(f"harmonic {lam} outside [-1/2, 1/2]")
-        if lam == -0.5:
-            return self.segments[0][2]
-        for lo, hi, v in self.segments:
-            if lo < lam <= hi:
-                return v
-        raise DomainError(f"harmonic {lam} not covered")  # unreachable on valid input
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"segments": [[lo, hi, v] for lo, hi, v in self.segments],
-             "variance": self.variance}
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "SpectralDensity":
@@ -184,23 +154,6 @@ def make_onoff_spectrum(W: float) -> SpectralDensity:
             (0.5 - W, 0.5, v),
         )
     )
-
-
-def make_piecewise(
-    segments: Sequence[Sequence[float]], variance: float | None = None
-) -> SpectralDensity:
-    """Validated density from raw (lo, hi, value) triples.
-
-    When a target variance is supplied the segment mass must match it
-    within 1e-9; the stored variance is always the exact segment mass.
-    """
-    segs = tuple((float(lo), float(hi), float(v)) for lo, hi, v in segments)
-    mass = math.fsum((hi - lo) * v for lo, hi, v in segs)
-    if variance is not None and not abs(mass - variance) <= TARGET_MASS_TOL:
-        raise DomainError(
-            f"segment mass {mass!r} does not match requested variance {variance!r}"
-        )
-    return SpectralDensity(segs, mass)
 
 
 def zero_set_measure(S: SpectralDensity) -> float:

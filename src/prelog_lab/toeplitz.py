@@ -3,8 +3,7 @@
 The covariance of n consecutive fading samples is the Hermitian Toeplitz
 matrix built from the autocovariance sequence.  Its eigenvalue counting
 measure converges to the spectral density, so the normalized log-det rate
-(1/n) log det(I + snr T_n) approaches the spectral log-integral; szego_gap
-measures that convergence.
+(1/n) log det(I + snr T_n) approaches the spectral log-integral.
 
 The log-det is the sum of the log one-step prediction-error (innovation)
 variances of the fading process observed in unit-variance noise.  The
@@ -21,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NumericError, check_positive
-from .spectra import AutocovarianceSeq, SpectralDensity, autocovariance_sequence, spectral_log_integral
+from .spectra import AutocovarianceSeq, SpectralDensity, autocovariance_sequence
 
 HERMITIAN_TOL = 1e-10
 
@@ -104,8 +103,3 @@ def szego_logdet_rate(S: SpectralDensity, snr: float, n: int) -> float:
     row[0] += 1.0
     return float(np.mean(np.log(_innovation_variances(row))))
 
-
-def szego_gap(S: SpectralDensity, snr: float, n_list) -> list[tuple[int, float]]:
-    """|szego_logdet_rate(n) - spectral_log_integral| for each n in n_list."""
-    target = spectral_log_integral(S, snr)
-    return [(int(n), abs(szego_logdet_rate(S, snr, int(n)) - target)) for n in n_list]

@@ -10,17 +10,51 @@ unit-modulus phasors through one draw of 1.5 times the phasors still
 missing, and path CSV and binary files through one write per row or
 sample.
 Random piecewise densities exercise the closed forms away from the
-hand-picked examples.
+hand-picked examples.  The small helpers below (sinc, density_at,
+spectrum_json, log_grid) exist only for tests; the library has no copy.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 
 import numpy as np
 
-from prelog_lab.spectra import SpectralDensity, make_piecewise
+from prelog_lab.spectra import SpectralDensity
+
+
+def sinc(x: float) -> float:
+    """Normalized sinc, sin(pi x)/(pi x) with sinc(0) = 1."""
+    if x == 0:
+        return 1.0
+    return math.sin(math.pi * x) / (math.pi * x)
+
+
+def density_at(S: SpectralDensity, lam: float) -> float:
+    """F'(lam) of S.  A boundary harmonic takes the value of the segment on
+    its left, and -1/2 that of the first segment."""
+    if lam == -0.5:
+        return S.segments[0][2]
+    for lo, hi, v in S.segments:
+        if lo < lam <= hi:
+            return v
+    raise ValueError(f"harmonic {lam} outside [-1/2, 1/2]")
+
+
+def spectrum_json(S: SpectralDensity) -> str:
+    """S as the text of a spectrum file, the form SpectralDensity.from_json
+    and the CLI's custom: models read."""
+    return json.dumps({"segments": [list(seg) for seg in S.segments],
+                       "variance": S.variance})
+
+
+def log_grid(lo: float, hi: float, points: int) -> list[float]:
+    """points log-spaced values from lo to hi, by the formula of
+    bounds.default_upsilon_grid (points >= 2)."""
+    step = (math.log(hi) - math.log(lo)) / (points - 1)
+    return [math.exp(math.log(lo) + k * step) for k in range(points)]
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-13, depth: int = 48):
@@ -61,7 +95,7 @@ def _segmentwise(S: SpectralDensity, integrand):
 
 def quad_log_integral(S: SpectralDensity, snr: float) -> float:
     """Quadrature route for the spectral log-integral."""
-    val = _segmentwise(S, lambda lam: math.log1p(snr * S.density_at(lam)))
+    val = _segmentwise(S, lambda lam: math.log1p(snr * density_at(S, lam)))
     return float(val.real)
 
 
@@ -69,7 +103,7 @@ def quad_autocovariance(S: SpectralDensity, m: int) -> complex:
     """Quadrature route for r(m) = integral e^{i 2 pi m lam} F'(lam)."""
     w = 2j * math.pi * m
     return complex(
-        _segmentwise(S, lambda lam: np.exp(w * lam) * S.density_at(lam))
+        _segmentwise(S, lambda lam: np.exp(w * lam) * density_at(S, lam))
     )
 
 
@@ -125,7 +159,7 @@ def random_density(rng: np.random.Generator, unit_variance: bool = False,
         segments = [
             (float(edges[i]), float(edges[i + 1]), float(vals[i])) for i in range(k)
         ]
-        return make_piecewise(segments)
+        return SpectralDensity(segments, math.fsum((hi - lo) * v for lo, hi, v in segments))
 
 
 def toeplitz_matrix(first_row) -> np.ndarray:

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from prelog_lab import bounds
 from prelog_lab.bounds import (
     LAWS,
     FadingModel,
@@ -28,7 +29,7 @@ from prelog_lab.bounds import (
 from prelog_lab.errors import DomainError, NumericError, PreconditionError
 from prelog_lab.spectra import make_rect_band, zero_set_measure
 
-from oracles import random_density
+from oracles import log_grid, random_density
 
 
 class TestCapacityLowerBound:
@@ -74,15 +75,15 @@ class TestOptimizeUpsilon:
 
     def test_refinement_never_hurts(self):
         model = rayleigh_band_model(0.1)
-        coarse = default_upsilon_grid(points=10)
-        fine = default_upsilon_grid(points=40)
+        coarse = log_grid(1e-3, 4.0, 10)
+        fine = log_grid(1e-3, 4.0, 40)
         _, lb_c = optimize_upsilon(model, 1e6, coarse)
         _, lb_f = optimize_upsilon(model, 1e6, coarse + fine)
         assert lb_f >= lb_c
 
     def test_dominates_fixed_threshold(self):
         model = rayleigh_band_model(0.05)
-        _, lb = optimize_upsilon(model, 1e6, default_upsilon_grid(1e-3, 2.0, 50))
+        _, lb = optimize_upsilon(model, 1e6, log_grid(1e-3, 2.0, 50))
         assert lb >= 7.29
 
     def test_tie_breaks_small(self):
@@ -96,6 +97,11 @@ class TestOptimizeUpsilon:
     def test_empty_grid(self):
         with pytest.raises(DomainError):
             optimize_upsilon(rayleigh_band_model(0.1), 1e4, [])
+
+    def test_default_grid(self):
+        grid = default_upsilon_grid()
+        assert grid == log_grid(1e-3, 4.0, 60)
+        assert (grid[0], grid[-1]) == (0.0010000000000000002, 4.000000000000001)
 
 
 class TestPrelogLower:
@@ -266,6 +272,20 @@ class TestBoundSweep:
     def test_snr_grid_must_increase(self):
         with pytest.raises(DomainError):
             bound_sweep(rayleigh_band_model(0.1), [1e4, 1e2])
+
+    def test_snr_order_is_checked_before_any_point(self, monkeypatch):
+        calls = []
+        for name in ("spectral_log_integral", "phase_noise_lower_bound"):
+            fn = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name, lambda *a, fn=fn: calls.append(a) or fn(*a))
+        for model in (rayleigh_band_model(0.1), phase_noise_model()):
+            for snrs in ([1e308, 1e4], [1e2, 1e4, 1e4]):
+                with pytest.raises(DomainError, match="strictly increasing"):
+                    bound_sweep(model, snrs)
+        assert calls == []
+        for model in (rayleigh_band_model(0.1), phase_noise_model()):
+            bound_sweep(model, [1e2, 1e4])
+        assert len(calls) == 4
 
 
 class TestPrelogReport:

@@ -15,6 +15,8 @@ from prelog_lab.cli import main, parse_grid, parse_model
 from prelog_lab.errors import DomainError
 from prelog_lab.processes import read_path_binary
 
+from oracles import spectrum_json
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -64,7 +66,7 @@ class TestParsing:
 ])
 def test_repeated_model_parameter_is_usage(capsys, tmp_path, model):
     sfile = tmp_path / "flat.json"
-    sfile.write_text(spectra.make_rect_band(0.5).to_json())
+    sfile.write_text(spectrum_json(spectra.make_rect_band(0.5)))
     code, out, err = run(capsys, ["spectrum", "--model", model.format(f=sfile)])
     assert code == 2
     assert out == ""
@@ -255,9 +257,12 @@ class TestSzegoCommand:
         gaps = [float(r["gap"]) for r in rows]
         assert gaps[-1] < gaps[0]
         S = spectra.make_rect_band(0.25)
+        integral = spectra.spectral_log_integral(S, 100.0)
         for row in rows:
-            n = int(row["n"])
-            assert float(row["rate"]) == toeplitz.szego_logdet_rate(S, 100.0, n)
+            rate = toeplitz.szego_logdet_rate(S, 100.0, int(row["n"]))
+            assert float(row["rate"]) == rate
+            assert float(row["integral"]) == integral
+            assert float(row["gap"]) == abs(rate - integral)
 
     def test_multiple_snr_rejected(self, capsys):
         code, _, err = run(
@@ -309,6 +314,21 @@ def test_overflowing_snr_is_numeric(capsys, argv, fmt):
     assert code == 4
     assert out == ""
     assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound-sweep", "--model", "phase-noise", "--snr", "1e308,1e4"],
+        ["prelog-report", "--model", "rayleigh-band:W=0.1", "--snr", "1.7e308,1e4"],
+    ],
+)
+def test_decreasing_snr_grid_is_usage_before_overflow(capsys, argv):
+    # the first point would overflow, but the grid order is checked first
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "strictly increasing" in err
 
 
 @pytest.mark.parametrize(
@@ -450,7 +470,7 @@ class TestMisoCommand:
 
     def test_spectrum_file_antenna(self, capsys, tmp_path):
         sfile = tmp_path / "flat.json"
-        sfile.write_text(spectra.make_rect_band(0.5).to_json())
+        sfile.write_text(spectrum_json(spectra.make_rect_band(0.5)))
         code, out, _ = run(capsys, ["miso", "--spectra", f"W=0.3,{sfile}"])
         assert code == 0
         assert "# prelog_lower=0.4" in out
@@ -587,7 +607,7 @@ class TestCustomLaws:
     def spectrum_file(self, tmp_path):
         def write(S):
             path = tmp_path / "s.json"
-            path.write_text(S.to_json())
+            path.write_text(spectrum_json(S))
             return str(path)
         return write
 

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 from prelog_lab.cli import main  # noqa: E402
 from prelog_lab.spectra import make_rect_band  # noqa: E402
 
-from oracles import random_density  # noqa: E402
+from oracles import random_density, spectrum_json  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def _custom(directory, seed: int, law: str) -> str:
     else:
         S = random_density(np.random.default_rng(seed), unit_variance=True)
     path = directory / "custom.json"
-    path.write_text(S.to_json())
+    path.write_text(spectrum_json(S))
     return f"custom:spectrum={path},tail={law}"
 
 

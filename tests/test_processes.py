@@ -22,14 +22,13 @@ from prelog_lab.processes import (
     simulate_model,
     simulate_onoff,
     simulate_phase_noise,
-    tail_probability,
     tail_probability_mc,
     write_path_binary,
     write_path_csv,
 )
-from prelog_lab.spectra import autocovariance, make_piecewise, make_rect_band, sinc
+from prelog_lab.spectra import SpectralDensity, autocovariance, make_rect_band
 
-from oracles import path_binary_elements, path_csv_rows
+from oracles import path_binary_elements, path_csv_rows, sinc
 
 
 class TestReproducibility:
@@ -190,19 +189,15 @@ class TestErgodicAverages:
 
 class TestTails:
     def test_closed_forms(self):
-        assert tail_probability(rayleigh_band_model(0.1), 1.0) == pytest.approx(
-            math.exp(-1), abs=1e-15
-        )
-        assert tail_probability(phase_noise_model(), 0.5) == 1.0
-        assert tail_probability(onoff_model(1 / 16), 1.0) == pytest.approx(
+        assert rayleigh_band_model(0.1).tail(1.0) == pytest.approx(math.exp(-1), abs=1e-15)
+        assert phase_noise_model().tail(0.5) == 1.0
+        assert onoff_model(1 / 16).tail(1.0) == pytest.approx(
             0.5 * math.exp(-0.5), abs=1e-15
         )
 
     def test_guard(self):
         model = rayleigh_band_model(0.1)
         for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                tail_probability(model, bad)
             with pytest.raises(DomainError):
                 tail_probability_mc(model, bad, n_samples=16)
 
@@ -218,7 +213,7 @@ class TestTails:
         # quick 1e5-draw version; the acceptance suite reruns this at 1e6
         n = 100_000
         for ups in (0.5, 1.0, 2.0):
-            p = tail_probability(model, ups)
+            p = model.tail(ups)
             p_hat = tail_probability_mc(model, ups, n_samples=n, seed=21)
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(p_hat - p) <= 3 * sigma + 1e-9
@@ -254,8 +249,9 @@ class TestEmpiricalAutocov:
 class TestModelDispatch:
     def test_law_paths_need_their_process_spectrum(self):
         v = 1 / 0.3
-        uneven = make_piecewise([(-0.5, -0.45, v), (-0.45, -0.1, 0.0), (-0.1, 0.1, v),
-                                 (0.1, 0.45, 0.0), (0.45, 0.5, v)])
+        segments = [(-0.5, -0.45, v), (-0.45, -0.1, 0.0), (-0.1, 0.1, v),
+                    (0.1, 0.45, 0.0), (0.45, 0.5, v)]
+        uneven = SpectralDensity(segments, math.fsum((hi - lo) * v for lo, hi, v in segments))
         for law, S in [("unit", make_rect_band(0.1)), ("onoff", make_rect_band(0.1)),
                        ("onoff", make_rect_band(0.3)), ("onoff", uneven)]:
             with pytest.raises(DomainError):

@@ -26,7 +26,7 @@ from prelog_lab.bounds import (  # noqa: E402
 from prelog_lab.errors import DomainError  # noqa: E402
 from prelog_lab.spectra import make_rect_band  # noqa: E402
 
-from oracles import random_density, threshold_argmax, threshold_bounds  # noqa: E402
+from oracles import log_grid, random_density, threshold_argmax, threshold_bounds  # noqa: E402
 
 
 def _model(seed: int, law: str) -> FadingModel:
@@ -89,7 +89,7 @@ def test_prelog_report_matches_oracle(seed, tail_name, snr_grid, grid):
 def test_every_grid_point_matches_oracle(model):
     # numpy's vectorized exp/log differ from libm in the last bit on a few
     # points of a grid this long, so a table built with them would not match
-    grid = bounds.default_upsilon_grid(1e-4, 8.0, 400)
+    grid = log_grid(1e-4, 8.0, 400)
     table = bounds._threshold_table(model, grid)
     for snr in (1e2, 1e6, 1e10):
         got = bounds.capacity_lower_bound(model, snr, table)

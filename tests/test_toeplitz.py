@@ -8,21 +8,19 @@ import pytest
 from prelog_lab.errors import DomainError, NumericError
 from prelog_lab.spectra import (
     AutocovarianceSeq,
+    SpectralDensity,
     autocovariance_sequence,
-    make_piecewise,
     make_rect_band,
-    sinc,
     spectral_log_integral,
 )
 from prelog_lab.toeplitz import (
     _innovation_variances,
     covariance_matrix,
     hermitian_eigenvalues,
-    szego_gap,
     szego_logdet_rate,
 )
 
-from oracles import eig_oracle, random_density, toeplitz_matrix
+from oracles import eig_oracle, random_density, sinc, toeplitz_matrix
 
 
 def random_row(rng, n, decay=0.3):
@@ -141,12 +139,12 @@ class TestSzego:
         assert abs(rate - target) < 0.1
 
     def test_gap_shrinks_with_n(self):
+        def gap(S, n):
+            return abs(szego_logdet_rate(S, 100.0, n) - spectral_log_integral(S, 100.0))
+
         S = make_rect_band(0.25)
-        gaps = dict(szego_gap(S, 100.0, [16, 128]))
-        assert gaps[128] < gaps[16]
-        assert dict(szego_gap(make_rect_band(0.5), 100.0, [8, 32]))[32] == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert gap(S, 128) < gap(S, 16)
+        assert gap(make_rect_band(0.5), 32) == pytest.approx(0.0, abs=1e-12)
 
     def test_snr_guard(self):
         for snr in (0.0, math.nan, math.inf):
@@ -186,7 +184,8 @@ class TestLevinson:
     @pytest.mark.parametrize("snr", [1e2, 1e6])
     @pytest.mark.parametrize("n", sorted(STALLING_SPECTRA))
     def test_rate_matches_slogdet(self, n, snr):
-        S = make_piecewise(STALLING_SPECTRA[n])
+        segments = STALLING_SPECTRA[n]
+        S = SpectralDensity(segments, math.fsum((hi - lo) * v for lo, hi, v in segments))
         row = np.asarray(autocovariance_sequence(S, n - 1).values)
         sign, logdet = np.linalg.slogdet(np.eye(n) + snr * toeplitz_matrix(row))
         assert sign.real > 0
