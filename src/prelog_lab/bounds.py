@@ -22,19 +22,17 @@ is pure and thread-safe.  bound_sweep is the one place a law picks its
 bounds; prelog_report is built on it.  A sweep evaluates the threshold
 bound over its whole threshold grid at once: the threshold-only terms are
 tabulated once per sweep, and each snr costs one spectral integral and one
-numpy expression.
+numpy expression.  numpy is imported only when a threshold table is built,
+so the unit law's sweeps and everything else here run without it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
-import numpy as np
-
-from .errors import DomainError, NumericError, PreconditionError, check_finite, check_positive
+from .errors import DomainError, NumericError, PreconditionError, check_positive
 from .spectra import (
     SpectralDensity,
     make_onoff_spectrum,
@@ -42,6 +40,9 @@ from .spectra import (
     spectral_log_integral,
     zero_set_measure,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BoundKind = Literal["LOWER_LB", "UPPER_COHERENT", "PHASE_LB", "PHASE_UB"]
 
@@ -137,6 +138,8 @@ class PrelogReport:
 def _map_ordered(fn, items: Sequence, threads: int | None):
     """Map fn over items, optionally on a thread pool, preserving order."""
     if threads is not None and threads > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(it) for it in items]
@@ -202,6 +205,8 @@ def _threshold_table(model: FadingModel, grid: Sequence[float] | None) -> _Thres
     come from model.tail and math.log one point at a time, not from
     numpy's vectorized exp/log (see capacity_lower_bound).
     """
+    import numpy as np
+
     ups = sorted(default_upsilon_grid() if grid is None else grid)
     if not ups:
         raise DomainError("threshold grid must be nonempty")
@@ -260,7 +265,7 @@ def optimize_upsilon(
     """
     table = grid if isinstance(grid, _ThresholdTable) else _threshold_table(model, grid)
     values = capacity_lower_bound(model, snr, table)
-    k = int(np.argmax(values))
+    k = int(values.argmax())
     return table.upsilon[k], float(values[k])
 
 
@@ -281,12 +286,16 @@ def coherent_avg_upper_bound(model: FadingModel, snr: float) -> float:
     """Coherent average-power capacity ceiling p log(1 + snr/p), in nats.
 
     p = P(|H1| > 0), which is positive for every law; Jensen applied to the
-    nonzero fading fraction.  Raises NumericError when snr/p overflows
-    the float range.
+    nonzero fading fraction.  Where snr/p overflows the float range,
+    log1p(snr/p) is taken as log snr - log p + log1p(p/snr), so the bound
+    is finite for every finite snr.
     """
     check_positive("snr", snr)
     p = 1.0 - model.mass_at_zero
-    return check_finite("the coherent upper bound", p * math.log1p(snr / p))
+    x = snr / p
+    if x < math.inf:
+        return p * math.log1p(x)
+    return p * (math.log(snr) - math.log(p) + math.log1p(p / snr))
 
 
 def masspoint_prelog_upper(model: FadingModel) -> float:
@@ -299,16 +308,18 @@ def phase_noise_lower_bound(snr: float) -> float:
 
     log snr - (1/2) log(4 pi e (2 + 4 snr)) + log 2, with unit noise
     variance so snr equals the peak power.  Asymptotic slope 1/2 per
-    ln-unit of snr.  Raises NumericError when 4 pi e (2 + 4 snr) overflows
-    the float range, from snr of about 1.3e306.
+    ln-unit of snr.  Where 4 pi e (2 + 4 snr) overflows the float range,
+    from snr of about 1.3e306, its log is taken as
+    log(16 pi e) + log snr + log1p(1/(2 snr)), so the bound is finite for
+    every finite snr.
     """
     check_positive("snr", snr)
-    value = (
-        math.log(snr)
-        - 0.5 * math.log(4.0 * math.pi * math.e * (2.0 + 4.0 * snr))
-        + math.log(2.0)
-    )
-    return check_finite("the phase-noise lower bound", value)
+    x = 4.0 * math.pi * math.e * (2.0 + 4.0 * snr)
+    if x < math.inf:
+        log_x = math.log(x)
+    else:
+        log_x = math.log(16.0 * math.pi * math.e) + math.log(snr) + math.log1p(0.5 / snr)
+    return math.log(snr) - 0.5 * log_x + math.log(2.0)
 
 
 def phase_noise_upper_bound(snr: float) -> float:

@@ -7,7 +7,8 @@ worst-case pre-log lower bound of a process with positive mass at zero.
 NumericError marks internal numerical failures (a nonpositive innovation
 variance in the Szego recursion, i.e. a matrix that is not numerically
 positive definite, a non-Hermitian matrix handed to the eigenvalue
-routine, or a spectral integral or bound that overflows the float range).
+routine, or a finite-snr pre-log ratio above its limit beyond slack).
+Every spectral integral and bound is finite for every finite snr.
 """
 
 import math
@@ -29,10 +30,3 @@ def check_positive(name: str, value: float) -> None:
     """Raise DomainError unless value is finite and > 0 (NaN and inf fail)."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be finite and positive, got {value}")
-
-
-def check_finite(name: str, value: float) -> float:
-    """Return value; raise NumericError if it overflowed to inf or nan."""
-    if not math.isfinite(value):
-        raise NumericError(f"{name} overflows the float range")
-    return value

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, check_finite, check_positive
+from .errors import DomainError, check_positive
 
 # mass bookkeeping tolerance for validated densities
 MASS_TOL = 1e-12
@@ -194,14 +194,23 @@ def autocovariance_sequence(S: SpectralDensity, m_max: int) -> AutocovarianceSeq
 def spectral_log_integral(S: SpectralDensity, snr: float) -> float:
     """Integral of log(1 + snr F'(lam)) over [-1/2, 1/2], in nats.
 
-    Closed form: sum over segments of (hi - lo) log(1 + snr value).
-    Raises NumericError when snr value overflows the float range.
+    Closed form: sum over segments of (hi - lo) log(1 + snr value), finite
+    for every finite snr (see _log1p_product).
     """
     check_positive("snr", snr)
-    total = math.fsum(
-        (hi - lo) * math.log1p(snr * v) for lo, hi, v in S.segments if v > 0.0
+    return math.fsum(
+        (hi - lo) * _log1p_product(snr, v) for lo, hi, v in S.segments if v > 0.0
     )
-    return check_finite("the spectral log-integral", total)
+
+
+def _log1p_product(a: float, b: float) -> float:
+    """log(1 + a b) for a, b > 0.  Where a b overflows the float range it is
+    log a + log b + log1p(1/a/b), which stays finite; everywhere else it is
+    log1p(a b), bit for bit."""
+    x = a * b
+    if x < math.inf:
+        return math.log1p(x)
+    return math.log(a) + math.log(b) + math.log1p(1.0 / a / b)
 
 
 def limiting_ratio(S: SpectralDensity) -> float:

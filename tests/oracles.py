@@ -7,8 +7,9 @@ Monte Carlo draws, the threshold optimum through a plain-float loop, the
 empirical autocovariance through one whole-path np.sum per lag, Gaussian
 path synthesis through one product with the whole harmonic power table,
 unit-modulus phasors through one draw of 1.5 times the phasors still
-missing, and path CSV and binary files through one write per row or
-sample.
+missing, path CSV and binary files through one write per row or
+sample, and the closed-form bounds past the float range through 40-digit
+decimal arithmetic.
 Random piecewise densities exercise the closed forms away from the
 hand-picked examples.  The small helpers below (sinc, density_at,
 spectrum_json, log_grid) exist only for tests; the library has no copy.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -237,3 +239,54 @@ def whole_table_synthesis(lam, amp, n: int) -> np.ndarray:
         W[:, c] = col
         col = col * zD
     return (P @ W).T.ravel()[:n]
+
+
+# significant digits of the decimal references below, and pi to 50 digits
+DECIMAL_DIGITS = 40
+_PI = Decimal("3.1415926535897932384626433832795028841971693993751")
+# the tails of bounds.LAWS in decimal arithmetic
+DECIMAL_TAILS = {
+    "rayleigh": lambda u: (-u * u).exp(),
+    "onoff": lambda u: (-u * u / 2).exp() / 2,
+}
+
+
+def decimal_log_integral(S: SpectralDensity, snr: float) -> float:
+    """integral log(1 + snr F') over S at DECIMAL_DIGITS digits."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        return float(_dec_log_integral(S, Decimal(snr)))
+
+
+def _dec_log_integral(S: SpectralDensity, snr: Decimal) -> Decimal:
+    return sum(((Decimal(hi) - Decimal(lo)) * (1 + snr * Decimal(v)).ln()
+                for lo, hi, v in S.segments if v > 0), Decimal(0))
+
+
+def decimal_coherent_upper(p: float, snr: float) -> float:
+    """p log(1 + snr/p) at DECIMAL_DIGITS digits."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        p_d = Decimal(p)
+        return float(p_d * (1 + Decimal(snr) / p_d).ln())
+
+
+def decimal_phase_lower(snr: float) -> float:
+    """log snr - (1/2) log(4 pi e (2 + 4 snr)) + log 2 at DECIMAL_DIGITS
+    digits."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        s = Decimal(snr)
+        x = 4 * _PI * Decimal(1).exp() * (2 + 4 * s)
+        return float(s.ln() - x.ln() / 2 + Decimal(2).ln())
+
+
+def decimal_threshold_lower(law: str, S: SpectralDensity, snr: float, u: float) -> float:
+    """The threshold lower bound P{|H1| >= u} (log snr - 1 + log u^2) -
+    integral log(1 + snr F') of a DECIMAL_TAILS law at DECIMAL_DIGITS
+    digits."""
+    with localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        s, u_d = Decimal(snr), Decimal(u)
+        tail = DECIMAL_TAILS[law](u_d)
+        return float(tail * (s.ln() - 1 + (u_d * u_d).ln()) - _dec_log_integral(S, s))

@@ -1,6 +1,7 @@
 """Capacity bounds, pre-log reports, and their frozen reference values."""
 
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -29,7 +30,13 @@ from prelog_lab.bounds import (
 from prelog_lab.errors import DomainError, NumericError, PreconditionError
 from prelog_lab.spectra import make_rect_band, zero_set_measure
 
-from oracles import log_grid, random_density
+from oracles import (
+    decimal_coherent_upper,
+    decimal_phase_lower,
+    decimal_threshold_lower,
+    log_grid,
+    random_density,
+)
 
 
 class TestCapacityLowerBound:
@@ -133,13 +140,15 @@ class TestCoherentUpper:
             with pytest.raises(DomainError):
                 coherent_avg_upper_bound(rayleigh_band_model(0.1), bad)
 
-    def test_overflow_is_numeric_error(self):
-        # snr / p overflows past 8.99e307 at p = 1/2; at p = 1 it cannot
+    def test_overflow_stays_finite(self):
+        # snr / p overflows past 8.99e307 at p = 1/2; at p = 1 it cannot.
+        # Below that the direct form keeps its bits
         model = onoff_model(1 / 16)
         assert coherent_avg_upper_bound(model, 8.9e307) == 0.5 * math.log1p(8.9e307 / 0.5)
-        for snr in (9e307, 1e308, 1.7e308):
-            with pytest.raises(NumericError):
-                coherent_avg_upper_bound(model, snr)
+        for snr in (9e307, 1e308, 1.7e308, sys.float_info.max):
+            assert coherent_avg_upper_bound(model, snr) == pytest.approx(
+                decimal_coherent_upper(0.5, snr), rel=1e-15
+            )
         assert coherent_avg_upper_bound(rayleigh_band_model(0.1), 1.7e308) == math.log1p(1.7e308)
 
 
@@ -333,29 +342,41 @@ class TestPrelogReport:
 
 
 class TestOverflow:
-    """A bound past the float range raises NumericError instead of
-    returning inf, and prelog_report does not floor it to a zero ratio."""
+    """Where a bound's direct form overflows the float range, the bound
+    stays finite and matches a 40-digit decimal reference."""
 
     def test_phase_noise_lower_bound(self):
+        # 4 pi e (2 + 4 snr) is finite here, and the direct form keeps its bits
         snr = 1.3e306
         assert phase_noise_lower_bound(snr) == (
             math.log(snr) - 0.5 * math.log(4.0 * math.pi * math.e * (2.0 + 4.0 * snr))
             + math.log(2.0)
         )
-        for snr in (1.4e306, 1e308, 1.7e308):
-            with pytest.raises(NumericError):
-                phase_noise_lower_bound(snr)
+        for snr in (1.4e306, 1e308, 1.7e308, sys.float_info.max):
+            assert phase_noise_lower_bound(snr) == pytest.approx(
+                decimal_phase_lower(snr), rel=1e-15
+            )
 
     @pytest.mark.parametrize("model, snrs", [
-        (phase_noise_model(), [1e308]),
-        (onoff_model(0.0625), [1e308]),
+        (phase_noise_model(), [1e4, 1.4e306, 1e308, sys.float_info.max]),
+        (onoff_model(0.0625), [1e4, 1e308, sys.float_info.max]),
         (rayleigh_band_model(0.1), [1e300, 1.7e308]),
     ], ids=["phase", "onoff", "rayleigh"])
     def test_sweep_and_report(self, model, snrs):
-        with pytest.raises(NumericError):
-            bound_sweep(model, snrs)
-        with pytest.raises(NumericError):
-            prelog_report(model, snrs)
+        low, up = bound_sweep(model, snrs)
+        for (snr, lb), u_star, ub in zip(low.points, low.params, up.values):
+            if model.law == "unit":
+                assert lb == pytest.approx(decimal_phase_lower(snr), rel=1e-15)
+                assert math.isfinite(ub)
+            else:
+                assert lb == pytest.approx(decimal_threshold_lower(
+                    model.law, model.spectrum, snr, u_star), rel=1e-15)
+                assert ub == pytest.approx(decimal_coherent_upper(
+                    1.0 - model.mass_at_zero, snr), rel=1e-15)
+        report = prelog_report(model, snrs)
+        assert report.finite_ratios == tuple(
+            (snr, max(lb / math.log(snr), 0.0)) for snr, lb in low.points
+        )
 
 
 class TestFadingModelValidation:

@@ -15,7 +15,13 @@ from prelog_lab.cli import main, parse_grid, parse_model
 from prelog_lab.errors import DomainError
 from prelog_lab.processes import read_path_binary
 
-from oracles import spectrum_json
+from oracles import (
+    decimal_coherent_upper,
+    decimal_log_integral,
+    decimal_phase_lower,
+    decimal_threshold_lower,
+    spectrum_json,
+)
 
 
 def run(capsys, argv):
@@ -298,6 +304,18 @@ def test_nonfinite_snr_or_threshold_is_usage(capsys, argv):
     assert "finite" in err
 
 
+def _decimal_columns(command, model, snr, row):
+    """40-digit decimal references of a row's overflow-prone columns."""
+    if command == "szego":
+        return {"integral": decimal_log_integral(model.spectrum, snr)}
+    if model.law == "unit":
+        return {"lb": decimal_phase_lower(snr)}
+    lb = decimal_threshold_lower(model.law, model.spectrum, snr, float(row["upsilon_star"]))
+    if command == "prelog-report":
+        return {"ratio": lb / math.log(snr)}
+    return {"lb": lb, "ub_coherent": decimal_coherent_upper(1.0 - model.mass_at_zero, snr)}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "argv",
@@ -308,12 +326,19 @@ def test_nonfinite_snr_or_threshold_is_usage(capsys, argv):
         ["prelog-report", "--model", "rayleigh-band:W=0.1", "--snr", "1e300,1.7e308"],
     ],
 )
-def test_overflowing_snr_is_numeric(capsys, argv, fmt):
-    # no -inf, inf or -Infinity in the output: exit 4 and nothing on stdout
+def test_overflowing_snr_prints_finite_values(capsys, argv, fmt):
+    # where a direct form overflows, the value is still finite: exit 0,
+    # no inf or nan in the output, and each value within 1e-15 of decimal
     code, out, err = run(capsys, argv + ["--format", fmt])
-    assert code == 4
-    assert out == ""
-    assert "overflows" in err
+    assert (code, err) == (0, "")
+    assert not any(word in out for word in ("inf", "Infinity", "nan", "NaN"))
+    rows = json.loads(out)["rows"] if fmt == "json" else csv_rows(out)[1]
+    model = parse_model(argv[2])
+    assert len(rows) == len(argv[4].split(","))
+    for row in rows:
+        snr = float(row.get("snr", argv[4]))  # szego rows are per n at one snr
+        for column, ref in _decimal_columns(argv[0], model, snr, row).items():
+            assert float(row[column]) == pytest.approx(ref, rel=1e-15), column
 
 
 @pytest.mark.parametrize(

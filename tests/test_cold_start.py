@@ -1,0 +1,74 @@
+"""Commands that compute no arrays run without importing numpy.
+
+Each case starts a fresh interpreter, because the test process itself has
+numpy loaded.  The array commands load numpy where they need it and print
+the same bytes from a cold interpreter as in-process.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import prelog_lab
+from prelog_lab.cli import main
+
+SRC = os.path.dirname(os.path.dirname(prelog_lab.__file__))
+# argv[1] is the source root and the rest the command line; the last line
+# on stderr says whether numpy was loaded when the command finished
+PROBE = ("import sys\n"
+         "sys.path.insert(0, sys.argv[1])\n"
+         "from prelog_lab.cli import main\n"
+         "code = main(sys.argv[2:])\n"
+         "sys.stdout.flush()\n"
+         "print('numpy' in sys.modules, file=sys.stderr)\n"
+         "sys.exit(code)\n")
+
+
+def cold(argv):
+    """(exit code, stdout bytes, numpy loaded) of argv in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, SRC, *argv],
+                          capture_output=True, timeout=120)
+    loaded = proc.stderr.decode().splitlines()[-1]
+    assert loaded in ("True", "False"), proc.stderr
+    return proc.returncode, proc.stdout, loaded == "True"
+
+
+@pytest.fixture
+def bad_config(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--model", "rayleigh-band:W=0.1"], 0),
+    (["miso", "--spectra", "W=0.1,W=0.2"], 0),
+    (["manual"], 0),
+    (["--help"], 0),
+    (["bound-sweep", "--model", "phase-noise"], 0),
+    (["prelog-report", "--model", "phase-noise", "--format", "json"], 0),
+    (["spectrum", "--model", "rician:K=1"], 2),
+    (["bound-sweep", "--model", "rayleigh-band:W=0.1", "--config", "BAD"], 2),
+], ids=["spectrum", "miso", "manual", "help", "phase-sweep", "phase-report",
+        "unknown-model", "malformed-config"])
+def test_light_commands_do_not_import_numpy(argv, code, bad_config):
+    argv = [bad_config if a == "BAD" else a for a in argv]
+    got, out, loaded = cold(argv)
+    assert got == code
+    assert (code != 0) == (out == b"")
+    assert not loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["szego", "--model", "rayleigh-band:W=0.1", "--n", "8,16"],
+    ["simulate", "--model", "onoff:W=0.0625", "--n", "2000", "--seed", "3"],
+    ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "1e2:1e6:3"],
+    ["prelog-report", "--model", "onoff:W=0.0625", "--format", "json"],
+])
+def test_array_commands_print_the_in_process_bytes(argv, capsysbinary):
+    code, out, loaded = cold(argv)
+    assert (code, loaded) == (0, True)
+    assert main(argv) == 0
+    assert out == capsysbinary.readouterr().out
