@@ -252,6 +252,8 @@ def cmd_szego(args) -> int:
 def cmd_simulate(args) -> int:
     model = parse_model(args.model)
     n = int(args.n)
+    if args.m_max < 0:  # refused before a path is synthesized or written
+        raise DomainError(f"--m-max must be nonnegative, got {args.m_max}")
     from . import processes
 
     path = processes.simulate_model(model, n, args.seed)

@@ -14,6 +14,9 @@ On-off paths compute only the samples they keep and write the others as
 exact zeros.  Unit-modulus phasors are drawn at most _PHASOR_BLOCK angles
 at a time, so a phase-noise path or a unit-law Monte Carlo run costs its
 output plus about 4 MiB of temporaries (19.3 MiB traced at n = 1e6).
+The empirical autocovariance costs the centred path, one conjugated
+window of about 1.25 MiB, a 256 KiB product buffer and one leaf sum per
+256 KiB or less of each lag's sum (about 64 per lag at n = 1e6).
 
 Reproducibility contract: identical (model, n, seed) gives bit-identical
 paths.  The generator is counter-based (Philox) keyed by (seed, stream),
@@ -52,9 +55,12 @@ _SYNTH_BLOCK = 256
 # complex elements in 256 KiB: from this size up numpy evaluates
 # a * np.conj(b) as multiply(conj_tmp, a, out=conj_tmp) (temporary elision)
 _ELIDE_LEN = 256 * 1024 // 16
-# complex elements per block of a lag sum: a 256 KiB buffer stays in cache
-# with the two path slices it reads; at least numpy's 64-element leaf
+# most complex elements per leaf of a lag sum: a 256 KiB buffer stays in
+# cache with the two path slices it reads; at least numpy's 64-element leaf
 _SUM_BLOCK = 1 << 14
+# path elements whose leaves one conjugated window serves; the window holds
+# one more block, so a leaf starting in them ends inside it (1.25 MiB)
+_SUM_WINDOW = 4 * _SUM_BLOCK
 # most angles one draw of _unit_phasors takes (512 KiB of them)
 _PHASOR_BLOCK = 1 << 16
 
@@ -295,18 +301,24 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
     r(m) = (1/n) sum_k (H_{k+m} - mean)(H_k - mean)*; the 1/n normalization
     keeps the estimated sequence positive semidefinite.
 
-    Each lag's sum has the bits of np.sum(h[m:] * np.conj(h[:n-m])), but
-    runs over cache-sized blocks instead of path-length temporaries.
-    Two choices in that expression decide the last bit, so both are kept:
+    Each lag's sum has the bits of np.sum(h[m:] * np.conj(h[:n-m])), yet
+    all lags share one pass over the path.  Two choices in that expression
+    decide the last bit, so both are kept:
 
     - the operand order of the product: numpy elides the conj temporary
       once it holds 256 KiB (n - m >= 16384) and computes
       multiply(conj, h[m:]) in place, and below that multiply(h[m:], conj);
-      with fused multiply-adds the two orders round differently;
+      with fused multiply-adds the two orders round differently.  Shorter
+      lags are numpy's own expression;
     - the order of the sum: np.sum is numpy's pairwise sum, and
-      _pairwise_sum splits the lag exactly where numpy would, so each block
-      is a whole subtree of numpy's tree and the block sums are added in
-      its order.
+      _pairwise_sum splits a lag exactly where numpy would, so each leaf
+      of at most _SUM_BLOCK elements is a whole subtree of numpy's tree,
+      and the leaf sums are added in its order.
+
+    The leaves of all longer lags are walked in order of their start, each
+    multiplied from one window of the conjugated path that holds it.  The
+    product is elementwise and each leaf is reduced alone, so neither the
+    window nor the walk order changes a bit.
     """
     n = path.n
     if m_max < 0:
@@ -314,43 +326,48 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
     if m_max >= n:
         raise DomainError(f"m_max = {m_max} needs a path longer than {n}")
     h = path.values - np.mean(path.values)
+    long_lags = range(min(m_max, n - _ELIDE_LEN) + 1)
+    leaves = []  # (start, lag, count); the zeros _pairwise_sum adds are dropped
+    for m in long_lags:
+        _pairwise_sum(lambda s, c: leaves.append((s, m, c)) or 0j, n - m)
+    leaf_sums = {m: [] for m in long_lags}
+    win = np.empty(min(n, _SUM_WINDOW + _SUM_BLOCK), dtype=np.complex128)
     buf = np.empty(min(n, _SUM_BLOCK), dtype=np.complex128)
+    w0 = -_SUM_WINDOW  # start of the conjugated window
+    for start, m, count in sorted(leaves):
+        if start >= w0 + _SUM_WINDOW:
+            w0 = start - start % _SUM_WINDOW
+            part = h[w0:w0 + win.size]
+            np.conjugate(part, out=win[:part.size])
+        b = buf[:count]
+        np.multiply(win[start - w0:start - w0 + count], h[m + start:m + start + count], out=b)
+        leaf_sums[m].append(np.add.reduce(b, initial=0j))
     vals = []
     for m in range(m_max + 1):
-        total = _lag_sum(h, m, buf)
+        length = n - m
+        if m in leaf_sums:
+            sums = iter(leaf_sums[m])
+            total = _pairwise_sum(lambda start, count: next(sums), length)
+        else:  # fits in cache: numpy's own expression
+            total = np.sum(h[m:] * np.conj(h[:length]))
         vals.append(complex(total.real / n) if m == 0 else complex(total / n))
     return AutocovarianceSeq(tuple(vals))
 
 
-def _lag_sum(h: np.ndarray, m: int, buf: np.ndarray) -> np.complex128:
-    """sum_k h[k+m] conj(h[k]), bit for bit as np.sum(h[m:] * np.conj(h[:n-m]))."""
-    length = h.size - m
-    if length < _ELIDE_LEN:  # fits in cache: numpy's own expression
-        return np.sum(h[m:] * np.conj(h[:length]))
-
-    def block_sum(start: int, count: int) -> np.complex128:
-        b = buf[:count]
-        np.conjugate(h[start:start + count], out=b)
-        np.multiply(b, h[m + start:m + start + count], out=b)
-        return np.add.reduce(b, initial=0j)
-
-    return _pairwise_sum(block_sum, length)
-
-
-def _pairwise_sum(block_sum, length: int, start: int = 0) -> np.complex128:
+def _pairwise_sum(leaf_sum, length: int, start: int = 0) -> np.complex128:
     """numpy's pairwise sum of `length` complex elements from `start`,
-    with block_sum(start, count) summing each block of at most _SUM_BLOCK.
+    with leaf_sum(start, count) summing each leaf of at most _SUM_BLOCK.
 
     numpy sums a complex array as 2*length doubles and splits a piece of
     N > 128 doubles after N/2 - (N/2 mod 8); the split depends only on the
-    piece's length, so a block handed to np.add.reduce is summed exactly as
+    piece's length, so a leaf handed to np.add.reduce is summed exactly as
     the same piece inside the whole array.
     """
     if length <= _SUM_BLOCK:
-        return block_sum(start, length)
+        return leaf_sum(start, length)
     left = (length - length % 8) // 2
-    return (_pairwise_sum(block_sum, left, start)
-            + _pairwise_sum(block_sum, length - left, start + left))
+    return (_pairwise_sum(leaf_sum, left, start)
+            + _pairwise_sum(leaf_sum, length - left, start + left))
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,19 @@ class TestSimulateCommand:
         assert back.seed == 3
         assert np.all(np.abs(back.values) == 1.0)
 
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_negative_m_max_fails_before_the_path(self, capsys, tmp_path, suffix):
+        pfile = tmp_path / f"path{suffix}"
+        code, out, err = run(
+            capsys,
+            ["simulate", "--model", "rayleigh-band:W=0.1", "--n", "200000",
+             "--m-max", "-1", "--path-out", str(pfile)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "--m-max" in err
+        assert not pfile.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_is_usage(self, capsys, seed):
         code, out, err = run(

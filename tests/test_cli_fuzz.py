@@ -48,8 +48,9 @@ def mostly(good, odd):
     return st.one_of(good, good, good, odd)
 
 
-# 2e306 overflows the phase-noise lower bound, 1.7e308 every spectral
-# integral with a density above 1
+# 2e306 would overflow the direct form of the phase-noise lower bound, and
+# 1.7e308 that of every spectral integral with a density above 1; both
+# print finite values through the log x + log1p(1/x) form
 odd_numbers = st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300",
                                "2e306", "1.7e308", "abc", "", " 3"])
 widths = mostly(st.sampled_from(["0.05", "0.0625", "0.1", "0.2", "0.25"]),

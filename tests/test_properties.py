@@ -1,9 +1,10 @@
 """Properties over drawn spectra, laws, snr grids and sample paths.
 
 Sizes stay small (at most 6 snr points, n <= 64 for Toeplitz matrices,
-paths of at most 40000 samples and 300 lags, synthesized paths of at most
-1e5 samples, phasor paths of at most about 2e5 samples) so the tier1
-profile's fixed examples keep Tier-1 fast.
+paths of at most 40000 samples and 300 lags, or a dozen examples on one
+path of 3e5 samples, synthesized paths of at most 1e5 samples, phasor
+paths of at most about 2e5 samples) so the tier1 profile's fixed
+examples keep Tier-1 fast.
 """
 
 import numpy as np
@@ -89,6 +90,38 @@ def law_paths():
 def test_empirical_autocov_is_direct_sum(law_paths, law, n, m_max, offset):
     offset = min(offset, _PATH_LEN - n)
     path = processes.SamplePath(law_paths[law][offset:offset + n], 0)
+    m_max = min(m_max, n - 1)
+    got = processes.empirical_autocov(path, m_max).values
+    assert _bits(got) == _bits(direct_autocov(path.values, m_max))
+
+
+_LONG_LEN = 300_000
+
+
+@pytest.fixture(scope="module")
+def long_path():
+    """A path spanning several conjugation windows of the lag schedule."""
+    return processes.simulate_model(rayleigh_band_model(0.1), _LONG_LEN, 4).values
+
+
+def _near_multiples(step: int):
+    return st.tuples(st.integers(1, _LONG_LEN // step), st.integers(-8, 8)).map(
+        lambda t: min(t[0] * step + t[1], _LONG_LEN))
+
+
+# n next to a multiple of the leaf or the window length; n - m on both
+# sides of numpy's elision size within one call; and short paths, where
+# m_max is mostly n - 1
+@settings(max_examples=12)
+@given(_near_multiples(processes._SUM_BLOCK) | _near_multiples(processes._SUM_WINDOW)
+       | st.integers(processes._ELIDE_LEN - 8, processes._ELIDE_LEN + 300)
+       | st.integers(1, 64),
+       st.integers(0, 300), st.integers(0, _LONG_LEN))
+@example(n=_LONG_LEN, m_max=300, offset=0)
+@example(n=processes._ELIDE_LEN + 1, m_max=processes._ELIDE_LEN, offset=7)
+def test_lag_schedule_is_direct_sum(long_path, n, m_max, offset):
+    offset = min(offset, _LONG_LEN - n)
+    path = processes.SamplePath(long_path[offset:offset + n], 0)
     m_max = min(m_max, n - 1)
     got = processes.empirical_autocov(path, m_max).values
     assert _bits(got) == _bits(direct_autocov(path.values, m_max))
