@@ -6,17 +6,14 @@ its eigenvalues as a check), bounds (capacity bounds and pre-log reports),
 processes (sample-path simulation and Monte Carlo checks), and cli (the
 prelog-lab command, which prints the same operations as CSV/JSON).
 
-spectra and bounds are closed forms in math, and importing the package
-does not import numpy.  The names of toeplitz and processes, the two
-layers built on numpy arrays, resolve on first use through the module's
-__getattr__ and are looked up on each access, so a name rebound in its
-layer shows through here too.  bounds imports numpy only to tabulate a
-threshold grid.  So only the commands that compute with arrays load numpy
-(szego, simulate, and the threshold-law bound-sweep and prelog-report);
-the rest start in about half the time (see cli).
+spectra and bounds are closed forms in math, and the package re-exports
+their names and those of errors; importing it does not import numpy.
+toeplitz and processes, the two layers built on numpy arrays, are not
+re-exported: import their names from prelog_lab.toeplitz and
+prelog_lab.processes.  bounds imports numpy only to tabulate a threshold
+grid.  So only the commands that compute with arrays load numpy (szego,
+simulate, and the threshold-law bound-sweep and prelog-report; see cli).
 """
-
-import importlib
 
 from .bounds import (
     BoundCurve,
@@ -52,14 +49,6 @@ from .spectra import (
 
 __version__ = "0.1.0"
 
-# the array layers' re-exports: name -> submodule, imported on first use
-_LAZY = {
-    **dict.fromkeys(("SamplePath", "empirical_autocov", "simulate_gaussian", "simulate_onoff",
-                     "simulate_phase_noise", "tail_probability_mc"), "processes"),
-    **dict.fromkeys(("covariance_matrix", "hermitian_eigenvalues", "szego_logdet_rate"),
-                    "toeplitz"),
-}
-
 __all__ = [
     "AutocovarianceSeq",
     "BoundCurve",
@@ -68,17 +57,13 @@ __all__ = [
     "NumericError",
     "PreconditionError",
     "PrelogReport",
-    "SamplePath",
     "SpectralDensity",
     "autocovariance",
     "autocovariance_sequence",
     "bound_sweep",
     "capacity_lower_bound",
     "coherent_avg_upper_bound",
-    "covariance_matrix",
-    "empirical_autocov",
     "finite_snr_ratios",
-    "hermitian_eigenvalues",
     "limiting_ratio",
     "make_onoff_spectrum",
     "make_rect_band",
@@ -92,22 +77,7 @@ __all__ = [
     "prelog_lower_bound",
     "prelog_report",
     "rayleigh_band_model",
-    "simulate_gaussian",
-    "simulate_onoff",
-    "simulate_phase_noise",
     "spectral_log_integral",
-    "szego_logdet_rate",
-    "tail_probability_mc",
     "zero_set_measure",
 ]
 
-
-def __getattr__(name: str):
-    layer = _LAZY.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{layer}"), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})

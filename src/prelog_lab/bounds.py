@@ -197,22 +197,29 @@ class _ThresholdTable:
     offset: np.ndarray
 
 
-def _threshold_table(model: FadingModel, grid: Sequence[float] | None) -> _ThresholdTable:
-    """Validate a threshold grid (None: the default grid) and tabulate its
-    terms for model.
+def _threshold_grid(grid: Sequence[float] | None) -> list[float]:
+    """A threshold grid (None: the default grid), sorted and checked.
 
-    Every threshold is checked before any tail is evaluated.  The terms
-    come from model.tail and math.log one point at a time, not from
-    numpy's vectorized exp/log (see capacity_lower_bound).
+    Every threshold is checked before any is used, and without numpy.
     """
-    import numpy as np
-
     ups = sorted(default_upsilon_grid() if grid is None else grid)
     if not ups:
         raise DomainError("threshold grid must be nonempty")
     for u in ups:
         check_positive("threshold", u)
         check_positive("squared threshold", u * u)  # log u^2 must be finite
+    return ups
+
+
+def _threshold_table(model: FadingModel, ups: list[float]) -> _ThresholdTable:
+    """Tabulate the terms of a checked threshold grid (see _threshold_grid)
+    for model.
+
+    The terms come from model.tail and math.log one point at a time, not
+    from numpy's vectorized exp/log (see capacity_lower_bound).
+    """
+    import numpy as np
+
     tail = np.array([model.tail(u) for u in ups], dtype=float)
     offset = np.array([1.0 - math.log(u * u) for u in ups])
     tail.flags.writeable = offset.flags.writeable = False
@@ -239,7 +246,7 @@ def capacity_lower_bound(
     if isinstance(upsilon, _ThresholdTable):
         table = upsilon
     else:
-        table = _threshold_table(model, (upsilon,))
+        table = _threshold_table(model, _threshold_grid((upsilon,)))
     integral = spectral_log_integral(model.spectrum, snr)  # rejects a bad snr
     values = table.tail * math.log(snr) - table.tail * table.offset - integral
     return values if table is upsilon else float(values[0])
@@ -263,10 +270,11 @@ def optimize_upsilon(
     the first maximum wins, so ties go to the smaller threshold.
     upsilon_star is the grid's own element.
     """
-    table = grid if isinstance(grid, _ThresholdTable) else _threshold_table(model, grid)
-    values = capacity_lower_bound(model, snr, table)
+    if not isinstance(grid, _ThresholdTable):
+        grid = _threshold_table(model, _threshold_grid(grid))
+    values = capacity_lower_bound(model, snr, grid)
     k = int(values.argmax())
-    return table.upsilon[k], float(values[k])
+    return grid.upsilon[k], float(values[k])
 
 
 def prelog_lower_bound(model: FadingModel) -> float:
@@ -355,7 +363,10 @@ def bound_sweep(
     Models of the unit law pair the specialized unit-modulus bounds; all
     others pair the threshold-optimized lower bound with the coherent
     average-power ceiling.  The snr grid must be nonempty and strictly
-    increasing, and is checked before any point is evaluated.
+    increasing, and the threshold grid (None: the default grid) nonempty
+    with every u and u**2 positive and finite; both are checked before any
+    point is evaluated, for every law.  The phase bounds have no threshold,
+    so they ignore a valid threshold grid.
 
     threads > 1 spreads the snr points over a thread pool, in grid order.
     The pool is bound by the GIL and is no faster than the serial loop;
@@ -366,26 +377,27 @@ def bound_sweep(
         raise DomainError("snr grid must be nonempty")
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise DomainError("snr grid must be strictly increasing")
+    ups = _threshold_grid(upsilon_grid)
     if model.law == "unit":
-        lows = _map_ordered(phase_noise_lower_bound, list(snrs), threads)
-        ups = _map_ordered(phase_noise_upper_bound, list(snrs), threads)
-        low = BoundCurve("PHASE_LB", tuple(zip(snrs, lows)), params=(None,) * len(snrs))
-        up = BoundCurve("PHASE_UB", tuple(zip(snrs, ups)))
-        return low, up
+        kinds = ("PHASE_LB", "PHASE_UB")
 
-    table = _threshold_table(model, upsilon_grid)
+        def one(snr: float) -> tuple[float, None, float]:
+            return phase_noise_lower_bound(snr), None, phase_noise_upper_bound(snr)
+    else:
+        kinds = ("LOWER_LB", "UPPER_COHERENT")
+        table = _threshold_table(model, ups)
 
-    def one(snr: float) -> tuple[float, float, float]:
-        u_star, lb = optimize_upsilon(model, snr, table)
-        return lb, u_star, coherent_avg_upper_bound(model, snr)
+        def one(snr: float) -> tuple[float, float, float]:
+            u_star, lb = optimize_upsilon(model, snr, table)
+            return lb, u_star, coherent_avg_upper_bound(model, snr)
 
     rows = _map_ordered(one, list(snrs), threads)
     low = BoundCurve(
-        "LOWER_LB",
+        kinds[0],
         tuple((s, r[0]) for s, r in zip(snrs, rows)),
         params=tuple(r[1] for r in rows),
     )
-    up = BoundCurve("UPPER_COHERENT", tuple((s, r[2]) for s, r in zip(snrs, rows)))
+    up = BoundCurve(kinds[1], tuple((s, r[2]) for s, r in zip(snrs, rows)))
     return low, up
 
 

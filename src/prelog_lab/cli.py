@@ -17,10 +17,8 @@ the direct form's bits.  An snr grid that does not strictly increase exits
 Only the commands that compute with arrays import numpy: szego, simulate,
 and bound-sweep and prelog-report on a threshold-law model (every model
 but phase-noise).  spectrum, miso, manual, --help, the phase-noise sweeps
-and reports, and a usage error in the command line, the model spec or a
-config file run without it.  On a 2-vCPU x86 host a cold `prelog-lab
-spectrum` took 0.12 s in the median instead of 0.24 s when every command
-imported numpy.
+and reports, and a usage error in the command line, the model spec, a
+threshold grid or a config file run without it.
 
 Models are named with a small spec language, name:key=value,...:
 

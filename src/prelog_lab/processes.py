@@ -306,16 +306,17 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
     decide the last bit, so both are kept:
 
     - the operand order of the product: numpy elides the conj temporary
-      once it holds 256 KiB (n - m >= 16384) and computes
+      once it holds 256 KiB (n - m >= _ELIDE_LEN = 16384) and computes
       multiply(conj, h[m:]) in place, and below that multiply(h[m:], conj);
-      with fused multiply-adds the two orders round differently.  Shorter
-      lags are numpy's own expression;
+      with fused multiply-adds the two orders round differently, so each
+      lag's leaves take the order its length picks;
     - the order of the sum: np.sum is numpy's pairwise sum, and
       _pairwise_sum splits a lag exactly where numpy would, so each leaf
       of at most _SUM_BLOCK elements is a whole subtree of numpy's tree,
-      and the leaf sums are added in its order.
+      and the leaf sums are added in its order.  A lag shorter than
+      _ELIDE_LEN is a single leaf.
 
-    The leaves of all longer lags are walked in order of their start, each
+    The leaves of all lags are walked in order of their start, each
     multiplied from one window of the conjugated path that holds it.  The
     product is elementwise and each leaf is reduced alone, so neither the
     window nor the walk order changes a bit.
@@ -326,11 +327,10 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
     if m_max >= n:
         raise DomainError(f"m_max = {m_max} needs a path longer than {n}")
     h = path.values - np.mean(path.values)
-    long_lags = range(min(m_max, n - _ELIDE_LEN) + 1)
     leaves = []  # (start, lag, count); the zeros _pairwise_sum adds are dropped
-    for m in long_lags:
+    for m in range(m_max + 1):
         _pairwise_sum(lambda s, c: leaves.append((s, m, c)) or 0j, n - m)
-    leaf_sums = {m: [] for m in long_lags}
+    leaf_sums = [[] for _ in range(m_max + 1)]
     win = np.empty(min(n, _SUM_WINDOW + _SUM_BLOCK), dtype=np.complex128)
     buf = np.empty(min(n, _SUM_BLOCK), dtype=np.complex128)
     w0 = -_SUM_WINDOW  # start of the conjugated window
@@ -340,16 +340,13 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
             part = h[w0:w0 + win.size]
             np.conjugate(part, out=win[:part.size])
         b = buf[:count]
-        np.multiply(win[start - w0:start - w0 + count], h[m + start:m + start + count], out=b)
+        conj = win[start - w0:start - w0 + count]
+        shifted = h[m + start:m + start + count]
+        np.multiply(*((conj, shifted) if n - m >= _ELIDE_LEN else (shifted, conj)), out=b)
         leaf_sums[m].append(np.add.reduce(b, initial=0j))
     vals = []
-    for m in range(m_max + 1):
-        length = n - m
-        if m in leaf_sums:
-            sums = iter(leaf_sums[m])
-            total = _pairwise_sum(lambda start, count: next(sums), length)
-        else:  # fits in cache: numpy's own expression
-            total = np.sum(h[m:] * np.conj(h[:length]))
+    for m, sums in enumerate(map(iter, leaf_sums)):
+        total = _pairwise_sum(lambda start, count: next(sums), n - m)
         vals.append(complex(total.real / n) if m == 0 else complex(total / n))
     return AutocovarianceSeq(tuple(vals))
 

@@ -270,8 +270,9 @@ class TestBoundSweep:
         assert low.kind == "PHASE_LB" and up.kind == "PHASE_UB"
         assert low.values == tuple(phase_noise_lower_bound(s) for s in (1e2, 1e4))
 
-    def test_threads_do_not_change_values(self):
-        model = rayleigh_band_model(0.1)
+    @pytest.mark.parametrize("model", [rayleigh_band_model(0.1), onoff_model(1 / 16),
+                                       phase_noise_model()], ids=["rayleigh", "onoff", "unit"])
+    def test_threads_do_not_change_values(self, model):
         snrs = [10.0 ** k for k in range(2, 9)]
         serial = bound_sweep(model, snrs, threads=1)
         pooled = bound_sweep(model, snrs, threads=8)

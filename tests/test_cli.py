@@ -385,10 +385,12 @@ def test_config_null_grid_is_usage(capsys, tmp_path):
     assert "expected a number" in err
 
 
+# the phase bounds take no threshold, yet a bad grid is refused for them too
+@pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "phase-noise"])
 @pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report"])
 @pytest.mark.parametrize("grid", ["0,1", "-1,1", "1,nan", "inf,1", "1e-170,1", "1e200,1"])
-def test_bad_threshold_grid_is_usage(capsys, cmd, grid):
-    argv = [cmd, "--model", "rayleigh-band:W=0.1", "--snr", "1e4", f"--upsilon={grid}"]
+def test_bad_threshold_grid_is_usage(capsys, cmd, grid, model):
+    argv = [cmd, "--model", model, "--snr", "1e4", f"--upsilon={grid}"]
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

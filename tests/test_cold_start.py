@@ -51,8 +51,9 @@ def bad_config(tmp_path):
     (["prelog-report", "--model", "phase-noise", "--format", "json"], 0),
     (["spectrum", "--model", "rician:K=1"], 2),
     (["bound-sweep", "--model", "rayleigh-band:W=0.1", "--config", "BAD"], 2),
+    (["bound-sweep", "--model", "phase-noise", "--upsilon", "nan"], 2),
 ], ids=["spectrum", "miso", "manual", "help", "phase-sweep", "phase-report",
-        "unknown-model", "malformed-config"])
+        "unknown-model", "malformed-config", "phase-bad-threshold"])
 def test_light_commands_do_not_import_numpy(argv, code, bad_config):
     argv = [bad_config if a == "BAD" else a for a in argv]
     got, out, loaded = cold(argv)

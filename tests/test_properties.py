@@ -87,6 +87,9 @@ def law_paths():
        # lengths next to 16384 put n - m on both sides of numpy's elision size
        st.integers(1, _PATH_LEN) | st.integers(16_384 - 8, 16_384 + 300),
        st.integers(0, 300), st.integers(0, _PATH_LEN))
+@example(law="rayleigh", n=5000, m_max=300, offset=0)  # every lag shorter than 16384
+@example(law="onoff", n=16_389, m_max=10, offset=11)  # n - m crosses 16384
+@example(law="unit", n=3, m_max=2, offset=5)
 def test_empirical_autocov_is_direct_sum(law_paths, law, n, m_max, offset):
     offset = min(offset, _PATH_LEN - n)
     path = processes.SamplePath(law_paths[law][offset:offset + n], 0)

@@ -137,8 +137,20 @@ def test_bad_threshold_rejected_before_evaluation(monkeypatch, sweep, bad):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", BAD_THRESHOLDS)
+@pytest.mark.parametrize("sweep", [bound_sweep, prelog_report])
+def test_unit_law_rejects_a_bad_threshold_before_any_bound(monkeypatch, sweep, bad):
+    def no_bound(snr):
+        raise AssertionError("phase bound evaluated before the grid was checked")
+
+    for name in ("phase_noise_lower_bound", "phase_noise_upper_bound"):
+        monkeypatch.setattr(bounds, name, no_bound)
+    with pytest.raises(DomainError, match="threshold"):
+        sweep(bounds.phase_noise_model(), [1e2, 1e4], [0.5, bad])
+
+
 def test_empty_grid_rejected():
-    model = rayleigh_band_model(0.1)
-    for sweep in (bound_sweep, prelog_report):
-        with pytest.raises(DomainError, match="nonempty"):
-            sweep(model, [1e2, 1e4], [])
+    for model in (rayleigh_band_model(0.1), bounds.phase_noise_model()):
+        for sweep in (bound_sweep, prelog_report):
+            with pytest.raises(DomainError, match="nonempty"):
+                sweep(model, [1e2, 1e4], [])
