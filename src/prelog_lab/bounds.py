@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Callable, Literal, Sequence
 from .errors import DomainError, NumericError, PreconditionError, check_positive
 from .spectra import (
     SpectralDensity,
+    _log1p_product,
     make_onoff_spectrum,
     make_rect_band,
     spectral_log_integral,
@@ -45,10 +46,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 BoundKind = Literal["LOWER_LB", "UPPER_COHERENT", "PHASE_LB", "PHASE_UB"]
-
-# slack on report ratio invariants; finite-snr ratios approach the limit
-# from below but optimization rounding can graze it
-RATIO_SLACK = 0.02
 
 # Scalar laws of H1 with E|H1|^2 = 1: law -> (tail, mass at zero), where
 # tail(ups) = P(|H1| >= ups).  rayleigh: |H1|^2 exponential with unit mean.
@@ -114,25 +111,22 @@ class BoundCurve:
 
 @dataclass(frozen=True)
 class PrelogReport:
-    """Analytic pre-log limit plus finite-snr ratio diagnostics.
+    """Analytic pre-log limits plus finite-snr ratio diagnostics.
 
     finite_ratios pairs each snr with LB(snr)/log(snr), floored at zero
-    (capacity is nonnegative); floored flags the clipped points.
-    analytic_limit is the worst-case pre-log when the zero-mass hypothesis
-    holds, None otherwise.  upper_prelog is the matching pre-log ceiling.
+    (capacity is nonnegative); floored flags the clipped points and
+    upsilon_star holds the optimal threshold per snr (None for the phase
+    bound).  analytic_limit is the worst-case pre-log when the zero-mass
+    hypothesis holds, None otherwise; upper_prelog is the matching pre-log
+    ceiling.  Both are snr -> infinity limits, so a finite-snr ratio may
+    lie on either side of them.
     """
 
     analytic_limit: float | None
     finite_ratios: tuple[tuple[float, float], ...]
-    upper_prelog: float | None = None
-    floored: tuple[bool, ...] = ()
-    upsilon_star: tuple[float | None, ...] = ()
-
-    def __post_init__(self):
-        caps = [c for c in (self.analytic_limit, self.upper_prelog) if c is not None]
-        top = max((r for _, r in self.finite_ratios), default=None)
-        if caps and top is not None and top > min(caps) + RATIO_SLACK:
-            raise NumericError(f"finite ratio {top} exceeds limit {min(caps)} beyond slack")
+    upper_prelog: float
+    floored: tuple[bool, ...]
+    upsilon_star: tuple[float | None, ...]
 
 
 def _map_ordered(fn, items: Sequence, threads: int | None):
@@ -293,17 +287,14 @@ def prelog_lower_bound(model: FadingModel) -> float:
 def coherent_avg_upper_bound(model: FadingModel, snr: float) -> float:
     """Coherent average-power capacity ceiling p log(1 + snr/p), in nats.
 
-    p = P(|H1| > 0), which is positive for every law; Jensen applied to the
-    nonzero fading fraction.  Where snr/p overflows the float range,
-    log1p(snr/p) is taken as log snr - log p + log1p(p/snr), so the bound
-    is finite for every finite snr.
+    p = P(|H1| > 0), which is 1 or 1/2 for the laws in LAWS, so 1/p is
+    exact; Jensen applied to the nonzero fading fraction.  The log goes
+    through the spectral integral's overflow rule, so the bound is finite
+    for every finite snr.
     """
     check_positive("snr", snr)
     p = 1.0 - model.mass_at_zero
-    x = snr / p
-    if x < math.inf:
-        return p * math.log1p(x)
-    return p * (math.log(snr) - math.log(p) + math.log1p(p / snr))
+    return p * _log1p_product(snr, 1.0 / p)
 
 
 def masspoint_prelog_upper(model: FadingModel) -> float:
@@ -412,13 +403,18 @@ def prelog_report(
     floored at 0.  For zero-mass models the analytic limit is the zero-set
     measure and the ceiling is 1 (coherent slope); with mass at zero the
     limit is absent and the ceiling is P(|H1| > 0); for the unit law both
-    are 1/2.
+    are 1/2.  The limits hold only as snr grows, so no ratio is checked
+    against them; a lower bound above bound_sweep's upper bound, which no
+    snr allows, raises NumericError.
     """
     if any(s <= 1 for s in snr_grid):
         raise DomainError("pre-log ratios need snr > 1")
 
-    low, _ = bound_sweep(model, snr_grid, upsilon_grid)
-    if low.kind == "PHASE_LB":
+    low, up = bound_sweep(model, snr_grid, upsilon_grid)
+    for (snr, lb), ub in zip(low.points, up.values):
+        if lb > ub:
+            raise NumericError(f"lower bound {lb!r} exceeds upper bound {ub!r} at snr {snr!r}")
+    if model.law == "unit":
         analytic, upper = 0.5, 0.5
     elif model.mass_at_zero > 0:
         analytic, upper = None, masspoint_prelog_upper(model)

@@ -5,7 +5,8 @@ library returns (floats formatted with repr, so nothing is lost to
 rounding and reruns are byte-identical).  This module is the package's one
 CSV/JSON writer.  Exit codes: 0 success, 2 usage or domain errors (a size
 too large to allocate included), 3 I/O errors, 4 numeric failures (szego
-where the Levinson recursion loses positivity at extreme snr).  No output
+where the Levinson recursion loses positivity at extreme snr,
+prelog-report where a lower bound exceeds its upper bound).  No output
 holds inf or nan: the spectral integral and every bound are finite for
 every finite snr.  Where a direct form overflows the float range (snr F'
 past about 1.8e308 in the spectral integral, snr / P(|H1| > 0) past it in
@@ -207,13 +208,12 @@ def cmd_prelog_report(args) -> int:
     ugrid = None if args.upsilon is None else parse_grid(args.upsilon)
     report = bounds.prelog_report(model, snrs, ugrid)
     zset = spectra.zero_set_measure(model.spectrum)
-    note1_gap = report.upper_prelog is not None and report.upper_prelog < zset
     scalars = {
         "model": model.name,
         "analytic_limit": report.analytic_limit,
         "upper_prelog": report.upper_prelog,
         "zero_set_measure": zset,
-        "note1-gap": note1_gap,
+        "note1-gap": report.upper_prelog < zset,
     }
     rows = [
         [snr, ratio, floored, star]

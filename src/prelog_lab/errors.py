@@ -7,7 +7,7 @@ worst-case pre-log lower bound of a process with positive mass at zero.
 NumericError marks internal numerical failures (a nonpositive innovation
 variance in the Szego recursion, i.e. a matrix that is not numerically
 positive definite, a non-Hermitian matrix handed to the eigenvalue
-routine, or a finite-snr pre-log ratio above its limit beyond slack).
+routine, or a capacity lower bound above its upper bound at the same snr).
 Every spectral integral and bound is finite for every finite snr.
 """
 

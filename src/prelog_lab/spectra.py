@@ -16,7 +16,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DomainError, check_positive
 
@@ -32,7 +31,7 @@ class SpectralDensity:
 
     segments: ordered (lo, hi, value) triples partitioning [-1/2, 1/2];
         zero-density gaps are stored explicitly as value-0 segments.
-    variance: total mass, must equal the sum of segment masses.
+    variance: total mass, positive and equal to the sum of segment masses.
 
     Immutable after construction; all methods are pure.
     """
@@ -44,6 +43,7 @@ class SpectralDensity:
         segs = tuple((float(lo), float(hi), float(v)) for lo, hi, v in self.segments)
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "variance", float(self.variance))
+        check_positive("variance", self.variance)
         if not segs:
             raise DomainError("density needs at least one segment")
         if segs[0][0] != -0.5 or segs[-1][1] != 0.5:
@@ -124,8 +124,6 @@ def make_rect_band(W: float, variance: float = 1.0) -> SpectralDensity:
     """
     if not 0 < W <= 0.5:
         raise DomainError(f"band half-width must lie in (0, 1/2], got {W}")
-    if variance <= 0:
-        raise DomainError(f"variance must be positive, got {variance}")
     if W == 0.5:
         return SpectralDensity(((-0.5, 0.5, variance),), variance)
     v = variance / (2 * W)
@@ -223,18 +221,11 @@ def limiting_ratio(S: SpectralDensity) -> float:
     return total - zero_set_measure(S)
 
 
-def finite_snr_ratios(
-    S: SpectralDensity, snrs: Sequence[float] = DIAGNOSTIC_SNRS
-) -> list[tuple[float, float]]:
-    """Diagnostic (snr, integral/log snr) pairs approaching limiting_ratio.
+def finite_snr_ratios(S: SpectralDensity) -> list[tuple[float, float]]:
+    """Diagnostic (snr, integral/log snr) pairs at DIAGNOSTIC_SNRS,
+    approaching limiting_ratio.
 
     For densities with values >= 1 on their support the ratio decreases
     monotonically to the limit; in general it converges from either side.
     """
-    out = []
-    for snr in snrs:
-        check_positive("snr", snr)
-        if snr <= 1:
-            raise DomainError(f"ratio diagnostics need snr > 1, got {snr}")
-        out.append((snr, spectral_log_integral(S, snr) / math.log(snr)))
-    return out
+    return [(snr, spectral_log_integral(S, snr) / math.log(snr)) for snr in DIAGNOSTIC_SNRS]

@@ -12,7 +12,8 @@ sample, and the closed-form bounds past the float range through 40-digit
 decimal arithmetic.
 Random piecewise densities exercise the closed forms away from the
 hand-picked examples.  The small helpers below (sinc, density_at,
-spectrum_json, log_grid) exist only for tests; the library has no copy.
+spectrum_json, log_grid, FLOOR_SPECTRUM) exist only for tests; the library
+has no copy.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def log_grid(lo: float, hi: float, points: int) -> list[float]:
     bounds.default_upsilon_grid (points >= 2)."""
     step = (math.log(hi) - math.log(lo)) / (points - 1)
     return [math.exp(math.log(lo) + k * step) for k in range(points)]
+
+
+# unit variance with a 1e-3 density floor and no exact zero: zero-set
+# measure 0, so pre-log 0, while every finite-snr ratio is positive
+FLOOR_SPECTRUM = ('{"segments": [[-0.5, -0.05, 0.001], [-0.05, 0.05, 9.991], '
+                  '[0.05, 0.5, 0.001]], "variance": 1.0}')
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-13, depth: int = 48):

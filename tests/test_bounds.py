@@ -28,9 +28,10 @@ from prelog_lab.bounds import (
     rayleigh_band_model,
 )
 from prelog_lab.errors import DomainError, NumericError, PreconditionError
-from prelog_lab.spectra import make_rect_band, zero_set_measure
+from prelog_lab.spectra import SpectralDensity, make_rect_band, zero_set_measure
 
 from oracles import (
+    FLOOR_SPECTRUM,
     decimal_coherent_upper,
     decimal_phase_lower,
     decimal_threshold_lower,
@@ -332,6 +333,25 @@ class TestPrelogReport:
         assert all(report.floored)
         assert all(r == 0.0 for _, r in report.finite_ratios)
 
+    def test_density_floor_has_limit_zero_and_positive_ratios(self):
+        # no exact zero, so the zero set and the pre-log are 0, while the
+        # finite-snr ratios are positive and fall toward it
+        model = FadingModel("floor", SpectralDensity.from_json(FLOOR_SPECTRUM), "rayleigh")
+        snrs = [1e4, 1e6, 1e8, 1e10]
+        report = prelog_report(model, snrs)
+        assert report.analytic_limit == 0.0
+        assert not any(report.floored)
+        low, _ = bound_sweep(model, snrs)
+        ratios = [r for _, r in report.finite_ratios]
+        assert ratios == [lb / math.log(snr) for snr, lb in low.points]
+        assert all(b < a for a, b in zip(ratios, ratios[1:]))
+        assert ratios[0] > 0.2
+
+    def test_ratio_may_exceed_the_ceiling_near_snr_one(self):
+        report = prelog_report(onoff_model(0.001), [1.001])
+        assert report.upper_prelog == 0.5
+        assert report.finite_ratios == ((1.001, 3.764308673960528),)
+
     def test_grid_guards(self):
         model = rayleigh_band_model(0.1)
         with pytest.raises(DomainError, match="nonempty"):
@@ -429,10 +449,15 @@ def test_law_tail_is_a_tail(law):
 
 
 class TestReportInvariantGuard:
-    def test_ratio_above_limit_rejected(self):
-        with pytest.raises(NumericError):
-            PrelogReport(
-                analytic_limit=0.2,
-                finite_ratios=((1e4, 0.5),),
-                upper_prelog=1.0,
-            )
+    def test_report_is_a_plain_record(self):
+        # the limits are snr -> infinity values, so a record holds any ratio
+        report = PrelogReport(analytic_limit=0.2, finite_ratios=((1e4, 0.5),),
+                              upper_prelog=0.2, floored=(False,), upsilon_star=(None,))
+        assert report.finite_ratios == ((1e4, 0.5),)
+
+    @pytest.mark.parametrize("model", [rayleigh_band_model(0.1), onoff_model(1 / 16)],
+                             ids=["rayleigh", "onoff"])
+    def test_lower_above_upper_rejected(self, monkeypatch, model):
+        monkeypatch.setattr(bounds, "coherent_avg_upper_bound", lambda model, snr: -1.0)
+        with pytest.raises(NumericError, match="exceeds upper bound"):
+            prelog_report(model, [1e4, 1e6])

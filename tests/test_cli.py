@@ -16,6 +16,7 @@ from prelog_lab.errors import DomainError
 from prelog_lab.processes import read_path_binary
 
 from oracles import (
+    FLOOR_SPECTRUM,
     decimal_coherent_upper,
     decimal_log_integral,
     decimal_phase_lower,
@@ -248,6 +249,34 @@ class TestPrelogReportCommand:
         assert code == 0
         assert "# analytic_limit=0.5" in out
         assert "# upper_prelog=0.5" in out
+
+    def test_density_floor_reports_positive_ratios(self, capsys, tmp_path):
+        sfile = tmp_path / "floor.json"
+        sfile.write_text(FLOOR_SPECTRUM)
+        code, out, _ = run(
+            capsys, ["prelog-report", "--model", f"custom:spectrum={sfile},tail=rayleigh"])
+        assert code == 0
+        assert "# analytic_limit=0.0" in out
+        _, rows = csv_rows(out)
+        assert [r["ratio"] for r in rows] == [
+            "0.22992874098883603", "0.121755422596771",
+            "0.07179541262041053", "0.04599696377385784"]
+        assert all(r["floored"] == "false" for r in rows)
+
+    def test_ratio_above_the_ceiling_near_snr_one(self, capsys):
+        code, out, _ = run(
+            capsys, ["prelog-report", "--model", "onoff:W=0.001", "--snr", "1.001"])
+        assert code == 0
+        assert "# upper_prelog=0.5" in out
+        _, rows = csv_rows(out)
+        assert [r["ratio"] for r in rows] == ["3.764308673960528"]
+
+    def test_lower_above_upper_is_numeric(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "coherent_avg_upper_bound", lambda model, snr: -1.0)
+        code, out, err = run(capsys, ["prelog-report", "--model", "rayleigh-band:W=0.1"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numeric failure: ") and "exceeds upper bound" in err
 
 
 class TestSzegoCommand:
@@ -507,6 +536,16 @@ class TestMisoCommand:
         assert "# prelog_lower=0.8" in out
         _, rows = csv_rows(out)
         assert [float(r["zero_set_measure"]) for r in rows] == [0.8, 0.6]
+
+    @pytest.mark.parametrize("spectra_arg", ["{f}", "W=0.1,{f}"])
+    def test_zero_spectrum_is_usage(self, capsys, tmp_path, spectra_arg):
+        # an identically zero process never conducts, so it has no pre-log
+        sfile = tmp_path / "zero.json"
+        sfile.write_text('{"segments": [[-0.5, 0.5, 0.0]], "variance": 0.0}')
+        code, out, err = run(capsys, ["miso", "--spectra", spectra_arg.format(f=sfile)])
+        assert code == 2
+        assert out == ""
+        assert "variance must be finite and positive" in err
 
     def test_spectrum_file_antenna(self, capsys, tmp_path):
         sfile = tmp_path / "flat.json"

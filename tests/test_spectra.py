@@ -8,6 +8,7 @@ import pytest
 
 from prelog_lab.errors import DomainError
 from prelog_lab.spectra import (
+    DIAGNOSTIC_SNRS,
     AutocovarianceSeq,
     SpectralDensity,
     autocovariance,
@@ -87,6 +88,18 @@ class TestConstructors:
         with pytest.raises(DomainError, match="does not match"):
             SpectralDensity(((-0.5, 0.5, 1.0),), 2.0)
         assert SpectralDensity(((-0.5, 0.5, 2.0),), 2.0).variance == 2.0
+
+    @pytest.mark.parametrize("variance", [0.0, -1e-13])
+    def test_variance_must_be_positive(self, variance):
+        # an all-zero density matches both within MASS_TOL, but it is no
+        # fading process: its pre-log would read as 1
+        with pytest.raises(DomainError, match="variance must be finite and positive"):
+            SpectralDensity(((-0.5, 0.5, 0.0),), variance)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
+    def test_rect_variance_must_be_positive(self, variance):
+        with pytest.raises(DomainError, match="variance must be finite and positive"):
+            make_rect_band(0.1, variance=variance)
 
     def test_constructor_masses_exact(self):
         for S in (make_rect_band(0.1), make_rect_band(0.3, variance=2.0),
@@ -238,16 +251,17 @@ class TestLimitingRatio:
         assert limiting_ratio(make_onoff_spectrum(1 / 16)) == 0.25
 
     def test_iid_ratio_near_one(self):
-        (_, r), = finite_snr_ratios(make_rect_band(0.5), (1e12,))
-        assert abs(r - 1.0) <= 4e-2
+        pairs = finite_snr_ratios(make_rect_band(0.5))
+        assert [snr for snr, _ in pairs] == list(DIAGNOSTIC_SNRS)
+        assert abs(pairs[-1][1] - 1.0) <= 4e-2
 
     def test_ratio_converges_to_limit(self):
         # density >= 1 on the support makes the ratio decrease to the limit
         rng = np.random.default_rng(17)
         for S in (make_rect_band(0.25), make_onoff_spectrum(1 / 16), random_density(rng)):
             mu = limiting_ratio(S)
-            pairs = finite_snr_ratios(S, (1e3, 1e6, 1e12, 1e15))
-            ratios = [r for _, r in pairs]
+            ratios = [r for _, r in finite_snr_ratios(S)]
+            ratios.append(spectral_log_integral(S, 1e15) / math.log(1e15))
             errs = [abs(r - mu) for r in ratios]
             assert errs[-1] < errs[0]
             assert ratios[-1] == pytest.approx(mu, abs=0.05)
@@ -263,13 +277,6 @@ class TestLimitingRatio:
             for k in (12, 13, 15):
                 r = spectral_log_integral(S, 10.0 ** k) / math.log(10.0 ** k)
                 assert r <= mu + 0.05
-
-    def test_snr_guard(self):
-        with pytest.raises(DomainError):
-            finite_snr_ratios(make_rect_band(0.5), (0.5,))
-        for bad in (math.nan, math.inf):
-            with pytest.raises(DomainError):
-                finite_snr_ratios(make_rect_band(0.5), (1e3, bad))
 
 
 class TestSerialization:
