@@ -10,9 +10,8 @@ spectra and bounds are closed forms in math, and the package re-exports
 their names and those of errors; importing it does not import numpy.
 toeplitz and processes, the two layers built on numpy arrays, are not
 re-exported: import their names from prelog_lab.toeplitz and
-prelog_lab.processes.  bounds imports numpy only to tabulate a threshold
-grid.  So only the commands that compute with arrays load numpy (szego,
-simulate, and the threshold-law bound-sweep and prelog-report; see cli).
+prelog_lab.processes.  So only the commands that compute with arrays load
+numpy (szego and simulate; see cli).
 """
 
 from .bounds import (

@@ -19,18 +19,18 @@ whether the law of H1 has mass at zero.  A FadingModel is therefore a
 spectrum and the name of one of the three laws in LAWS, and it checks that
 the two fit when it is built.  All values are in nats, and everything here
 is pure and thread-safe.  bound_sweep is the one place a law picks its
-bounds; prelog_report is built on it.  A sweep evaluates the threshold
-bound over its whole threshold grid at once: the threshold-only terms are
-tabulated once per sweep, and each snr costs one spectral integral and one
-numpy expression.  numpy is imported only when a threshold table is built,
-so the unit law's sweeps and everything else here run without it.
+bounds; prelog_report is built on it.  The threshold lower bound is
+maximized in closed form: for the two Gaussian-tail laws the optimal
+threshold is ups*^2 = c / W0(c snr / e), W0 the principal Lambert W
+function, so each snr costs one spectral integral.  A threshold grid only
+bounds the range of that optimum.  Everything here is plain math.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .errors import DomainError, NumericError, PreconditionError, check_positive
 from .spectra import (
@@ -42,19 +42,17 @@ from .spectra import (
     zero_set_measure,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 BoundKind = Literal["LOWER_LB", "UPPER_COHERENT", "PHASE_LB", "PHASE_UB"]
 
-# Scalar laws of H1 with E|H1|^2 = 1: law -> (tail, mass at zero), where
-# tail(ups) = P(|H1| >= ups).  rayleigh: |H1|^2 exponential with unit mean.
-# onoff: zero or variance-2 Gaussian with probability 1/2 each.  unit:
-# |H1| = 1, a uniform phase.
+# Scalar laws of H1 with E|H1|^2 = 1: law -> (tail, mass at zero, c), where
+# tail(ups) = P(|H1| >= ups) and c is the scale of a Gaussian tail,
+# tail proportional to exp(-ups^2 / c) (None: no such tail).  rayleigh:
+# |H1|^2 exponential with unit mean.  onoff: zero or variance-2 Gaussian
+# with probability 1/2 each.  unit: |H1| = 1, a uniform phase.
 LAWS = {
-    "rayleigh": (lambda u: math.exp(-u * u), 0.0),
-    "onoff": (lambda u: 0.5 * math.exp(-u * u / 2.0), 0.5),
-    "unit": (lambda u: 1.0 if u <= 1.0 else 0.0, 0.0),
+    "rayleigh": (lambda u: math.exp(-u * u), 0.0, 1.0),
+    "onoff": (lambda u: 0.5 * math.exp(-u * u / 2.0), 0.5, 2.0),
+    "unit": (lambda u: 1.0 if u <= 1.0 else 0.0, 0.0, None),
 }
 
 
@@ -87,7 +85,7 @@ class FadingModel:
             )
         if self.law == "unit" and self.spectrum != make_rect_band(0.5):
             raise DomainError("the unit law needs the flat spectrum (IID phases)")
-        tail, mass = LAWS[self.law]
+        tail, mass, _ = LAWS[self.law]
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "mass_at_zero", mass)
 
@@ -177,24 +175,10 @@ BUILTIN_MODELS = {
 # ---------------------------------------------------------------------------
 # bounds
 
-@dataclass(frozen=True)
-class _ThresholdTable:
-    """A sorted threshold grid with the bound's threshold-only terms.
-
-    tail[k] = P{|H1| >= upsilon[k]} and offset[k] = 1 - log upsilon[k]^2.
-    upsilon keeps the caller's own grid elements, so an optimal threshold
-    is reported as given.
-    """
-
-    upsilon: tuple
-    tail: np.ndarray
-    offset: np.ndarray
-
-
 def _threshold_grid(grid: Sequence[float] | None) -> list[float]:
     """A threshold grid (None: the default grid), sorted and checked.
 
-    Every threshold is checked before any is used, and without numpy.
+    Every threshold is checked before any is used.
     """
     ups = sorted(default_upsilon_grid() if grid is None else grid)
     if not ups:
@@ -205,70 +189,68 @@ def _threshold_grid(grid: Sequence[float] | None) -> list[float]:
     return ups
 
 
-def _threshold_table(model: FadingModel, ups: list[float]) -> _ThresholdTable:
-    """Tabulate the terms of a checked threshold grid (see _threshold_grid)
-    for model.
-
-    The terms come from model.tail and math.log one point at a time, not
-    from numpy's vectorized exp/log (see capacity_lower_bound).
-    """
-    import numpy as np
-
-    tail = np.array([model.tail(u) for u in ups], dtype=float)
-    offset = np.array([1.0 - math.log(u * u) for u in ups])
-    tail.flags.writeable = offset.flags.writeable = False
-    return _ThresholdTable(tuple(ups), tail, offset)
-
-
-def capacity_lower_bound(
-    model: FadingModel, snr: float, upsilon: float | _ThresholdTable
-) -> float | np.ndarray:
+def capacity_lower_bound(model: FadingModel, snr: float, upsilon: float) -> float:
     """Threshold capacity lower bound at finite snr, in nats.
 
     P{|H1| >= ups} (log snr - (1 - log ups^2)) - integral log(1 + snr F').
     Any fixed ups > 0 is valid; the value may be negative (capacity itself
     is nonnegative, the raw bound is reported unclamped).
-
-    upsilon is one threshold, or a threshold table built by a sweep, in
-    which case the bound comes back as an array over the table's sorted
-    grid: the integral is computed once and the per-threshold arithmetic
-    runs as one numpy expression, in the same operation order as the
-    scalar route, so both give the same floats.  The table's tail and
-    log terms come from libm one threshold at a time, because numpy's
-    vectorized exp/log can differ in the last bit and change the output.
     """
-    if isinstance(upsilon, _ThresholdTable):
-        table = upsilon
-    else:
-        table = _threshold_table(model, _threshold_grid((upsilon,)))
+    _threshold_grid((upsilon,))
     integral = spectral_log_integral(model.spectrum, snr)  # rejects a bad snr
-    values = table.tail * math.log(snr) - table.tail * table.offset - integral
-    return values if table is upsilon else float(values[0])
+    tail = model.tail(upsilon)
+    return tail * math.log(snr) - tail * (1.0 - math.log(upsilon * upsilon)) - integral
 
 
 def default_upsilon_grid() -> list[float]:
     """Logarithmic threshold grid used when the caller does not pick one:
-    60 points from 1e-3 to 4."""
+    60 points from 1e-3 to 4.  Its ends bound the default threshold range."""
     lo, hi, points = 1e-3, 4.0, 60
     step = (math.log(hi) - math.log(lo)) / (points - 1)
     return [math.exp(math.log(lo) + k * step) for k in range(points)]
 
 
-def optimize_upsilon(
-    model: FadingModel, snr: float, grid: Sequence[float] | _ThresholdTable
-) -> tuple[float, float]:
-    """Grid argmax of the threshold lower bound: (upsilon_star, bound).
+def _optimal_threshold(c: float, snr: float) -> float:
+    """The threshold that maximizes tail(ups) (log snr - 1 + log ups^2) for
+    a tail proportional to exp(-ups^2 / c): ups*^2 = c / W0(c snr / e).
 
-    grid is a sequence of thresholds or a sweep's prebuilt threshold
-    table.  One capacity_lower_bound call evaluates the whole sorted grid;
-    the first maximum wins, so ties go to the smaller threshold.
-    upsilon_star is the grid's own element.
+    With w = W0(c snr / e), t = log w solves e^t + t = y, where
+    y = log c + log snr - 1; nothing here overflows for any finite snr.
+    Newton's method on this convex increasing equation, started right of
+    the root (t = y for y <= 1, t = log y above), falls monotonically to
+    it and stops when a step no longer lowers t.
     """
-    if not isinstance(grid, _ThresholdTable):
-        grid = _threshold_table(model, _threshold_grid(grid))
-    values = capacity_lower_bound(model, snr, grid)
-    k = int(values.argmax())
-    return grid.upsilon[k], float(values[k])
+    y = math.log(c) + math.log(snr) - 1.0
+    t = y if y <= 1.0 else math.log(y)
+    while True:
+        e = math.exp(t)
+        t_next = t - (e + t - y) / (e + 1.0)
+        if not t_next < t:
+            return math.sqrt(c) * math.exp(-0.5 * t)
+        t = t_next
+
+
+def optimize_upsilon(
+    model: FadingModel, snr: float, grid: Sequence[float]
+) -> tuple[float, float]:
+    """Exact maximum of the threshold lower bound over the range of grid:
+    (upsilon_star, bound).
+
+    Only the smallest and largest thresholds of grid matter (every one is
+    checked).  With x = ups^2, c/x - (log snr - 1 + log x) strictly
+    decreases, so the bound is unimodal in ups and the closed-form optimum
+    clamped to [min(grid), max(grid)] is the maximum over that range; it
+    is never below the bound at any grid point.  A clamped upsilon_star is
+    the grid's own element, so a one-point grid fixes the threshold.  The
+    unit law has no Gaussian tail and raises PreconditionError.
+    """
+    ups = _threshold_grid(grid)
+    c = LAWS[model.law][2]
+    if c is None:
+        raise PreconditionError(f"the {model.law} law has no threshold optimum")
+    check_positive("snr", snr)
+    u = min(max(_optimal_threshold(c, snr), ups[0]), ups[-1])
+    return u, capacity_lower_bound(model, snr, u)
 
 
 def prelog_lower_bound(model: FadingModel) -> float:
@@ -353,17 +335,20 @@ def bound_sweep(
 
     Models of the unit law pair the specialized unit-modulus bounds; all
     others pair the threshold-optimized lower bound with the coherent
-    average-power ceiling.  The snr grid must be nonempty and strictly
-    increasing, and the threshold grid (None: the default grid) nonempty
-    with every u and u**2 positive and finite; both are checked before any
-    point is evaluated, for every law.  The phase bounds have no threshold,
-    so they ignore a valid threshold grid.
+    average-power ceiling.  The snr grid (any iterable of numbers, an
+    array included) must be nonempty and strictly increasing, and the
+    threshold grid (None: the default grid) nonempty with every u and u**2
+    positive and finite; both are checked before any point is evaluated,
+    for every law.  The threshold grid's ends bound the optimal threshold
+    at each snr (see optimize_upsilon).  The phase bounds have no
+    threshold, so they ignore a valid threshold grid.
 
     threads > 1 spreads the snr points over a thread pool, in grid order.
     The pool is bound by the GIL and is no faster than the serial loop;
     it stays only because bench/selftest.py calls bound_sweep(...,
     threads=4) and goes with the next change to the benchmark.
     """
+    snrs = list(snrs)
     if not snrs:
         raise DomainError("snr grid must be nonempty")
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
@@ -376,13 +361,13 @@ def bound_sweep(
             return phase_noise_lower_bound(snr), None, phase_noise_upper_bound(snr)
     else:
         kinds = ("LOWER_LB", "UPPER_COHERENT")
-        table = _threshold_table(model, ups)
+        ends = (ups[0], ups[-1])
 
         def one(snr: float) -> tuple[float, float, float]:
-            u_star, lb = optimize_upsilon(model, snr, table)
+            u_star, lb = optimize_upsilon(model, snr, ends)
             return lb, u_star, coherent_avg_upper_bound(model, snr)
 
-    rows = _map_ordered(one, list(snrs), threads)
+    rows = _map_ordered(one, snrs, threads)
     low = BoundCurve(
         kinds[0],
         tuple((s, r[0]) for s, r in zip(snrs, rows)),

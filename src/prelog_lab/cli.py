@@ -5,8 +5,12 @@ library returns (floats formatted with repr, so nothing is lost to
 rounding and reruns are byte-identical).  This module is the package's one
 CSV/JSON writer.  Exit codes: 0 success, 2 usage or domain errors (a size
 too large to allocate included), 3 I/O errors, 4 numeric failures (szego
-where the Levinson recursion loses positivity at extreme snr,
-prelog-report where a lower bound exceeds its upper bound).  No output
+where the Levinson recursion loses positivity, prelog-report where a lower
+bound exceeds its upper bound).  szego's ceiling is far below the float
+range: rayleigh-band:W=0.1 exits 4 from snr 1e15 and onoff:W=0.0625 at
+--n 1024 from 1e14, because the double-rounded autocovariances perturb the
+tiny eigenvalues of T_n by about eps r(0), so I + snr T_n turns indefinite
+once snr eps is of order 1.  No output
 holds inf or nan: the spectral integral and every bound are finite for
 every finite snr.  Where a direct form overflows the float range (snr F'
 past about 1.8e308 in the spectral integral, snr / P(|H1| > 0) past it in
@@ -15,10 +19,9 @@ bound) log(1 + x) is taken as log x + log1p(1/x); every other value keeps
 the direct form's bits.  An snr grid that does not strictly increase exits
 2 before any point is evaluated.
 
-Only the commands that compute with arrays import numpy: szego, simulate,
-and bound-sweep and prelog-report on a threshold-law model (every model
-but phase-noise).  spectrum, miso, manual, --help, the phase-noise sweeps
-and reports, and a usage error in the command line, the model spec, a
+Only the commands that compute with arrays import numpy: szego and
+simulate.  spectrum, miso, manual, --help, bound-sweep and prelog-report
+on every model, and a usage error in the command line, the model spec, a
 threshold grid or a config file run without it.
 
 Models are named with a small spec language, name:key=value,...:
@@ -39,7 +42,10 @@ given once.  Every model is zero-mean, and simulate synthesizes Gaussian
 paths from 4096 harmonics.
 
 Grids are lo:hi:points (log-spaced, endpoints pinned to lo and hi), a
-comma list, or a single value.  A JSON config file given with --config
+comma list, or a single value.  A threshold grid (--upsilon) is a range:
+the sweeps maximize the threshold bound exactly over [min, max] of the
+grid, so its interior points do not matter and a single value fixes the
+threshold.  A JSON config file given with --config
 overrides the flags it names; each value is parsed as if it had been
 typed after its flag.  Sweeps run serially.  A file that is not valid
 UTF-8 is malformed input (exit 2).
@@ -305,9 +311,10 @@ def cmd_miso(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    upsilon_help = ("threshold grid lo:hi:points, list, or value; unset uses 60 log-spaced "
-                    "points from 0.0010000000000000002 to 4.000000000000001 "
-                    "(1e-3:4:60 pins its ends at 0.001 and 4.0)")
+    upsilon_help = ("threshold range: the optimal threshold is clamped to [min, max] of a "
+                    "grid lo:hi:points or a list, whose interior points do not matter; a "
+                    "single value fixes it; unset uses 0.0010000000000000002 to "
+                    "4.000000000000001 (1e-3:4:60 pins its ends at 0.001 and 4.0)")
     parser = argparse.ArgumentParser(
         prog="prelog-lab",
         description="Capacity pre-log analysis for noncoherent fading channels with memory",

@@ -3,11 +3,11 @@
 Nothing here may call the routine it checks: integrals go through adaptive
 Simpson quadrature with Richardson extrapolation evaluated pointwise on
 the density, eigenvalues through numpy's general LAPACK solver, tails through
-Monte Carlo draws, the threshold optimum through a plain-float loop, the
-empirical autocovariance through one whole-path np.sum per lag, Gaussian
-path synthesis through one product with the whole harmonic power table,
-unit-modulus phasors through one draw of 1.5 times the phasors still
-missing, path CSV and binary files through one write per row or
+Monte Carlo draws, the best threshold bound on a grid through a plain-float
+loop, the empirical autocovariance through one whole-path np.sum per lag,
+Gaussian path synthesis through one product with the whole harmonic power
+table, unit-modulus phasors through one draw of 1.5 times the phasors
+still missing, path CSV and binary files through one write per row or
 sample, and the closed-form bounds past the float range through 40-digit
 decimal arithmetic.
 Random piecewise densities exercise the closed forms away from the
@@ -144,6 +144,12 @@ def threshold_argmax(tail, S: SpectralDensity, snr: float, grid):
         if lb > best_lb:
             best_u, best_lb = u, lb
     return best_u, best_lb
+
+
+def threshold_rounding(snr: float, u: float) -> float:
+    """How far rounding may put the threshold bound at u below the same
+    bound at another threshold: a few ulps of its log terms."""
+    return 4e-16 * (abs(math.log(snr)) + abs(1.0 - 2.0 * math.log(u)) + 1.0)
 
 
 def random_density(rng: np.random.Generator, unit_variance: bool = False,

@@ -94,8 +94,9 @@ class TestOptimizeUpsilon:
         _, lb = optimize_upsilon(model, 1e6, log_grid(1e-3, 2.0, 50))
         assert lb >= 7.29
 
-    def test_tie_breaks_small(self):
-        # tails underflow to exactly 0 at both thresholds, so the bounds tie
+    def test_optimum_below_the_grid_takes_its_smallest_point(self):
+        # the optimum, about 0.4, lies below the grid; the tails underflow
+        # to exactly 0 at both thresholds, so the bounds tie
         model = rayleigh_band_model(0.1)
         assert model.tail(30.0) == 0.0 == model.tail(40.0)
         u, lb = optimize_upsilon(model, 1e4, [40.0, 30.0])
@@ -284,6 +285,17 @@ class TestBoundSweep:
         with pytest.raises(DomainError):
             bound_sweep(rayleigh_band_model(0.1), [1e4, 1e2])
 
+    @pytest.mark.parametrize("model", [rayleigh_band_model(0.1), onoff_model(1 / 16),
+                                       phase_noise_model()], ids=["rayleigh", "onoff", "unit"])
+    def test_numpy_snr_grid(self, model):
+        grid = np.geomspace(1e2, 1e10, 9)
+        assert bound_sweep(model, grid) == bound_sweep(model, grid.tolist())
+        report = prelog_report(model, grid)
+        assert report == prelog_report(model, grid.tolist())
+        for sweep in (bound_sweep, prelog_report):
+            with pytest.raises(DomainError, match="snr grid must be nonempty"):
+                sweep(model, np.array([]))
+
     def test_snr_order_is_checked_before_any_point(self, monkeypatch):
         calls = []
         for name in ("spectral_log_integral", "phase_noise_lower_bound"):
@@ -350,7 +362,7 @@ class TestPrelogReport:
     def test_ratio_may_exceed_the_ceiling_near_snr_one(self):
         report = prelog_report(onoff_model(0.001), [1.001])
         assert report.upper_prelog == 0.5
-        assert report.finite_ratios == ((1.001, 3.764308673960528),)
+        assert report.finite_ratios == ((1.001, 4.666735461029414),)
 
     def test_grid_guards(self):
         model = rayleigh_band_model(0.1)
@@ -423,7 +435,7 @@ class TestFadingModelValidation:
 
     def test_three_fields_and_the_law_sets_the_rest(self):
         assert [f.name for f in fields(FadingModel) if f.init] == ["name", "spectrum", "law"]
-        for law, (tail, mass) in LAWS.items():
+        for law, (tail, mass, _) in LAWS.items():
             model = FadingModel("m", make_rect_band(0.5), law)
             assert model.tail is tail and model.mass_at_zero == mass
 
@@ -441,7 +453,7 @@ TAIL_PROBES = (1e-9, 0.25, 0.5, 1.0, 2.0, 4.0, 40.0)
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_law_tail_is_a_tail(law):
-    tail, mass = LAWS[law]
+    tail, mass, _ = LAWS[law]
     assert abs(tail(TAIL_PROBES[0]) - (1.0 - mass)) <= 1e-6
     values = [tail(u) for u in TAIL_PROBES]
     assert all(0.0 <= t <= 1.0 for t in values)

@@ -259,8 +259,8 @@ class TestPrelogReportCommand:
         assert "# analytic_limit=0.0" in out
         _, rows = csv_rows(out)
         assert [r["ratio"] for r in rows] == [
-            "0.22992874098883603", "0.121755422596771",
-            "0.07179541262041053", "0.04599696377385784"]
+            "0.23078521128677912", "0.12188778954953616",
+            "0.07220433226737974", "0.046211823233112105"]
         assert all(r["floored"] == "false" for r in rows)
 
     def test_ratio_above_the_ceiling_near_snr_one(self, capsys):
@@ -269,7 +269,7 @@ class TestPrelogReportCommand:
         assert code == 0
         assert "# upper_prelog=0.5" in out
         _, rows = csv_rows(out)
-        assert [r["ratio"] for r in rows] == ["3.764308673960528"]
+        assert [r["ratio"] for r in rows] == ["4.666735461029414"]
 
     def test_lower_above_upper_is_numeric(self, capsys, monkeypatch):
         monkeypatch.setattr(bounds, "coherent_avg_upper_bound", lambda model, snr: -1.0)
@@ -314,6 +314,25 @@ class TestSzegoCommand:
         assert code == 0
         _, rows = csv_rows(out)
         assert float(rows[0]["gap"]) < 0.005
+
+    # the Levinson recursion loses positivity once snr eps is of order 1:
+    # from 1e15 for this band and from 1e14 for the on-off spectrum at
+    # n = 1024, so one decade inside each side of that edge
+    @pytest.mark.parametrize("model, n, snr, want", [
+        ("rayleigh-band:W=0.1", "32,64,128", "1e13", 0),
+        ("rayleigh-band:W=0.1", "32,64,128", "1e16", 4),
+        ("rayleigh-band:W=0.1", "1024", "1e13", 0),
+        ("rayleigh-band:W=0.1", "1024", "1e16", 4),
+        ("onoff:W=0.0625", "1024", "1e12", 0),
+        ("onoff:W=0.0625", "1024", "1e15", 4),
+    ])
+    def test_exit_4_ceiling(self, capsys, model, n, snr, want):
+        code, out, err = run(capsys, ["szego", "--model", model, "--snr", snr, "--n", n])
+        assert code == want
+        if want == 4:
+            assert out == "" and err.startswith("numeric failure: ")
+        else:
+            assert len(csv_rows(out)[1]) == len(n.split(","))
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Commands that compute no arrays run without importing numpy.
 
 Each case starts a fresh interpreter, because the test process itself has
-numpy loaded.  The array commands load numpy where they need it and print
-the same bytes from a cold interpreter as in-process.
+numpy loaded.  The array commands (szego and simulate) load numpy where
+they need it and print the same bytes from a cold interpreter as
+in-process.
 """
 
 import os
@@ -49,11 +50,15 @@ def bad_config(tmp_path):
     (["--help"], 0),
     (["bound-sweep", "--model", "phase-noise"], 0),
     (["prelog-report", "--model", "phase-noise", "--format", "json"], 0),
+    (["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "1e2:1e6:3"], 0),
+    (["prelog-report", "--model", "onoff:W=0.0625", "--upsilon", "1e-4:8:400",
+      "--format", "json"], 0),
     (["spectrum", "--model", "rician:K=1"], 2),
     (["bound-sweep", "--model", "rayleigh-band:W=0.1", "--config", "BAD"], 2),
     (["bound-sweep", "--model", "phase-noise", "--upsilon", "nan"], 2),
 ], ids=["spectrum", "miso", "manual", "help", "phase-sweep", "phase-report",
-        "unknown-model", "malformed-config", "phase-bad-threshold"])
+        "threshold-sweep", "threshold-report", "unknown-model", "malformed-config",
+        "phase-bad-threshold"])
 def test_light_commands_do_not_import_numpy(argv, code, bad_config):
     argv = [bad_config if a == "BAD" else a for a in argv]
     got, out, loaded = cold(argv)
@@ -65,8 +70,6 @@ def test_light_commands_do_not_import_numpy(argv, code, bad_config):
 @pytest.mark.parametrize("argv", [
     ["szego", "--model", "rayleigh-band:W=0.1", "--n", "8,16"],
     ["simulate", "--model", "onoff:W=0.0625", "--n", "2000", "--seed", "3"],
-    ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "1e2:1e6:3"],
-    ["prelog-report", "--model", "onoff:W=0.0625", "--format", "json"],
 ])
 def test_array_commands_print_the_in_process_bytes(argv, capsysbinary):
     code, out, loaded = cold(argv)

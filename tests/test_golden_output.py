@@ -4,11 +4,12 @@ Each argv below runs with its default grids and its stdout is compared by
 sha256 against a recorded digest.  The set covers spectrum, bound-sweep and
 prelog-report over every model in both formats, plus miso.  The explicit
 threshold grid --upsilon 1e-3:4:60 is pinned on its own for every
-threshold-bound model: it pins 0.001 and 4.0 as endpoints, where the
-default grid's exp/log endpoints are 0.0010000000000000002 and
-4.000000000000001, so the two routes can part once the default changes.  simulate and
-szego are left out: their numpy vectorized exp/log can differ in the last
-bit across CPUs.
+threshold-bound model: it pins 0.001 and 4.0 as the ends of the threshold
+range, where the default grid's exp/log ends are 0.0010000000000000002 and
+4.000000000000001, so the two can part once the default changes.  simulate
+and szego are left out: their numpy vectorized exp/log can differ in the
+last bit across CPUs.  Each threshold lower bound is also checked, row by
+row, against the best bound at the points of its threshold grid.
 
 The spectrum files are literal JSON, so the pinned input does not depend on
 the spectrum constructors; custom model names carry only the file's base
@@ -21,7 +22,10 @@ from io import StringIO
 
 import pytest
 
-from prelog_lab.cli import main
+from prelog_lab.bounds import default_upsilon_grid
+from prelog_lab.cli import main, parse_grid, parse_model
+
+from oracles import threshold_argmax, threshold_rounding
 
 SPECTRUM_FILES = {
     # two unequal bands around a zero-density half
@@ -97,93 +101,93 @@ SHA256 = {
     "spectrum --model custom:spectrum={dir}/flat.json,tail=unit --format json":
         "79492dab51ba8c6dc8dd9cb166c5ab6914026f7e0b41ff441d7305c8c487bf79",
     "bound-sweep --model rayleigh-band:W=0.1 --format csv":
-        "48868caa1436c1165d39482f64896dedd0c6c1182ab8deacd2bba0cba070d754",
+        "be17320f2e6cd7c5e9ce17925a086edc049e05847135947ef60e83f5b5761ffa",
     "bound-sweep --model rayleigh-band:W=0.1 --format json":
-        "9dcb31f33ab9e41a5b0c87e449dbf5a96d6f1e96e2efd9a3adfd71957a4a614a",
+        "cbe838a7f0440efc93658ae0da9615a48d5f801e74e4a30692d3f116c2de1fe3",
     "bound-sweep --model rayleigh-band:W=0.5 --format csv":
-        "2ce51d3d86f38c23840b28f37d46308496e60fa9e88c3632a4c7abe21cf32ebc",
+        "f49d9e809f916a98553ae56fa69a41e5f91cf7edf5490f8830aec9d7bc7f9fe9",
     "bound-sweep --model rayleigh-band:W=0.5 --format json":
-        "024e64d712f63f1e3b7b947967b23c59b794e3cacb3def6c919d47d946daae92",
+        "10ef18c3d021eeab1e0b8d2fa3ea691d15f975f1ff30ec85b3d11dee4682ff1b",
     "bound-sweep --model onoff:W=0.0625 --format csv":
-        "b160d0c598f4ec82463a053fd692976e602b081eb5cf60fecfb87dbe202977e2",
+        "b44a25e7b4bc615a8f0aac737392fca04d485885b6798e7acbee2a820e1c5cf2",
     "bound-sweep --model onoff:W=0.0625 --format json":
-        "132db9986a5725532f3ecd341018ba4f5fb8f11570b84d5bb9588df12b0e1e46",
+        "92182e47d439b2f3dad62865512565fa9a8308dc8d234e6fd9349aae0f42e487",
     "bound-sweep --model phase-noise --format csv":
         "dff9ee1b43d6c71f11d3ffdb5d9af8954776b4126b79c7be77c5934df3f4175d",
     "bound-sweep --model phase-noise --format json":
         "7d98d7fcdddaf40cab89e4aa8c080116b2f244c59a7c7a0220728a548cd4807a",
     "bound-sweep --model custom:spectrum={dir}/steps.json,tail=rayleigh --format csv":
-        "91cab515ae4c2f987d977d00b719eb6440c45a1fa8b33464929060f385d964d4",
+        "2e1f5a4ba61dd5a8d93d9870e1271f4db8ec175cfffec55cbedee463c15b1a59",
     "bound-sweep --model custom:spectrum={dir}/steps.json,tail=rayleigh --format json":
-        "b1bb0778561571974bf255383523dde84375a811b7d09dd3a03e9934aca3c95b",
+        "b57f14e681ce18eae1d483214747e96fff283a160943290d339d8eaca0c911d2",
     "bound-sweep --model custom:spectrum={dir}/steps.json,tail=onoff --format csv":
-        "80b290ce15897b435e6ff68e4c11c94a09e27add0290fb3c4466dc1541b0ce83",
+        "d5dda0c58db12aa495950820b000825a5a8edc832f988dd5fb0e34b83d5f6c27",
     "bound-sweep --model custom:spectrum={dir}/steps.json,tail=onoff --format json":
-        "937b2636c268303a078c72734a2b00b3c31dbd3c065d2e6a74a561184452a6f2",
+        "48f8e6a4976556183f58ee171393acc976cbb28968f5e40070ad1576065de292",
     "bound-sweep --model custom:spectrum={dir}/onoff.json,tail=onoff --format csv":
-        "004f5697debd12486682a26d40701a440b9437a18ed898cb2d3a3a730edaea39",
+        "ab7689ed70a5b2625cf14591b8465039f3d4b990b800ccb1927ff645d21b0c9a",
     "bound-sweep --model custom:spectrum={dir}/onoff.json,tail=onoff --format json":
-        "74bf2943b6307277f30ca47b634425e7c23145c072c926a75cc18415cbf66420",
+        "4b73fa52e5e13555fabcb3d991a4157eaac2b253783e7330c916be52eaa8155a",
     "bound-sweep --model custom:spectrum={dir}/flat.json,tail=unit --format csv":
         "ee56be3178a4e4c25df324f566aa980adfe7e5aa253832388170287b7e4dbf6d",
     "bound-sweep --model custom:spectrum={dir}/flat.json,tail=unit --format json":
         "a0ef9282604a1e9e43795920bdad469ecaa78ad780b68f37ff797d089e3982f5",
     "prelog-report --model rayleigh-band:W=0.1 --format csv":
-        "ca89146911528ac80e28ab4cc5966683fe1f127951793f23a78cfb419ab07f6a",
+        "ffb2d1869a1fdaef935caea479304a02fa07f568741f20e3b2d7f4f2f4c30dc3",
     "prelog-report --model rayleigh-band:W=0.1 --format json":
-        "f4f5f721cddcb7bee41cfae379980a224bdfb780ff06dff5a760310270893318",
+        "b8813352ada6a103abb3a763f699fb774b4629e1094ab63760ee6d930654531e",
     "prelog-report --model rayleigh-band:W=0.5 --format csv":
-        "d48ba01dc0f008edcd2a65b497352ecdba56b6f1ca51199282d93ca898566eba",
+        "3f1e14e6d09f842f960d364fe72a0cb7ea4a2cac82dab1d9940417708fa062bc",
     "prelog-report --model rayleigh-band:W=0.5 --format json":
-        "d37b222c7324312406622e006e0a55e2832761c945296dc192c9e61d29e1b6df",
+        "c8850ecc2efa9460ed7436122fc1554a39a30ccb54a5d041d702e1adfef43627",
     "prelog-report --model onoff:W=0.0625 --format csv":
-        "233ff2e5a43c3a08ea7b34d9e52d19252ff56b8eba93961f4ae77a4a4b923e95",
+        "9809aad86d1292804a15824808c62a2f3f2e0e4b27b55e52f6281afeaf8dfe39",
     "prelog-report --model onoff:W=0.0625 --format json":
-        "57021da1fce49b53b9810ad7941ae24b52aad57cef3fcf5eb15cde8e014dccb7",
+        "b4a1dff72e8190c9d0e1ca73ad24d1d81fd19468e88190cdf1e071593d14c0af",
     "prelog-report --model phase-noise --format csv":
         "5aa1d1a5671affb946fcfead0b299581bb97383de1c283d765dcc8245e065797",
     "prelog-report --model phase-noise --format json":
         "23a0c347c5706b2d0f5d45f5f6eabc0ca8861296aab15d8a1a212826f27f31f3",
     "prelog-report --model custom:spectrum={dir}/steps.json,tail=rayleigh --format csv":
-        "1c520bb7700e2caee4f8f9258263c9fa976fe00d354f8a154f14e76cc1f8e0bb",
+        "77ec363d3f1d06aec4fd5380d55e99ae10c9a1d5f5683f259a81df1a2f56d2cd",
     "prelog-report --model custom:spectrum={dir}/steps.json,tail=rayleigh --format json":
-        "ff1cfcf1ca169a7b425febcf2824778e184ec74eab05181ad069590f511a1ff9",
+        "40bcd2e931b494e003da21222c49c2783bf1b0ce9d4bc023c96a18a847a3dad3",
     "prelog-report --model custom:spectrum={dir}/steps.json,tail=onoff --format csv":
-        "3b8a30eb9e0c5f1631f04d6538cd078c37bafc730dcf173fb7942e21a0522378",
+        "6eb7bf25d99f0809ab79c00fca52489e6e59b01e5885e008d06c0b5b172b0d5b",
     "prelog-report --model custom:spectrum={dir}/steps.json,tail=onoff --format json":
-        "447307b57331bdde67f09725e74e90918214f541f21ea2aeec4e0a05a209f8aa",
+        "8f4adc1f92a448bd1f98b38bd2a70d95b78fa6768cc144e81f71a2242c58d926",
     "prelog-report --model custom:spectrum={dir}/onoff.json,tail=onoff --format csv":
-        "5bfbf55e3a278a0c13759dfc223a795ca0a269f4ffd9ff7e925c314f886e9777",
+        "6c3b7c77a246947fadf95dd13393572a67955bbd4b41bde09d7bcf489a660dad",
     "prelog-report --model custom:spectrum={dir}/onoff.json,tail=onoff --format json":
-        "d0c56a728e4485a372b7c25471fbcfd5b7df24bc008800c7a9331e354b067425",
+        "12f59cfec7d875c7d7e1819b3bfa311e10330818c44afaa4125f6c90153e061d",
     "prelog-report --model custom:spectrum={dir}/flat.json,tail=unit --format csv":
         "9b8edfc92aeef742435bfb0b3210751d064040bc13e379eb210229dda31d8220",
     "prelog-report --model custom:spectrum={dir}/flat.json,tail=unit --format json":
         "d498db5446b89e6612c51d3307243119ae5c243bec9d2ae5b29e9de5a138c512",
     "bound-sweep --model rayleigh-band:W=0.1 --upsilon 1e-3:4:60 --format csv":
-        "48868caa1436c1165d39482f64896dedd0c6c1182ab8deacd2bba0cba070d754",
+        "be17320f2e6cd7c5e9ce17925a086edc049e05847135947ef60e83f5b5761ffa",
     "bound-sweep --model rayleigh-band:W=0.5 --upsilon 1e-3:4:60 --format csv":
-        "2ce51d3d86f38c23840b28f37d46308496e60fa9e88c3632a4c7abe21cf32ebc",
+        "f49d9e809f916a98553ae56fa69a41e5f91cf7edf5490f8830aec9d7bc7f9fe9",
     "bound-sweep --model onoff:W=0.0625 --upsilon 1e-3:4:60 --format csv":
-        "b160d0c598f4ec82463a053fd692976e602b081eb5cf60fecfb87dbe202977e2",
+        "b44a25e7b4bc615a8f0aac737392fca04d485885b6798e7acbee2a820e1c5cf2",
     "bound-sweep --model custom:spectrum={dir}/steps.json,tail=rayleigh --upsilon 1e-3:4:60 --format csv":
-        "91cab515ae4c2f987d977d00b719eb6440c45a1fa8b33464929060f385d964d4",
+        "2e1f5a4ba61dd5a8d93d9870e1271f4db8ec175cfffec55cbedee463c15b1a59",
     "bound-sweep --model custom:spectrum={dir}/steps.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
-        "80b290ce15897b435e6ff68e4c11c94a09e27add0290fb3c4466dc1541b0ce83",
+        "d5dda0c58db12aa495950820b000825a5a8edc832f988dd5fb0e34b83d5f6c27",
     "bound-sweep --model custom:spectrum={dir}/onoff.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
-        "004f5697debd12486682a26d40701a440b9437a18ed898cb2d3a3a730edaea39",
+        "ab7689ed70a5b2625cf14591b8465039f3d4b990b800ccb1927ff645d21b0c9a",
     "prelog-report --model rayleigh-band:W=0.1 --upsilon 1e-3:4:60 --format csv":
-        "ca89146911528ac80e28ab4cc5966683fe1f127951793f23a78cfb419ab07f6a",
+        "ffb2d1869a1fdaef935caea479304a02fa07f568741f20e3b2d7f4f2f4c30dc3",
     "prelog-report --model rayleigh-band:W=0.5 --upsilon 1e-3:4:60 --format csv":
-        "d48ba01dc0f008edcd2a65b497352ecdba56b6f1ca51199282d93ca898566eba",
+        "3f1e14e6d09f842f960d364fe72a0cb7ea4a2cac82dab1d9940417708fa062bc",
     "prelog-report --model onoff:W=0.0625 --upsilon 1e-3:4:60 --format csv":
-        "233ff2e5a43c3a08ea7b34d9e52d19252ff56b8eba93961f4ae77a4a4b923e95",
+        "9809aad86d1292804a15824808c62a2f3f2e0e4b27b55e52f6281afeaf8dfe39",
     "prelog-report --model custom:spectrum={dir}/steps.json,tail=rayleigh --upsilon 1e-3:4:60 --format csv":
-        "1c520bb7700e2caee4f8f9258263c9fa976fe00d354f8a154f14e76cc1f8e0bb",
+        "77ec363d3f1d06aec4fd5380d55e99ae10c9a1d5f5683f259a81df1a2f56d2cd",
     "prelog-report --model custom:spectrum={dir}/steps.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
-        "3b8a30eb9e0c5f1631f04d6538cd078c37bafc730dcf173fb7942e21a0522378",
+        "6eb7bf25d99f0809ab79c00fca52489e6e59b01e5885e008d06c0b5b172b0d5b",
     "prelog-report --model custom:spectrum={dir}/onoff.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
-        "5bfbf55e3a278a0c13759dfc223a795ca0a269f4ffd9ff7e925c314f886e9777",
+        "6c3b7c77a246947fadf95dd13393572a67955bbd4b41bde09d7bcf489a660dad",
     "miso --spectra W=0.1,W=0.2 --format csv":
         "735fcce490122f63540b4d08a18316a9d2c27e4ef41a8f1d21dded268cb09002",
     "miso --spectra W=0.1,W=0.2 --format json":
@@ -199,6 +203,14 @@ def _key(argv):
     return " ".join(argv)
 
 
+def _stdout(argv, spectrum_dir):
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = main([a.replace("{dir}", str(spectrum_dir)) for a in argv])
+    assert code == 0
+    return buf.getvalue()
+
+
 @pytest.fixture(scope="module")
 def spectrum_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
@@ -209,12 +221,22 @@ def spectrum_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", CASES, ids=_key)
 def test_default_stdout_is_pinned(argv, spectrum_dir):
-    buf = StringIO()
-    with redirect_stdout(buf):
-        code = main([a.replace("{dir}", str(spectrum_dir)) for a in argv])
-    assert code == 0
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    digest = hashlib.sha256(_stdout(argv, spectrum_dir).encode()).hexdigest()
     assert digest == SHA256[_key(argv)]
+
+
+@pytest.mark.parametrize("upsilon", [None, "1e-3:4:60"])
+@pytest.mark.parametrize("model", THRESHOLD_MODELS)
+def test_lb_beats_the_grid_maximum(model, upsilon, spectrum_dir):
+    argv = ["bound-sweep", "--model", model]
+    argv += [] if upsilon is None else ["--upsilon", upsilon]
+    lines = [ln for ln in _stdout(argv, spectrum_dir).splitlines() if not ln.startswith("#")]
+    fm = parse_model(model.replace("{dir}", str(spectrum_dir)))
+    grid = default_upsilon_grid() if upsilon is None else parse_grid(upsilon)
+    for line in lines[1:]:
+        snr, lb, star, _ = map(float, line.split(","))
+        _, best = threshold_argmax(fm.tail, fm.spectrum, snr, grid)
+        assert lb >= best - threshold_rounding(snr, star)
 
 
 def test_every_case_is_pinned():
