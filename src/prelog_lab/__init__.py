@@ -11,7 +11,10 @@ their names and those of errors; importing it does not import numpy.
 toeplitz and processes, the two layers built on numpy arrays, are not
 re-exported: import their names from prelog_lab.toeplitz and
 prelog_lab.processes.  So only the commands that compute with arrays load
-numpy (szego and simulate; see cli).
+numpy (szego and simulate; see cli), and json is imported only where JSON
+is read or written.  The value types of every layer (SpectralDensity,
+AutocovarianceSeq, FadingModel, BoundCurve, PrelogReport, SamplePath) are
+plain immutable records that compare by value (see _record).
 """
 
 from .bounds import (

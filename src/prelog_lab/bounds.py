@@ -23,15 +23,18 @@ bounds; prelog_report is built on it.  The threshold lower bound is
 maximized in closed form: for the two Gaussian-tail laws the optimal
 threshold is ups*^2 = c / W0(c snr / e), W0 the principal Lambert W
 function, so each snr costs one spectral integral.  A threshold grid only
-bounds the range of that optimum.  Everything here is plain math.
+bounds the range of that optimum.  Everything here is plain math, and
+FadingModel, BoundCurve and PrelogReport are immutable records.  An snr
+is taken as the float it holds once it is checked, so a numpy scalar
+snr gives the bits of the same Python float and no numpy warning.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from collections.abc import Sequence
 
+from ._record import Record
 from .errors import DomainError, NumericError, PreconditionError, check_positive
 from .spectra import (
     SpectralDensity,
@@ -41,8 +44,6 @@ from .spectra import (
     spectral_log_integral,
     zero_set_measure,
 )
-
-BoundKind = Literal["LOWER_LB", "UPPER_COHERENT", "PHASE_LB", "PHASE_UB"]
 
 # Scalar laws of H1 with E|H1|^2 = 1: law -> (tail, mass at zero, c), where
 # tail(ups) = P(|H1| >= ups) and c is the scale of a Gaussian tail,
@@ -56,8 +57,7 @@ LAWS = {
 }
 
 
-@dataclass(frozen=True)
-class FadingModel:
+class FadingModel(Record):
     """A zero-mean fading process: a spectrum and the scalar law of H1.
 
     law is a key of LAWS, and tail(ups) = P(|H1| >= ups) for ups > 0 and
@@ -69,13 +69,13 @@ class FadingModel:
     the Monte Carlo law of processes.marginal_draws.
     """
 
-    name: str
-    spectrum: SpectralDensity
-    law: str
-    tail: Callable[[float], float] = field(init=False, repr=False)
-    mass_at_zero: float = field(init=False)
+    __slots__ = ("name", "spectrum", "law", "tail", "mass_at_zero")
+    _hidden = ("tail",)
 
-    def __post_init__(self):
+    def __init__(self, name: str, spectrum: SpectralDensity, law: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "law", law)
         if self.law not in LAWS:
             raise DomainError(f"unknown law {self.law!r}, have {sorted(LAWS)}")
         if not abs(self.spectrum.variance - 1.0) <= 1e-9:
@@ -90,25 +90,29 @@ class FadingModel:
         object.__setattr__(self, "mass_at_zero", mass)
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(Record):
     """One bound evaluated over an snr grid.
 
-    params holds the optimal threshold per snr of a threshold lower bound,
-    and None per snr for a bound without one.
+    kind is "LOWER_LB" (the threshold lower bound), "UPPER_COHERENT" (the
+    coherent average-power ceiling), "PHASE_LB" or "PHASE_UB" (the
+    unit-modulus bounds).  params holds the optimal threshold per snr of a
+    threshold lower bound, and None per snr for a bound without one.
     """
 
-    kind: BoundKind
-    points: tuple[tuple[float, float], ...]
-    params: tuple = ()
+    __slots__ = ("kind", "points", "params")
+
+    def __init__(self, kind: str, points: tuple[tuple[float, float], ...],
+                 params: tuple = ()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "params", params)
 
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
 
 
-@dataclass(frozen=True)
-class PrelogReport:
+class PrelogReport(Record):
     """Analytic pre-log limits plus finite-snr ratio diagnostics.
 
     finite_ratios pairs each snr with LB(snr)/log(snr), floored at zero
@@ -120,11 +124,17 @@ class PrelogReport:
     lie on either side of them.
     """
 
-    analytic_limit: float | None
-    finite_ratios: tuple[tuple[float, float], ...]
-    upper_prelog: float
-    floored: tuple[bool, ...]
-    upsilon_star: tuple[float | None, ...]
+    __slots__ = ("analytic_limit", "finite_ratios", "upper_prelog", "floored",
+                 "upsilon_star")
+
+    def __init__(self, analytic_limit: float | None,
+                 finite_ratios: tuple[tuple[float, float], ...], upper_prelog: float,
+                 floored: tuple[bool, ...], upsilon_star: tuple[float | None, ...]):
+        object.__setattr__(self, "analytic_limit", analytic_limit)
+        object.__setattr__(self, "finite_ratios", finite_ratios)
+        object.__setattr__(self, "upper_prelog", upper_prelog)
+        object.__setattr__(self, "floored", floored)
+        object.__setattr__(self, "upsilon_star", upsilon_star)
 
 
 def _map_ordered(fn, items: Sequence, threads: int | None):
@@ -275,6 +285,7 @@ def coherent_avg_upper_bound(model: FadingModel, snr: float) -> float:
     for every finite snr.
     """
     check_positive("snr", snr)
+    snr = float(snr)  # exact; a numpy scalar would warn where snr/p overflows
     p = 1.0 - model.mass_at_zero
     return p * _log1p_product(snr, 1.0 / p)
 
@@ -295,6 +306,7 @@ def phase_noise_lower_bound(snr: float) -> float:
     every finite snr.
     """
     check_positive("snr", snr)
+    snr = float(snr)  # exact; a numpy scalar would warn where x overflows
     x = 4.0 * math.pi * math.e * (2.0 + 4.0 * snr)
     if x < math.inf:
         log_x = math.log(x)

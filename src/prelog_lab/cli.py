@@ -54,11 +54,10 @@ UTF-8 is malformed input (exit 2).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import bounds, spectra
 from .errors import DomainError, NumericError
@@ -156,6 +155,8 @@ def parse_model(text: str) -> bounds.FadingModel:
 def _emit(args, header: list[str], rows: list[list], scalars: dict) -> None:
     """Write rows (+ per-run scalars) as CSV or JSON to args.out."""
     if args.format == "json":
+        import json
+
         payload = dict(scalars)
         payload["rows"] = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
@@ -410,6 +411,8 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     """
     if not getattr(args, "config", None):
         return []
+    import json
+
     text = _read_text(args.config)
     try:
         cfg = json.loads(text)

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .bounds import FadingModel
 from .errors import DomainError, check_positive
 from .spectra import AutocovarianceSeq, SpectralDensity, make_onoff_spectrum, make_rect_band
@@ -77,17 +77,16 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class SamplePath:
+class SamplePath(Record):
     """Realization H_1..H_n of a fading process."""
 
-    values: np.ndarray
-    seed: int
+    __slots__ = ("values", "seed")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+    def __init__(self, values, seed: int):
+        vals = np.asarray(values, dtype=np.complex128)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "seed", seed)
         if vals.ndim != 1 or vals.size < 1:
             raise DomainError("path must hold at least one sample")
 

@@ -5,7 +5,9 @@ distribution functions on the harmonic interval [-1/2, 1/2] whose density
 is flat on finitely many segments.  That covers the IID case (flat density
 1), rectangular bands, and the four-band on-off spectrum, and makes every
 derived quantity (autocovariance, log-integral, zero-set measure) available
-in closed form.
+in closed form.  SpectralDensity and AutocovarianceSeq are immutable
+records, checked when they are built; JSON is parsed (and json imported)
+only by SpectralDensity.from_json.
 
 All information quantities are in nats.
 """
@@ -13,10 +15,9 @@ All information quantities are in nats.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, check_positive
 
 # mass bookkeeping tolerance for validated densities
@@ -25,8 +26,7 @@ MASS_TOL = 1e-12
 DIAGNOSTIC_SNRS = (1e3, 1e6, 1e12)
 
 
-@dataclass(frozen=True)
-class SpectralDensity:
+class SpectralDensity(Record):
     """Piecewise-constant spectral density F' on [-1/2, 1/2].
 
     segments: ordered (lo, hi, value) triples partitioning [-1/2, 1/2];
@@ -36,13 +36,12 @@ class SpectralDensity:
     Immutable after construction; all methods are pure.
     """
 
-    segments: tuple[tuple[float, float, float], ...]
-    variance: float = 1.0
+    __slots__ = ("segments", "variance")
 
-    def __post_init__(self):
-        segs = tuple((float(lo), float(hi), float(v)) for lo, hi, v in self.segments)
+    def __init__(self, segments, variance: float = 1.0):
+        segs = tuple((float(lo), float(hi), float(v)) for lo, hi, v in segments)
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "variance", float(variance))
         check_positive("variance", self.variance)
         if not segs:
             raise DomainError("density needs at least one segment")
@@ -71,6 +70,8 @@ class SpectralDensity:
     def from_json(cls, text: str) -> "SpectralDensity":
         """Parse {"segments": [[lo, hi, value], ...], "variance": v}, every
         entry a JSON number; bools, strings and the rest are DomainErrors."""
+        import json
+
         try:
             # ints parse as floats, so an integer past the float range is inf
             obj = json.loads(text, parse_int=float)
@@ -85,8 +86,7 @@ class SpectralDensity:
         return cls(tuple(map(tuple, segments)), variance)
 
 
-@dataclass(frozen=True)
-class AutocovarianceSeq:
+class AutocovarianceSeq(Record):
     """Autocovariance values r(0..m_max) of a stationary process.
 
     r(0) must be real and nonnegative; |r(m)| can never exceed r(0).
@@ -94,10 +94,10 @@ class AutocovarianceSeq:
     so zero variance is allowed.
     """
 
-    values: tuple[complex, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(complex(v) for v in self.values)
+    def __init__(self, values):
+        vals = tuple(complex(v) for v in values)
         object.__setattr__(self, "values", vals)
         if not vals:
             raise DomainError("autocovariance sequence needs at least r(0)")
@@ -196,6 +196,7 @@ def spectral_log_integral(S: SpectralDensity, snr: float) -> float:
     for every finite snr (see _log1p_product).
     """
     check_positive("snr", snr)
+    snr = float(snr)  # exact; a numpy scalar would warn where snr F' overflows
     return math.fsum(
         (hi - lo) * _log1p_product(snr, v) for lo, hi, v in S.segments if v > 0.0
     )

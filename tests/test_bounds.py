@@ -1,8 +1,9 @@
 """Capacity bounds, pre-log reports, and their frozen reference values."""
 
+import inspect
 import math
 import sys
-from dataclasses import fields
+import warnings
 
 import numpy as np
 import pytest
@@ -390,11 +391,13 @@ class TestOverflow:
                 decimal_phase_lower(snr), rel=1e-15
             )
 
-    @pytest.mark.parametrize("model, snrs", [
+    GRIDS = pytest.mark.parametrize("model, snrs", [
         (phase_noise_model(), [1e4, 1.4e306, 1e308, sys.float_info.max]),
         (onoff_model(0.0625), [1e4, 1e308, sys.float_info.max]),
         (rayleigh_band_model(0.1), [1e300, 1.7e308]),
     ], ids=["phase", "onoff", "rayleigh"])
+
+    @GRIDS
     def test_sweep_and_report(self, model, snrs):
         low, up = bound_sweep(model, snrs)
         for (snr, lb), u_star, ub in zip(low.points, low.params, up.values):
@@ -410,6 +413,26 @@ class TestOverflow:
         assert report.finite_ratios == tuple(
             (snr, max(lb / math.log(snr), 0.0)) for snr, lb in low.points
         )
+
+    @GRIDS
+    def test_numpy_snr_grid_is_the_float_grid(self, model, snrs):
+        # a numpy float64 snr is taken as the float it holds, so the switch
+        # to the log form raises no numpy overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, up = bound_sweep(model, np.array(snrs))
+        want_low, want_up = bound_sweep(model, snrs)
+        assert (low.values, low.params, up.values) == (
+            want_low.values, want_low.params, want_up.values)
+
+    def test_numpy_snr_scalars_are_the_floats(self):
+        model = onoff_model(0.0625)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ub = coherent_avg_upper_bound(model, np.float64(1.7e308))
+            lb = phase_noise_lower_bound(np.float64(1.5e306))
+        assert ub == coherent_avg_upper_bound(model, 1.7e308)
+        assert lb == phase_noise_lower_bound(1.5e306)
 
 
 class TestFadingModelValidation:
@@ -434,7 +457,7 @@ class TestFadingModelValidation:
         assert phase_noise_model().law == "unit"
 
     def test_three_fields_and_the_law_sets_the_rest(self):
-        assert [f.name for f in fields(FadingModel) if f.init] == ["name", "spectrum", "law"]
+        assert list(inspect.signature(FadingModel).parameters) == ["name", "spectrum", "law"]
         for law, (tail, mass, _) in LAWS.items():
             model = FadingModel("m", make_rect_band(0.5), law)
             assert model.tail is tail and model.mass_at_zero == mass
