@@ -269,13 +269,9 @@ def cmd_simulate(args) -> int:
             processes.write_path_csv(path, args.path_out)
     m_max = min(args.m_max, n - 1)
     emp = processes.empirical_autocov(path, m_max)
-    rows = []
-    for m in range(m_max + 1):
-        analytic = spectra.autocovariance(model.spectrum, m)
-        est = emp.values[m]
-        rows.append(
-            [m, est.real, est.imag, analytic.real, analytic.imag, abs(est - analytic)]
-        )
+    analytic = spectra.autocovariance_sequence(model.spectrum, m_max)
+    rows = [[m, est.real, est.imag, r.real, r.imag, abs(est - r)]
+            for m, (est, r) in enumerate(zip(emp.values, analytic.values))]
     nonzero = float((path.values != 0).sum()) / n
     scalars = {
         "model": model.name,

@@ -9,6 +9,12 @@ in closed form.  SpectralDensity and AutocovarianceSeq are immutable
 records, checked when they are built; JSON is parsed (and json imported)
 only by SpectralDensity.from_json.
 
+autocovariance(S, m) is one lag in plain complex arithmetic.  A sequence
+r(0..m_max) (autocovariance_sequence, and the first row of the Szego
+route) is one complex ndarray built with one numpy pass per segment edge,
+bit for bit the scalar's lags; numpy is imported there and nowhere else
+in this module.
+
 All information quantities are in nats.
 """
 
@@ -106,14 +112,23 @@ class AutocovarianceSeq(Record):
             raise DomainError(f"r(0) must be real, got {r0}")
         if r0.real < 0:
             raise DomainError(f"r(0) must be nonnegative, got {r0.real}")
-        # PSD sequences satisfy |r(m)| <= r(0); allow rounding slack
-        bound = r0.real * (1 + 1e-9) + 1e-12
+        bound = _lag_bound(r0.real)
         for m, v in enumerate(vals):
             if abs(v) > bound:
-                raise DomainError(f"|r({m})| = {abs(v)} exceeds r(0) = {r0.real}")
+                raise _lag_error(m, v, r0.real)
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _lag_bound(r0: float) -> float:
+    """The largest |r(m)| an autocovariance sequence with r(0) = r0 may
+    hold: PSD sequences satisfy |r(m)| <= r(0), with slack for rounding."""
+    return r0 * (1 + 1e-9) + 1e-12
+
+
+def _lag_error(m: int, v: complex, r0: float) -> DomainError:
+    return DomainError(f"|r({m})| = {abs(v)} exceeds r(0) = {r0}")
 
 
 def make_rect_band(W: float, variance: float = 1.0) -> SpectralDensity:
@@ -183,10 +198,56 @@ def autocovariance(S: SpectralDensity, m: int) -> complex:
 
 
 def autocovariance_sequence(S: SpectralDensity, m_max: int) -> AutocovarianceSeq:
-    """r(0..m_max) as an AutocovarianceSeq."""
+    """r(0..m_max) as an AutocovarianceSeq, each lag autocovariance(S, m)
+    bit for bit (see _autocovariance_row)."""
     if m_max < 0:
         raise DomainError(f"m_max must be nonnegative, got {m_max}")
-    return AutocovarianceSeq(tuple(autocovariance(S, m) for m in range(m_max + 1)))
+    return AutocovarianceSeq(_autocovariance_row(S, m_max).tolist())
+
+
+def _autocovariance_row(S: SpectralDensity, m_max: int):
+    """r(0..m_max) as one complex ndarray, unchecked; m_max >= 0.
+
+    Every lag has the bits of autocovariance(S, m): the loop replays
+    CPython's v * (cmath.exp(w hi) - cmath.exp(w lo)) / w, w = 2j pi m, on
+    float64 parts, one nonzero segment at a time.  With c = fl(2 pi m),
+    w x is 0 + i fl(c x), and numpy's complex exp (libm cexp) of it equals
+    cmath.exp; the float v times d is (v dr, v di); dividing by w = (0, c)
+    takes CPython's branch ((a_r 0 + a_i) / c, (a_i 0 - a_r) / c).  A sign
+    of zero may differ on the way, but it cannot reach the sums, which
+    start at +0.  numpy's own complex product and quotient would round
+    differently (they contract to fused multiply-adds).  The phases
+    e^{i c x} of an edge are one numpy pass, shared by two adjacent nonzero
+    segments, into one of two buffers.
+    """
+    import numpy as np
+
+    row = np.zeros(m_max + 1, dtype=np.complex128)
+    row[0] = S.variance
+    re, im = row.real[1:], row.imag[1:]
+    c = 2 * math.pi * np.arange(1, m_max + 1, dtype=np.float64)
+    arg = np.zeros(m_max, dtype=np.complex128)
+    e_lo, e_hi = np.empty_like(arg), np.empty_like(arg)
+
+    def phases(x, out):
+        np.multiply(c, x, out=arg.imag)
+        np.exp(arg, out=out)
+
+    last = None  # the edge whose phases e_hi holds
+    for lo, hi, v in S.segments:
+        if v == 0.0:
+            continue
+        if lo == last:
+            e_lo, e_hi = e_hi, e_lo
+        else:
+            phases(lo, e_lo)
+        phases(hi, e_hi)
+        last = hi
+        ar = v * (e_hi.real - e_lo.real)
+        ai = v * (e_hi.imag - e_lo.imag)
+        re += (ar * 0.0 + ai) / c
+        im += (ai * 0.0 - ar) / c
+    return row
 
 
 def spectral_log_integral(S: SpectralDensity, snr: float) -> float:

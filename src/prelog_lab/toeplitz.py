@@ -1,8 +1,9 @@
 """Hermitian Toeplitz fading covariances and the Szego log-det rate.
 
 The covariance of n consecutive fading samples is the Hermitian Toeplitz
-matrix built from the autocovariance sequence.  Its eigenvalue counting
-measure converges to the spectral density, so the normalized log-det rate
+matrix built from the autocovariance sequence r(0..n-1), which the rate
+takes from spectra as one array.  Its eigenvalue counting measure
+converges to the spectral density, so the normalized log-det rate
 (1/n) log det(I + snr T_n) approaches the spectral log-integral.
 
 The log-det is the sum of the log one-step prediction-error (innovation)
@@ -20,7 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, NumericError, check_positive
-from .spectra import AutocovarianceSeq, SpectralDensity, autocovariance_sequence
+from .spectra import (
+    AutocovarianceSeq,
+    SpectralDensity,
+    _autocovariance_row,
+    _lag_bound,
+    _lag_error,
+)
 
 HERMITIAN_TOL = 1e-10
 
@@ -95,11 +102,19 @@ def szego_logdet_rate(S: SpectralDensity, snr: float, n: int) -> float:
     Equals the mean log innovation variance of the fading process observed
     in unit-variance noise, computed by Levinson-Durbin in O(n^2) from the
     first row.  Converges to spectral_log_integral(S, snr) as n grows.
+    The lags r(0..n-1) come as one array, with the bits and the
+    |r(m)| <= r(0) check of autocovariance_sequence.
     """
     check_positive("snr", snr)
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    row = snr * np.asarray(autocovariance_sequence(S, n - 1).values)
+    r = _autocovariance_row(S, n - 1)
+    r0 = float(r[0].real)
+    # np.hypot is Python's abs(complex) bit for bit; np.abs is not
+    over = np.flatnonzero(np.hypot(r.real, r.imag) > _lag_bound(r0))
+    if over.size:
+        raise _lag_error(int(over[0]), complex(r[over[0]]), r0)
+    row = snr * r
     row[0] += 1.0
     return float(np.mean(np.log(_innovation_variances(row))))
 

@@ -334,6 +334,17 @@ class TestSzegoCommand:
         else:
             assert len(csv_rows(out)[1]) == len(n.split(","))
 
+    def test_lag_past_r0_is_usage(self, capsys, monkeypatch):
+        def row_past_r0(S, m_max):
+            row = np.zeros(m_max + 1, dtype=np.complex128)
+            row[0], row[1] = S.variance, 2.0 * S.variance
+            return row
+
+        monkeypatch.setattr(toeplitz, "_autocovariance_row", row_past_r0)
+        code, out, err = run(capsys, ["szego", "--model", "onoff:W=0.0625", "--n", "8"])
+        assert (code, out) == (2, "")
+        assert "|r(1)| = 2.0 exceeds r(0) = 1.0" in err
+
 
 @pytest.mark.parametrize(
     "argv",

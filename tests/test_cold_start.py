@@ -1,4 +1,5 @@
-"""Commands that compute no arrays run without importing numpy.
+"""Commands that compute no arrays, and the scalar autocovariance, run
+without importing numpy.
 
 Nor do they import dataclasses or inspect, and json only where they read
 or write JSON.  Each case starts a fresh interpreter, because the test
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 import prelog_lab
+from prelog_lab import spectra
 from prelog_lab.cli import main
 
 SRC = os.path.dirname(os.path.dirname(prelog_lab.__file__))
@@ -81,3 +83,17 @@ def test_array_commands_print_the_in_process_bytes(argv, capsysbinary):
     assert (code, "numpy" in loaded) == (0, True)
     assert main(argv) == 0
     assert out == capsysbinary.readouterr().out
+
+
+def test_scalar_autocovariance_runs_without_numpy():
+    # only the sequence route loads numpy; one lag is plain complex arithmetic
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "from prelog_lab.spectra import autocovariance, make_onoff_spectrum\n"
+             "print(repr(autocovariance(make_onoff_spectrum(0.0625), 3)),"
+             " 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, SRC],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = spectra.autocovariance(spectra.make_onoff_spectrum(0.0625), 3)
+    assert proc.stdout.split() == [repr(want), "False"]

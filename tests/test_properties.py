@@ -21,10 +21,18 @@ from prelog_lab.bounds import (  # noqa: E402
     phase_noise_model,
     rayleigh_band_model,
 )
-from prelog_lab.spectra import autocovariance_sequence, make_rect_band  # noqa: E402
+from prelog_lab.spectra import (  # noqa: E402
+    SpectralDensity,
+    _autocovariance_row,
+    autocovariance,
+    autocovariance_sequence,
+    make_onoff_spectrum,
+    make_rect_band,
+)
 from prelog_lab.toeplitz import szego_logdet_rate  # noqa: E402
 
 from oracles import (  # noqa: E402
+    FLOOR_SPECTRUM,
     direct_autocov,
     random_density,
     toeplitz_matrix,
@@ -56,6 +64,31 @@ def test_levinson_rate_matches_slogdet(seed, n, snr):
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.complex128).tobytes()
+
+
+# W = 1/2 and symmetric bands, where the real part of every phase
+# difference is exactly 0; on-off spectra; the density floor, whose three
+# nonzero segments share their edges; and random densities
+spectra_for_rows = (
+    st.sampled_from([make_rect_band(0.5), make_rect_band(0.25), make_rect_band(0.1),
+                     make_rect_band(1e-3, variance=3.0), make_onoff_spectrum(0.0625),
+                     make_onoff_spectrum(0.2), SpectralDensity.from_json(FLOOR_SPECTRUM)])
+    | seeds.map(lambda seed: random_density(np.random.default_rng(seed))))
+
+
+@given(spectra_for_rows, st.integers(0, 2048))
+@example(S=make_rect_band(0.5), m_max=0)
+@example(S=make_onoff_spectrum(0.0625), m_max=2048)
+@example(S=SpectralDensity.from_json(FLOOR_SPECTRUM), m_max=2048)
+@example(S=random_density(np.random.default_rng(5)), m_max=2047)
+def test_autocovariance_row_is_the_scalar_closed_form(S, m_max):
+    row = _autocovariance_row(S, m_max)
+    want = np.array([autocovariance(S, m) for m in range(m_max + 1)], dtype=np.complex128)
+    assert row.shape == want.shape
+    # re and im as integers: every bit, the sign of zero included
+    assert np.array_equal(row.real.view(np.uint64), want.real.view(np.uint64))
+    assert np.array_equal(row.imag.view(np.uint64), want.imag.view(np.uint64))
+    assert autocovariance_sequence(S, m_max).values == tuple(want.tolist())
 
 
 @given(seeds, st.integers(1, 200_000))

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from prelog_lab import toeplitz
 from prelog_lab.errors import DomainError, NumericError
 from prelog_lab.spectra import (
     AutocovarianceSeq,
     SpectralDensity,
+    autocovariance,
     autocovariance_sequence,
+    make_onoff_spectrum,
     make_rect_band,
     spectral_log_integral,
 )
@@ -207,3 +210,50 @@ class TestLevinson:
     def test_indefinite_row_is_numeric_error(self):
         with pytest.raises(NumericError):
             _innovation_variances(np.array([1.0, 2.0, 0.5]))
+
+
+# the szego-sweep benchmark's spectra: its band, its on-off spectrum, and
+# its custom spectrum (bench/oracle.random_spectrum of generator seed 2)
+SWEEP_CUSTOM = ((-0.5, -0.40625, 0.34868133701027576),
+                (-0.40625, -0.390625, 0.9542350934976439),
+                (-0.390625, -0.265625, 2.0078217130557428),
+                (-0.265625, -0.21875, 0.0), (-0.21875, -0.109375, 0.0),
+                (-0.109375, -0.0625, 0.0), (-0.0625, 0.28125, 2.040504689999762),
+                (0.28125, 0.5, 0.0))
+SWEEP_SPECTRA = {
+    "band": make_rect_band(0.25),
+    "onoff": make_onoff_spectrum(0.0625),
+    "custom": SpectralDensity(SWEEP_CUSTOM),
+}
+
+
+def per_lag_rate(S, snr, n):
+    """The rate from the first row built one scalar autocovariance at a time."""
+    row = snr * np.array([autocovariance(S, m) for m in range(n)])
+    row[0] += 1.0
+    return float(np.mean(np.log(_innovation_variances(row))))
+
+
+class TestArrayRow:
+    @pytest.mark.parametrize("snr", [1e2, 1e6, 1e10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 512, 1024])
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECTRA))
+    def test_rate_is_the_per_lag_rate(self, name, n, snr):
+        S = SWEEP_SPECTRA[name]
+        assert szego_logdet_rate(S, snr, n).hex() == per_lag_rate(S, snr, n).hex()
+
+    @pytest.mark.parametrize("r1", [1.5, -1.5j, 0.9 + 0.9j])
+    def test_lag_past_r0_is_domain_error(self, monkeypatch, r1):
+        def row_with_r1(S, m_max):
+            row = np.zeros(m_max + 1, dtype=np.complex128)
+            row[0], row[1] = S.variance, r1
+            return row
+
+        with pytest.raises(DomainError) as record_error:
+            AutocovarianceSeq(row_with_r1(make_rect_band(0.25), 15).tolist())
+        monkeypatch.setattr(toeplitz, "_autocovariance_row", row_with_r1)
+        # the record's check and message, before the recursion could fail
+        with pytest.raises(DomainError) as rate_error:
+            szego_logdet_rate(make_rect_band(0.25), 1e2, 16)
+        assert str(rate_error.value) == str(record_error.value) == (
+            f"|r(1)| = {abs(r1)} exceeds r(0) = 1.0")
