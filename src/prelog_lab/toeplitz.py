@@ -18,6 +18,8 @@ mechanism behind the pre-log.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DomainError, NumericError, check_positive
@@ -73,26 +75,39 @@ def _innovation_variances(first_row: np.ndarray) -> np.ndarray:
     where |kappa| -> 1, they drive P negative (Cybenko 1980; Bojanczyk,
     Brent, de Hoog and Sweet 1995).  O(n^2) time and O(n) memory.  Raises
     NumericError when some P_k is not positive.
+
+    A row whose imaginary parts are all exactly zero (a spectrum symmetric
+    about 0, as every built-in model has) runs on float64 arrays; a row
+    with any nonzero imaginary part runs on complex128 arrays.  Both give
+    the bits of the complex recursion: with zero imaginary parts numpy's
+    complex product rounds as the real product, with or without fused
+    multiply-adds; numpy's complex quotient of two reals is
+    (-b0) * (1 / a0), which the real route repeats (the true division
+    -b0 / a0 differs in the last bit); and abs is hypot on both routes,
+    which is |x| for a real x.
     """
     v = np.array(first_row, dtype=np.complex128)
+    real = not v.imag.any()
+    if real:
+        v = v.real.copy()
     n = v.size
     # generator pair: u shifts right one place per step, so u[i] holds the
     # entry at position i + k; v stays in place and v[k] is eliminated
     u = v.copy()
     v[0] = 0.0
     P = np.empty(n)
-    P[0] = u[0].real
+    p = P[0] = float(u[0].real)
     for k in range(1, n):
         a, b = u[:n - k], v[k:]
-        kappa = -b[0] / a[0]
+        kappa = -float(b[0]) * (1.0 / float(a[0])) if real else complex(-b[0] / a[0])
         t = kappa * a
-        a += np.conj(kappa) * b
+        a += kappa.conjugate() * b
         b += t
         # 1 - |kappa|^2 without cancellation when |kappa| is near 1
         m = abs(kappa)
-        P[k] = P[k - 1] * (1.0 - m) * (1.0 + m)
-        if not P[k] > 0.0:
-            raise NumericError(f"innovation variance P_{k} = {P[k]} is not positive")
+        p = P[k] = p * (1.0 - m) * (1.0 + m)
+        if not p > 0.0:
+            raise NumericError(f"innovation variance P_{k} = {p} is not positive")
     return P
 
 
@@ -103,11 +118,19 @@ def szego_logdet_rate(S: SpectralDensity, snr: float, n: int) -> float:
     in unit-variance noise, computed by Levinson-Durbin in O(n^2) from the
     first row.  Converges to spectral_log_integral(S, snr) as n grows.
     The lags r(0..n-1) come as one array, with the bits and the
-    |r(m)| <= r(0) check of autocovariance_sequence.
+    |r(m)| <= r(0) check of autocovariance_sequence.  Raises DomainError
+    for an n that is not an integer in [1, 2**59).
     """
     check_positive("snr", snr)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"dimension must be an integer, got {n}") from None
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
+    # 16 n bytes must fit numpy's address arithmetic, as for a sample path
+    if n >= 2**59:
+        raise DomainError(f"dimension must be below 2**59, got {n}")
     r = _autocovariance_row(S, n - 1)
     r0 = float(r[0].real)
     # np.hypot is Python's abs(complex) bit for bit; np.abs is not

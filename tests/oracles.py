@@ -8,8 +8,10 @@ loop, the empirical autocovariance through one whole-path np.sum per lag,
 Gaussian path synthesis through one product with the whole harmonic power
 table, unit-modulus phasors through one draw of 1.5 times the phasors
 still missing, path CSV and binary files through one write per row or
-sample, and the closed-form bounds past the float range through 40-digit
-decimal arithmetic.
+sample, the closed-form bounds past the float range through 40-digit
+decimal arithmetic, and the innovation variances through a frozen copy of
+the complex128 Schur recursion as it stood before real rows took float64
+arrays.
 Random piecewise densities exercise the closed forms away from the
 hand-picked examples.  The small helpers below (sinc, density_at,
 spectrum_json, log_grid, FLOOR_SPECTRUM) exist only for tests; the library
@@ -25,6 +27,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from prelog_lab.errors import NumericError
 from prelog_lab.spectra import SpectralDensity
 
 
@@ -187,6 +190,45 @@ def toeplitz_matrix(first_row) -> np.ndarray:
             d = k - j
             M[j, k] = r[d] if d >= 0 else np.conj(r[-d])
     return M
+
+
+def complex_innovation_variances(first_row) -> np.ndarray:
+    """P_0..P_{n-1} by Schur's generator recursion on complex128 arrays,
+    kept verbatim from the library before its float64 route for real rows:
+    the bits and the NumericError text that route must reproduce."""
+    v = np.array(first_row, dtype=np.complex128)
+    n = v.size
+    # generator pair: u shifts right one place per step, so u[i] holds the
+    # entry at position i + k; v stays in place and v[k] is eliminated
+    u = v.copy()
+    v[0] = 0.0
+    P = np.empty(n)
+    P[0] = u[0].real
+    for k in range(1, n):
+        a, b = u[:n - k], v[k:]
+        kappa = -b[0] / a[0]
+        t = kappa * a
+        a += np.conj(kappa) * b
+        b += t
+        # 1 - |kappa|^2 without cancellation when |kappa| is near 1
+        m = abs(kappa)
+        P[k] = P[k - 1] * (1.0 - m) * (1.0 + m)
+        if not P[k] > 0.0:
+            raise NumericError(f"innovation variance P_{k} = {P[k]} is not positive")
+    return P
+
+
+def symmetric_density(rng: np.random.Generator) -> SpectralDensity:
+    """Random piecewise-constant density with F'(-lam) = F'(lam): random
+    cuts of [0, 1/2] mirrored about 0, with a sprinkling of exact zeros."""
+    k = int(rng.integers(2, 6))
+    edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 0.5, k - 1)), [0.5]))
+    vals = rng.uniform(0.2, 3.0, k)
+    vals[rng.uniform(0.0, 1.0, k) < 0.35] = 0.0
+    vals[int(rng.integers(0, k))] = rng.uniform(0.2, 3.0)
+    half = [(float(edges[i]), float(edges[i + 1]), float(vals[i])) for i in range(k)]
+    segments = [(0.0 - hi, 0.0 - lo, v) for lo, hi, v in reversed(half)] + half
+    return SpectralDensity(segments, math.fsum((hi - lo) * v for lo, hi, v in segments))
 
 
 def direct_autocov(values, m_max: int) -> list[complex]:

@@ -334,6 +334,14 @@ class TestSzegoCommand:
         else:
             assert len(csv_rows(out)[1]) == len(n.split(","))
 
+    # past numpy's address arithmetic (numpy raises ValueError there, not
+    # MemoryError): refused before any array is built
+    @pytest.mark.parametrize("n", ["10000000000000000000", "4611686018427387904"])
+    def test_dimension_past_numpy_is_usage(self, capsys, n):
+        code, out, err = run(capsys, ["szego", "--model", "rayleigh-band:W=0.1", "--n", n])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: dimension must be below 2**59, got {n}"]
+
     def test_lag_past_r0_is_usage(self, capsys, monkeypatch):
         def row_past_r0(S, m_max):
             row = np.zeros(m_max + 1, dtype=np.complex128)

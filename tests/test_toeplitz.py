@@ -10,6 +10,7 @@ from prelog_lab.errors import DomainError, NumericError
 from prelog_lab.spectra import (
     AutocovarianceSeq,
     SpectralDensity,
+    _autocovariance_row,
     autocovariance,
     autocovariance_sequence,
     make_onoff_spectrum,
@@ -23,7 +24,14 @@ from prelog_lab.toeplitz import (
     szego_logdet_rate,
 )
 
-from oracles import eig_oracle, random_density, sinc, toeplitz_matrix
+from oracles import (
+    complex_innovation_variances,
+    eig_oracle,
+    random_density,
+    sinc,
+    symmetric_density,
+    toeplitz_matrix,
+)
 
 
 def random_row(rng, n, decay=0.3):
@@ -154,6 +162,18 @@ class TestSzego:
             with pytest.raises(DomainError):
                 szego_logdet_rate(make_rect_band(0.25), snr, 8)
 
+    @pytest.mark.parametrize("n, message", [
+        (0, "dimension must be >= 1, got 0"),
+        (-3, "dimension must be >= 1, got -3"),
+        (2.5, "dimension must be an integer, got 2.5"),
+        (2**59, f"dimension must be below 2**59, got {2**59}"),
+        (10**19, f"dimension must be below 2**59, got {10**19}"),
+    ])
+    def test_dimension_guard(self, n, message):
+        with pytest.raises(DomainError) as error:
+            szego_logdet_rate(make_rect_band(0.25), 1e2, n)
+        assert str(error.value) == message
+
     def test_large_n_needs_no_cap(self):
         S = make_rect_band(0.25)
         rate = szego_logdet_rate(S, 100.0, 8192)
@@ -228,10 +248,11 @@ SWEEP_SPECTRA = {
 
 
 def per_lag_rate(S, snr, n):
-    """The rate from the first row built one scalar autocovariance at a time."""
+    """The rate from the first row built one scalar autocovariance at a time,
+    through the frozen complex recursion."""
     row = snr * np.array([autocovariance(S, m) for m in range(n)])
     row[0] += 1.0
-    return float(np.mean(np.log(_innovation_variances(row))))
+    return float(np.mean(np.log(complex_innovation_variances(row))))
 
 
 class TestArrayRow:
@@ -257,3 +278,92 @@ class TestArrayRow:
             szego_logdet_rate(make_rect_band(0.25), 1e2, 16)
         assert str(rate_error.value) == str(record_error.value) == (
             f"|r(1)| = {abs(r1)} exceeds r(0) = 1.0")
+
+
+def variance_bits(recursion, row):
+    """The bits of recursion(row) as uint64, or the text of its NumericError."""
+    try:
+        return recursion(row).view(np.uint64).tolist()
+    except NumericError as exc:
+        return str(exc)
+
+
+def snr_row(S, snr, n):
+    """First row of I + snr T_n, as szego_logdet_rate builds it."""
+    row = snr * _autocovariance_row(S, n - 1)
+    row[0] += 1.0
+    return row
+
+
+# spectra symmetric about 0, whose rows are real; a seeded symmetric
+# random spectrum leaves imaginary residues near 1e-17 on its row, which
+# the tests drop by taking the real part
+REAL_SPECTRA = {
+    "band0.1": make_rect_band(0.1),
+    "band0.25": make_rect_band(0.25),
+    "flat": make_rect_band(0.5),
+    "onoff0.0625": make_onoff_spectrum(0.0625),
+    "onoff0.2": make_onoff_spectrum(0.2),
+    **{f"symmetric{seed}": symmetric_density(np.random.default_rng(seed))
+       for seed in (1, 2, 3)},
+}
+ORACLE_SNRS = (1e2, 1e6, 1e10, 1e14, 1e15)
+ORACLE_NS = (1, 2, 3, 16, 33, 512, 1024)
+
+
+class TestFrozenOracle:
+    """The library recursion against the complex128 recursion it replaced:
+    the same P bit for bit, or the same NumericError text."""
+
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    @pytest.mark.parametrize("name", sorted(REAL_SPECTRA))
+    def test_real_rows(self, name, n):
+        for snr in ORACLE_SNRS:
+            row = snr_row(REAL_SPECTRA[name], snr, n).real
+            assert (variance_bits(_innovation_variances, row)
+                    == variance_bits(complex_innovation_variances, row))
+
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_complex_rows(self, n):
+        for snr in ORACLE_SNRS:
+            row = snr_row(SWEEP_SPECTRA["custom"], snr, n)
+            assert n == 1 or row.imag.any()
+            assert (variance_bits(_innovation_variances, row)
+                    == variance_bits(complex_innovation_variances, row))
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 5, 17, 64, 200):
+            for _ in range(6):
+                row = random_row(rng, n)
+                for candidate in (row, row.real):
+                    assert (variance_bits(_innovation_variances, candidate)
+                            == variance_bits(complex_innovation_variances, candidate))
+
+    # the three ceilings at which the szego command exits 4
+    @pytest.mark.parametrize("S, snr, n", [
+        (make_rect_band(0.1), 1e15, 128),
+        (make_onoff_spectrum(0.0625), 1e14, 1024),
+        (make_rect_band(0.1), 1e16, 32),
+    ])
+    def test_exit_4_rows_fail_alike(self, S, snr, n):
+        row = snr_row(S, snr, n)
+        with pytest.raises(NumericError) as frozen:
+            complex_innovation_variances(row)
+        with pytest.raises(NumericError) as library:
+            _innovation_variances(row)
+        assert str(library.value) == str(frozen.value)
+
+
+class TestRealRowsStayReal:
+    """The built-in models' rows must stay exactly real, or they fall back
+    to the complex128 route without a word."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 256, 1024])
+    @pytest.mark.parametrize("S", [
+        make_rect_band(0.5),
+        *(make_rect_band(W) for W in (0.01, 0.1, 0.25, 1 / 3)),
+        *(make_onoff_spectrum(W) for W in (0.01, 0.0625, 0.2)),
+    ])
+    def test_imaginary_parts_are_zero(self, S, n):
+        assert np.all(_autocovariance_row(S, n - 1).imag == 0.0)
