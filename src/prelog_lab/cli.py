@@ -306,96 +306,134 @@ def cmd_miso(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-    upsilon_help = ("threshold range: the optimal threshold is clamped to [min, max] of a "
-                    "grid lo:hi:points or a list, whose interior points do not matter; a "
-                    "single value fixes it; unset uses 0.0010000000000000002 to "
-                    "4.000000000000001 (1e-3:4:60 pins its ends at 0.001 and 4.0)")
-    parser = argparse.ArgumentParser(
-        prog="prelog-lab",
-        description="Capacity pre-log analysis for noncoherent fading channels with memory",
-        formatter_class=fmt,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sections: list[tuple[str, argparse.ArgumentParser]] = []
+_UPSILON_HELP = ("threshold range: the optimal threshold is clamped to [min, max] of a "
+                 "grid lo:hi:points or a list, whose interior points do not matter; a "
+                 "single value fixes it; unset uses 0.0010000000000000002 to "
+                 "4.000000000000001 (1e-3:4:60 pins its ends at 0.001 and 4.0)")
 
-    def command(name, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text, formatter_class=fmt)
-        sections.append((name, p))
-        return p
 
-    def common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True, default=argparse.SUPPRESS,
-                           help="model spec, name:key=value,...")
-        p.add_argument("--out", "-o", default="-", help="output file, - for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format")
-        p.add_argument("--config", help="JSON file whose entries override flags")
+def _common_args(p: argparse.ArgumentParser, model: bool = True) -> None:
+    if model:
+        p.add_argument("--model", required=True, default=argparse.SUPPRESS,
+                       help="model spec, name:key=value,...")
+    p.add_argument("--out", "-o", default="-", help="output file, - for stdout")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format")
+    p.add_argument("--config", help="JSON file whose entries override flags")
 
-    p = command("spectrum", "segments and zero-set diagnostics of a model spectrum")
-    common(p)
+
+# Each helper names its command's function when the parser is built, so a
+# rebound module attribute (a tracer's wrapper) is the one that runs.
+
+def _spectrum_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
     p.set_defaults(fn=cmd_spectrum)
 
-    p = command("bound-sweep", "lower/upper capacity bounds over an snr grid")
-    common(p)
+
+def _bound_sweep_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
     p.add_argument("--snr", default="1e2:1e10:9", help="grid lo:hi:points, list, or value")
-    p.add_argument("--upsilon", help=upsilon_help)
+    p.add_argument("--upsilon", help=_UPSILON_HELP)
     p.set_defaults(fn=cmd_bound_sweep)
 
-    p = command("prelog-report", "finite-snr pre-log ratios vs analytic limits")
-    common(p)
+
+def _prelog_report_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
     p.add_argument("--snr", default="1e4:1e10:4", help="grid lo:hi:points, list, or value")
-    p.add_argument("--upsilon", help=upsilon_help)
+    p.add_argument("--upsilon", help=_UPSILON_HELP)
     p.set_defaults(fn=cmd_prelog_report)
 
-    p = command("szego", "log-det rate vs spectral integral over matrix sizes")
-    common(p)
+
+def _szego_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
     p.add_argument("--snr", default="100", help="single snr value")
     p.add_argument("--n", default="32,64,128", help="comma list of dimensions")
     p.set_defaults(fn=cmd_szego)
 
-    p = command("simulate", "sample a fading path and check its autocovariance")
-    common(p)
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p)
     p.add_argument("--n", type=int, default=100_000, help="path length")
     p.add_argument("--seed", type=int, default=0, help="base seed for all streams")
     p.add_argument("--m-max", type=int, default=8, help="largest autocovariance lag to table")
     p.add_argument("--path-out", help="write the path itself (.bin for binary, else CSV)")
     p.set_defaults(fn=cmd_simulate)
 
-    p = command("miso", "multi-antenna pre-log lower bound")
-    common(p, model=False)
+
+def _miso_args(p: argparse.ArgumentParser) -> None:
+    _common_args(p, model=False)
     p.add_argument("--spectra", required=True,
                    help="comma list of W=<half-width> or spectrum JSON files")
     p.set_defaults(fn=cmd_miso)
 
-    p = command("manual", "print the assembled manual page for every command")
+
+def _manual_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", "-o", default="-", help="output file, - for stdout")
-    p.set_defaults(fn=lambda args: cmd_manual(args, parser, sections))
-
-    return parser
+    p.set_defaults(fn=cmd_manual)
 
 
-def _manual_text(parser: argparse.ArgumentParser,
-                 sections: list[tuple[str, argparse.ArgumentParser]]) -> str:
-    """Assemble a plain-text manual from the live parser tree.
+# command name -> (its help and description, the helper adding its arguments)
+_COMMANDS = {
+    "spectrum": ("segments and zero-set diagnostics of a model spectrum", _spectrum_args),
+    "bound-sweep": ("lower/upper capacity bounds over an snr grid", _bound_sweep_args),
+    "prelog-report": ("finite-snr pre-log ratios vs analytic limits", _prelog_report_args),
+    "szego": ("log-det rate vs spectral integral over matrix sizes", _szego_args),
+    "simulate": ("sample a fading path and check its autocovariance", _simulate_args),
+    "miso": ("multi-antenna pre-log lower bound", _miso_args),
+    "manual": ("print the assembled manual page for every command", _manual_args),
+}
+
+
+def _parser_tree(command: str | None = None,
+                 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by name; every subparser,
+    or only command's, gets its arguments."""
+    fmt = argparse.ArgumentDefaultsHelpFormatter
+    parser = argparse.ArgumentParser(
+        prog="prelog-lab",
+        description="Capacity pre-log analysis for noncoherent fading channels with memory",
+        formatter_class=fmt,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text, formatter_class=fmt)
+        if command is None or name == command:
+            add_args(p)
+    return parser, sub.choices
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of every command, or with only the named
+    command's arguments.
+
+    Every command keeps its subparser either way, so the top-level usage,
+    --help and the choice and unrecognized-argument errors read the same,
+    and a command line whose first word is command parses as in the full
+    tree.  main builds one per call and names the invoked command: the
+    other commands' arguments would be most of the parser's cost.
+    """
+    return _parser_tree(command)[0]
+
+
+def _manual_text() -> str:
+    """Assemble a plain-text manual from the full parser tree.
 
     Defaults come straight out of argparse, so the page can never drift
     from what the program actually does.
     """
+    parser, sections = _parser_tree()
     title = "PRELOG-LAB(1)"
     chunks = [title, "=" * len(title), "", (__doc__ or "").strip(), ""]
     head = "GLOBAL USAGE"
     chunks += [head, "-" * len(head), parser.format_help().rstrip()]
-    for name, sp in sections:
+    for name, sp in sections.items():
         head = f"COMMAND: {name}"
         chunks += ["", head, "-" * len(head), sp.format_help().rstrip()]
     return "\n".join(chunks) + "\n"
 
 
-def cmd_manual(args, parser, sections) -> int:
-    _write_out(args.out, _manual_text(parser, sections))
+def cmd_manual(args) -> int:
+    _write_out(args.out, _manual_text())
     return EXIT_OK
 
 
@@ -421,13 +459,18 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("config", "fn", "command"):
             raise DomainError(f"config key {key!r} is not a flag of {args.command!r}")
+        # null, true/false, arrays and objects have no typed-flag spelling
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise DomainError(f"expected a number or a string for config key {key!r}, "
+                              f"got {json.dumps(value)}")
         flags.append(f"--{dest.replace('_', '-')}={value}")
     return flags
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked command's arguments; any other first word gets them all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         flags = _config_flags(args)

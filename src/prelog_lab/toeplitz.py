@@ -34,14 +34,25 @@ from .spectra import (
 HERMITIAN_TOL = 1e-10
 
 
+def _dimension(n) -> int:
+    """n as an int of at least 1; anything else is a DomainError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"dimension must be an integer, got {n}") from None
+    if n < 1:
+        raise DomainError(f"dimension must be >= 1, got {n}")
+    return n
+
+
 def covariance_matrix(r: AutocovarianceSeq, n: int) -> np.ndarray:
     """n x n Hermitian Toeplitz covariance M[j, k] = r(k - j), with
     r(-m) = conj(r(m)), from the autocovariance sequence.
 
-    Needs lags 0..n-1; raises DomainError when the sequence is shorter.
+    Needs lags 0..n-1; raises DomainError when the sequence is shorter or
+    n is not an integer of at least 1.
     """
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+    n = _dimension(n)
     if len(r) < n:
         raise DomainError(f"need lags 0..{n - 1}, sequence has only {len(r)}")
     row = np.asarray(r.values[:n], dtype=np.complex128)
@@ -122,12 +133,7 @@ def szego_logdet_rate(S: SpectralDensity, snr: float, n: int) -> float:
     for an n that is not an integer in [1, 2**59).
     """
     check_positive("snr", snr)
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"dimension must be an integer, got {n}") from None
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+    n = _dimension(n)
     # 16 n bytes must fit numpy's address arithmetic, as for a sample path
     if n >= 2**59:
         raise DomainError(f"dimension must be below 2**59, got {n}")

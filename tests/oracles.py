@@ -9,9 +9,11 @@ Gaussian path synthesis through one product with the whole harmonic power
 table, unit-modulus phasors through one draw of 1.5 times the phasors
 still missing, path CSV and binary files through one write per row or
 sample, the closed-form bounds past the float range through 40-digit
-decimal arithmetic, and the innovation variances through a frozen copy of
+decimal arithmetic, the innovation variances through a frozen copy of
 the complex128 Schur recursion as it stood before real rows took float64
-arrays.
+arrays, and the command line's usage, help, manual and usage-error texts
+through a frozen copy of the parser that built every command's arguments
+on each call.
 Random piecewise densities exercise the closed forms away from the
 hand-picked examples.  The small helpers below (sinc, density_at,
 spectrum_json, log_grid, FLOOR_SPECTRUM) exist only for tests; the library
@@ -20,14 +22,32 @@ has no copy.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import struct
+import sys
+from collections.abc import Sequence
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from prelog_lab.errors import NumericError
+from prelog_lab import cli
+from prelog_lab.cli import (
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    _config_flags,
+    _write_out,
+    cmd_bound_sweep,
+    cmd_miso,
+    cmd_prelog_report,
+    cmd_simulate,
+    cmd_spectrum,
+    cmd_szego,
+)
+from prelog_lab.errors import DomainError, NumericError
 from prelog_lab.spectra import SpectralDensity
 
 
@@ -345,3 +365,125 @@ def decimal_threshold_lower(law: str, S: SpectralDensity, snr: float, u: float) 
         s, u_d = Decimal(snr), Decimal(u)
         tail = DECIMAL_TAILS[law](u_d)
         return float(tail * (s.ln() - 1 + (u_d * u_d).ln()) - _dec_log_integral(S, s))
+
+
+# ---------------------------------------------------------------------------
+# the argument parser as it stood when main built every command's arguments
+# on each call: usage, --help, manual and usage-error texts are checked
+# against it rather than against recorded bytes, which change with the
+# terminal width and the Python version.  Only the names differ.
+
+def eager_build_parser() -> argparse.ArgumentParser:
+    fmt = argparse.ArgumentDefaultsHelpFormatter
+    upsilon_help = ("threshold range: the optimal threshold is clamped to [min, max] of a "
+                    "grid lo:hi:points or a list, whose interior points do not matter; a "
+                    "single value fixes it; unset uses 0.0010000000000000002 to "
+                    "4.000000000000001 (1e-3:4:60 pins its ends at 0.001 and 4.0)")
+    parser = argparse.ArgumentParser(
+        prog="prelog-lab",
+        description="Capacity pre-log analysis for noncoherent fading channels with memory",
+        formatter_class=fmt,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    sections: list[tuple[str, argparse.ArgumentParser]] = []
+
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text, description=help_text, formatter_class=fmt)
+        sections.append((name, p))
+        return p
+
+    def common(p, model=True):
+        if model:
+            p.add_argument("--model", required=True, default=argparse.SUPPRESS,
+                           help="model spec, name:key=value,...")
+        p.add_argument("--out", "-o", default="-", help="output file, - for stdout")
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format")
+        p.add_argument("--config", help="JSON file whose entries override flags")
+
+    p = command("spectrum", "segments and zero-set diagnostics of a model spectrum")
+    common(p)
+    p.set_defaults(fn=cmd_spectrum)
+
+    p = command("bound-sweep", "lower/upper capacity bounds over an snr grid")
+    common(p)
+    p.add_argument("--snr", default="1e2:1e10:9", help="grid lo:hi:points, list, or value")
+    p.add_argument("--upsilon", help=upsilon_help)
+    p.set_defaults(fn=cmd_bound_sweep)
+
+    p = command("prelog-report", "finite-snr pre-log ratios vs analytic limits")
+    common(p)
+    p.add_argument("--snr", default="1e4:1e10:4", help="grid lo:hi:points, list, or value")
+    p.add_argument("--upsilon", help=upsilon_help)
+    p.set_defaults(fn=cmd_prelog_report)
+
+    p = command("szego", "log-det rate vs spectral integral over matrix sizes")
+    common(p)
+    p.add_argument("--snr", default="100", help="single snr value")
+    p.add_argument("--n", default="32,64,128", help="comma list of dimensions")
+    p.set_defaults(fn=cmd_szego)
+
+    p = command("simulate", "sample a fading path and check its autocovariance")
+    common(p)
+    p.add_argument("--n", type=int, default=100_000, help="path length")
+    p.add_argument("--seed", type=int, default=0, help="base seed for all streams")
+    p.add_argument("--m-max", type=int, default=8, help="largest autocovariance lag to table")
+    p.add_argument("--path-out", help="write the path itself (.bin for binary, else CSV)")
+    p.set_defaults(fn=cmd_simulate)
+
+    p = command("miso", "multi-antenna pre-log lower bound")
+    common(p, model=False)
+    p.add_argument("--spectra", required=True,
+                   help="comma list of W=<half-width> or spectrum JSON files")
+    p.set_defaults(fn=cmd_miso)
+
+    p = command("manual", "print the assembled manual page for every command")
+    p.add_argument("--out", "-o", default="-", help="output file, - for stdout")
+    p.set_defaults(fn=lambda args: eager_cmd_manual(args, parser, sections))
+
+    return parser
+
+
+def eager_manual_text(parser: argparse.ArgumentParser,
+                 sections: list[tuple[str, argparse.ArgumentParser]]) -> str:
+    """Assemble a plain-text manual from the live parser tree.
+
+    Defaults come straight out of argparse, so the page can never drift
+    from what the program actually does.
+    """
+    title = "PRELOG-LAB(1)"
+    chunks = [title, "=" * len(title), "", (cli.__doc__ or "").strip(), ""]
+    head = "GLOBAL USAGE"
+    chunks += [head, "-" * len(head), parser.format_help().rstrip()]
+    for name, sp in sections:
+        head = f"COMMAND: {name}"
+        chunks += ["", head, "-" * len(head), sp.format_help().rstrip()]
+    return "\n".join(chunks) + "\n"
+
+
+def eager_cmd_manual(args, parser, sections) -> int:
+    _write_out(args.out, eager_manual_text(parser, sections))
+    return EXIT_OK
+
+
+def eager_main(argv: Sequence[str] | None = None) -> int:
+    parser = eager_build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = parser.parse_args(argv)
+        flags = _config_flags(args)
+        if flags:
+            args = parser.parse_args(argv + flags)
+        return args.fn(args)
+    except SystemExit as exc:  # argparse handles --help and usage errors
+        code = exc.code if exc.code is not None else 0
+        return int(code) if isinstance(code, int) else EXIT_USAGE
+    except (DomainError, MemoryError) as exc:  # too large to allocate is usage
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO

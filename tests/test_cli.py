@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output formats, and determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import prelog_lab
 from prelog_lab import bounds, spectra, toeplitz
-from prelog_lab.cli import main, parse_grid, parse_model
+from prelog_lab.cli import build_parser, main, parse_grid, parse_model
 from prelog_lab.errors import DomainError
 from prelog_lab.processes import read_path_binary
 
@@ -21,6 +22,7 @@ from oracles import (
     decimal_log_integral,
     decimal_phase_lower,
     decimal_threshold_lower,
+    eager_main,
     spectrum_json,
 )
 
@@ -660,6 +662,26 @@ class TestConfigOverride:
         )
         assert code == 2
 
+    # a value with no flag spelling is refused, not typed as its Python text:
+    # {"out": null} must not write the output to a file named None
+    @pytest.mark.parametrize("value, shown", [
+        (None, "null"), (True, "true"), ([1], "[1]"), ({}, "{}"),
+    ], ids=["null", "true", "array", "object"])
+    @pytest.mark.parametrize("key", ["out", "path-out", "model"])
+    def test_config_value_not_string_or_number_is_usage(
+            self, capsys, tmp_path, monkeypatch, key, value, shown):
+        cmd = ["simulate", "--n", "64"] if key == "path-out" else ["spectrum"]
+        argv = cmd + ["--model", "phase-noise"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv + ["--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: expected a number or a string for config key {key!r}, "
+                       f"got {shown}\n")
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
 
 @pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report"])
 def test_threads_flag_is_gone(capsys, cmd):
@@ -673,6 +695,60 @@ def test_float_formatting_is_lossless():
     vals = [math.pi, 1e-300, 2.651652454029538, 7.254329119262048]
     for v in vals:
         assert float(repr(v)) == v
+
+
+# argv that stop in the parser, or just after it; required flags are given
+# where the error under test would otherwise come second
+_REQUIRED = {
+    "spectrum": ["--model", "phase-noise"],
+    "bound-sweep": ["--model", "phase-noise"],
+    "prelog-report": ["--model", "phase-noise"],
+    "szego": ["--model", "phase-noise"],
+    "simulate": ["--model", "phase-noise"],
+    "miso": ["--spectra", "W=0.1"],
+    "manual": [],
+}
+_PARSER_ARGV = (
+    [[], ["--help"], ["-h"], ["bogus"], ["bogus", "--help"], ["manual"]]
+    + [[cmd, "--help"] for cmd in _REQUIRED]
+    + [[cmd, *req, "--bogus"] for cmd, req in _REQUIRED.items()]
+    + [[cmd] for cmd, req in _REQUIRED.items() if req]
+    + [[cmd, *req, "--format", "xml"] for cmd, req in _REQUIRED.items() if req]
+    + [["szego", "--model", "phase-noise", "--n", "abc"],
+       ["simulate", "--model", "phase-noise", "--n", "abc"],
+       ["simulate", "--model", "phase-noise", "--seed", "1.5"],
+       ["spectrum", "--model", "phase-noise", "--config", "CFG"],
+       ["miso", "--spectra", "W=0.1", "--config", "CFG"]]
+)
+
+
+class TestFrozenParser:
+    """main prints what the parser that built every command's arguments
+    printed, at any terminal width."""
+
+    @pytest.mark.parametrize("columns", ["60", "80", "200"])
+    @pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+    def test_same_text_and_code(self, capsys, tmp_path, monkeypatch, argv, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr": "100"}))
+        argv = [str(cfg) if a == "CFG" else a for a in argv]
+        want = (eager_main(argv), *capsys.readouterr())
+        assert run(capsys, argv) == want
+
+    @staticmethod
+    def subparsers(parser):
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_named_command_gets_only_its_arguments(self):
+        # every other subparser holds only its -h action
+        lazy = self.subparsers(build_parser("szego"))
+        full = self.subparsers(build_parser())
+        assert list(lazy) == list(full) and len(full) == 7
+        assert [name for name, p in lazy.items() if len(p._actions) > 1] == ["szego"]
+        assert all(len(p._actions) > 1 for p in full.values())
 
 
 class TestManual:

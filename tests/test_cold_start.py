@@ -1,5 +1,5 @@
-"""Commands that compute no arrays, and the scalar autocovariance, run
-without importing numpy.
+"""Commands that compute no arrays, the array commands' help and usage
+errors, and the scalar autocovariance run without importing numpy.
 
 Nor do they import dataclasses or inspect, and json only where they read
 or write JSON.  Each case starts a fresh interpreter, because the test
@@ -62,9 +62,12 @@ def bad_config(tmp_path):
     (["spectrum", "--model", "rician:K=1"], 2),
     (["bound-sweep", "--model", "rayleigh-band:W=0.1", "--config", "BAD"], 2),
     (["bound-sweep", "--model", "phase-noise", "--upsilon", "nan"], 2),
+    (["szego", "--help"], 0),
+    (["simulate", "--help"], 0),
+    (["szego", "--bogus"], 2),
 ], ids=["spectrum", "miso", "manual", "help", "phase-sweep", "phase-report",
         "threshold-sweep", "threshold-report", "unknown-model", "malformed-config",
-        "phase-bad-threshold"])
+        "phase-bad-threshold", "szego-help", "simulate-help", "szego-bad-flag"])
 def test_light_commands_do_not_import_numpy(argv, code, bad_config):
     reads_json = "json" in argv or "--config" in argv
     argv = [bad_config if a == "BAD" else a for a in argv]

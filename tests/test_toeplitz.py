@@ -61,6 +61,12 @@ class TestCovarianceMatrix:
         with pytest.raises(DomainError):
             covariance_matrix(seq, 5)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_dimension_that_is_not_an_integer(self, n):
+        seq = autocovariance_sequence(make_rect_band(0.5), 3)
+        with pytest.raises(DomainError, match=f"dimension must be an integer, got {n}"):
+            covariance_matrix(seq, n)
+
     def test_matrix_is_hermitian_and_matches_oracle_layout(self):
         rng = np.random.default_rng(3)
         row = random_row(rng, 6)
