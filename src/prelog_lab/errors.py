@@ -12,6 +12,7 @@ Every spectral integral and bound is finite for every finite snr.
 """
 
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -30,3 +31,12 @@ def check_positive(name: str, value: float) -> None:
     """Raise DomainError unless value is finite and > 0 (NaN and inf fail)."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be finite and positive, got {value}")
+
+
+def check_index(name: str, value) -> int:
+    """value as an int; raise DomainError unless it is an integer (a float
+    or a string fails, a numpy integer passes)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value}") from None

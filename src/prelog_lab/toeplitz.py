@@ -18,11 +18,9 @@ mechanism behind the pre-log.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import DomainError, NumericError, check_positive
+from .errors import DomainError, NumericError, check_index, check_positive
 from .spectra import (
     AutocovarianceSeq,
     SpectralDensity,
@@ -36,10 +34,7 @@ HERMITIAN_TOL = 1e-10
 
 def _dimension(n) -> int:
     """n as an int of at least 1; anything else is a DomainError."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"dimension must be an integer, got {n}") from None
+    n = check_index("dimension", n)
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     return n

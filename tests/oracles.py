@@ -11,9 +11,11 @@ still missing, path CSV and binary files through one write per row or
 sample, the closed-form bounds past the float range through 40-digit
 decimal arithmetic, the innovation variances through a frozen copy of
 the complex128 Schur recursion as it stood before real rows took float64
-arrays, and the command line's usage, help, manual and usage-error texts
-through a frozen copy of the parser that built every command's arguments
-on each call.
+arrays, the Gaussian Monte Carlo draws through a frozen copy of the
+expressions that joined each pair of normals before the draws were read
+in place, and the command line's usage, help, manual and usage-error
+texts through a frozen copy of the parser that built every command's
+arguments on each call.
 Random piecewise densities exercise the closed forms away from the
 hand-picked examples.  The small helpers below (sinc, density_at,
 spectrum_json, log_grid, FLOOR_SPECTRUM) exist only for tests; the library
@@ -278,6 +280,18 @@ def unit_phasors(rng: np.random.Generator, n: int) -> np.ndarray:
         out[filled:filled + take] = z[:take]
         filled += take
     return out
+
+
+def gaussian_marginal_draws(rng: np.random.Generator, law: str, n: int) -> np.ndarray:
+    """n draws of H1 under the rayleigh or onoff law, each pair of normals
+    joined by g[0::2] + 1j * g[1::2] as the library did before it read
+    the normals buffer in place."""
+    g = rng.standard_normal(2 * n)
+    if law == "rayleigh":
+        return (g[0::2] + 1j * g[1::2]) * math.sqrt(0.5)
+    b = g[0::2] + 1j * g[1::2]  # variance 2
+    a = rng.integers(0, 2, n)
+    return a * b
 
 
 def path_csv_rows(values, fname: str) -> None:

@@ -28,7 +28,7 @@ from prelog_lab.processes import (
 )
 from prelog_lab.spectra import SpectralDensity, autocovariance, make_rect_band
 
-from oracles import path_binary_elements, path_csv_rows, sinc
+from oracles import gaussian_marginal_draws, path_binary_elements, path_csv_rows, sinc
 
 
 class TestReproducibility:
@@ -227,6 +227,81 @@ class TestTails:
         assert np.mean(np.abs(o) ** 2) == pytest.approx(1.0, abs=0.05)
         u = marginal_draws(phase_noise_model(), n, 3)
         assert np.all(np.abs(u) == 1.0)
+
+
+GAUSSIAN_MODELS = {"rayleigh": rayleigh_band_model(0.1), "onoff": onoff_model(1 / 16)}
+
+
+class TestFrozenDraws:
+    """The in-place Gaussian draws against the expressions they replaced:
+    the same bits, and so the same tails."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 65537, 10**6])
+    @pytest.mark.parametrize("law", sorted(GAUSSIAN_MODELS))
+    def test_draws_and_tails(self, law, n):
+        model = GAUSSIAN_MODELS[law]
+        for seed in (0, 3, 2**64 - 1):
+            rng = processes.stream_rng(seed, processes.STREAM_TAIL_MC)
+            want = gaussian_marginal_draws(rng, law, n)
+            got = marginal_draws(model, n, seed)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+            for ups in (0.3, 1.0, 2.5):
+                assert (tail_probability_mc(model, ups, n, seed)
+                        == float(np.mean(np.abs(want) >= ups)))
+
+
+class TestTailMemory:
+    @pytest.mark.parametrize("law", sorted(GAUSSIAN_MODELS))
+    def test_traced_peak(self, law):
+        # the 16 MB normals buffer is the draws; their moduli (8 MB) and
+        # the 1 MB comparison come on top, and no complex temporary does
+        tracemalloc.start()
+        try:
+            tail_probability_mc(GAUSSIAN_MODELS[law], 1.0, 1_000_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2**20
+
+
+class TestIntegerArguments:
+    def test_numpy_sample_count_gives_a_python_float(self):
+        p = tail_probability_mc(rayleigh_band_model(0.1), 1.0, np.int64(1000), 2)
+        assert type(p) is float
+        assert p == tail_probability_mc(rayleigh_band_model(0.1), 1.0, 1000, 2)
+
+    def test_numpy_seed_is_the_int_seed(self):
+        model = onoff_model(1 / 16)
+        assert np.array_equal(marginal_draws(model, 64, np.uint64(7)),
+                              marginal_draws(model, 64, 7))
+
+    @pytest.mark.parametrize("seed", [1.0, 1.5, np.float64(2.0), "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        model = rayleigh_band_model(0.1)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            tail_probability_mc(model, 1.0, 10, seed)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            simulate_gaussian(model.spectrum, 8, seed)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 2**59, "3"])
+    def test_draw_count(self, n):
+        for model in (*GAUSSIAN_MODELS.values(), phase_noise_model()):
+            with pytest.raises(DomainError):
+                marginal_draws(model, n, 0)
+
+    def test_no_draws(self):
+        for model in (*GAUSSIAN_MODELS.values(), phase_noise_model()):
+            assert marginal_draws(model, 0, 0).shape == (0,)
+
+    @pytest.mark.parametrize("n", [2.5, np.float64(4.0)])
+    def test_path_length(self, n):
+        with pytest.raises(DomainError, match="path length must be an integer"):
+            simulate_phase_noise(n, 1)
+
+    @pytest.mark.parametrize("m_max", [2.5, 1.0, None])
+    def test_lag_count(self, m_max):
+        with pytest.raises(DomainError, match="m_max must be an integer"):
+            empirical_autocov(simulate_phase_noise(16, 1), m_max)
 
 
 class TestEmpiricalAutocov:
