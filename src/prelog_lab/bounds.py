@@ -195,7 +195,9 @@ def _threshold_grid(grid: Sequence[float] | None) -> list[float]:
         raise DomainError("threshold grid must be nonempty")
     for u in ups:
         check_positive("threshold", u)
-        check_positive("squared threshold", u * u)  # log u^2 must be finite
+        if not 0.0 < float(u) * float(u) < math.inf:  # log u^2 must be finite
+            raise DomainError(f"threshold {u} is too {'small' if u < 1 else 'large'}: "
+                              "its square leaves the float range")
     return ups
 
 

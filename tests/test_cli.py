@@ -466,6 +466,16 @@ def test_bad_threshold_grid_is_usage(capsys, cmd, grid, model):
     assert "threshold" in err
 
 
+# the threshold is finite and positive, but its square is not
+@pytest.mark.parametrize("grid, end", [("1e-300", "1e-300 is too small"),
+                                       ("1e200", "1e+200 is too large")])
+@pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report"])
+def test_threshold_whose_square_leaves_the_float_range_is_named(capsys, cmd, grid, end):
+    argv = [cmd, "--model", "rayleigh-band:W=0.1", "--snr", "10", "--upsilon", grid]
+    assert run(capsys, argv) == (
+        2, "", f"error: threshold {end}: its square leaves the float range\n")
+
+
 class TestSimulateCommand:
     def test_onoff_structure_and_table(self, capsys, tmp_path):
         pfile = tmp_path / "path.csv"
@@ -719,6 +729,13 @@ _PARSER_ARGV = (
        ["simulate", "--model", "phase-noise", "--seed", "1.5"],
        ["spectrum", "--model", "phase-noise", "--config", "CFG"],
        ["miso", "--spectra", "W=0.1", "--config", "CFG"]]
+    # a command's parser leaves an argument over: the tree reports it
+    + [["szego", "--mod", "phase-noise", "--bogus"],
+       ["bound-sweep", "--bogus", "--snr=-1"],
+       ["simulate", "--model", "phase-noise", "--", "--n", "64"],
+       ["manual", "-o", "-", "stray"],
+       ["prelog-report", "--snr", "-1", "--bogus", "--help"],
+       ["bound-sweep", "--model", "phase-noise", "-o", "-", "--config", "CFG"]]
 )
 
 
@@ -736,19 +753,99 @@ class TestFrozenParser:
         want = (eager_main(argv), *capsys.readouterr())
         assert run(capsys, argv) == want
 
-    @staticmethod
-    def subparsers(parser):
-        (action,) = [a for a in parser._actions
-                     if isinstance(a, argparse._SubParsersAction)]
-        return action.choices
+    def test_named_command_builds_only_its_parser(self, capsys, monkeypatch):
+        parser = build_parser("szego")
+        assert parser.prog == "prelog-lab szego"
+        assert not [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+        built = []
+        init = argparse.ArgumentParser.__init__
 
-    def test_named_command_gets_only_its_arguments(self):
-        # every other subparser holds only its -h action
-        lazy = self.subparsers(build_parser("szego"))
-        full = self.subparsers(build_parser())
-        assert list(lazy) == list(full) and len(full) == 7
-        assert [name for name, p in lazy.items() if len(p._actions) > 1] == ["szego"]
-        assert all(len(p._actions) > 1 for p in full.values())
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["szego", "--model", "phase-noise", "--n", "8"]) == 0
+        assert built == ["prelog-lab szego"]
+        # an argument the command's parser leaves over builds the whole tree
+        built.clear()
+        assert main(["szego", "--model", "phase-noise", "--bogus"]) == 2
+        assert built == ["prelog-lab szego", "prelog-lab",
+                         *(f"prelog-lab {name}" for name in _REQUIRED)]
+        assert capsys.readouterr().err.startswith("usage: prelog-lab [-h]")
+
+
+# flags of each command, and the values drawn for them (negative numbers
+# included); OUT, PATH, GOOD and UNKNOWN name files in a scratch directory
+_COMMON = ["--model", "--out", "--format", "--config"]
+_DRAWN_FLAGS = {
+    "spectrum": _COMMON,
+    "bound-sweep": _COMMON + ["--snr", "--upsilon"],
+    "prelog-report": _COMMON + ["--snr", "--upsilon"],
+    "szego": _COMMON + ["--snr", "--n"],
+    "simulate": _COMMON + ["--n", "--seed", "--m-max", "--path-out"],
+    "miso": ["--spectra", *_COMMON[1:]],
+    "manual": ["--out"],
+}
+_DRAWN_VALUES = {
+    "--model": ["phase-noise", "rayleigh-band:W=0.1", "nosuch"],
+    "--out": ["-", "OUT"],
+    "--format": ["csv", "json", "xml"],
+    "--config": ["GOOD", "UNKNOWN"],
+    "--snr": ["100", "-1", "1e4:1e6:3"],
+    "--upsilon": ["0.5", "-1"],
+    "--seed": ["3", "-1"],
+    "--m-max": ["2", "-2"],
+    "--path-out": ["PATH"],
+    "--spectra": ["W=0.1", "-0.1"],
+}
+_DRAWN_N = {"szego": ["8,16", "-3"], "simulate": ["64", "-5"]}
+# arguments that are no flag's value: a separator, help, unknown flags,
+# a stray word and a bare negative number
+_ODD_ARGS = [["--"], ["-h"], ["--help"], ["--bogus"], ["--bogus=1"], ["-x"],
+             ["stray"], ["-1"]]
+
+
+def test_main_matches_the_eager_parser_on_drawn_argv(capsys, tmp_path):
+    """main's exit code, stdout and stderr are those of the parser that
+    built every command's arguments, whatever flags follow the command."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    (tmp_path / "good.json").write_text(json.dumps({"format": "json"}))
+    (tmp_path / "unknown.json").write_text(json.dumps({"nosuch": 1}))
+    files = {"OUT": "out.txt", "PATH": "p.csv", "GOOD": "good.json",
+             "UNKNOWN": "unknown.json"}
+
+    @st.composite
+    def spelled(draw, command, flag):
+        """flag and a value, as two words, --flag=value, an abbreviation or -o."""
+        values = _DRAWN_N[command] if flag == "--n" else _DRAWN_VALUES[flag]
+        value = draw(st.sampled_from(values))
+        value = str(tmp_path / files[value]) if value in files else value
+        name = flag[:draw(st.integers(min(3, len(flag)), len(flag)))]
+        if flag == "--out" and draw(st.booleans()):
+            name = "-o"
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(_DRAWN_FLAGS)))
+        word = st.sampled_from(_DRAWN_FLAGS[command]).flatmap(lambda f: spelled(command, f))
+        words = draw(st.lists(st.one_of(word, word, word, st.sampled_from(_ODD_ARGS)),
+                              max_size=6))
+        # a short path unless a drawn --n says otherwise
+        argv = [command, "--n", "64"] if command == "simulate" else [command]
+        return argv + [a for w in words for a in w]
+
+    @settings(max_examples=400)
+    @given(argvs())
+    def check(argv):
+        want = (eager_main(argv), *capsys.readouterr())
+        assert run(capsys, argv) == want, argv
+
+    check()
 
 
 class TestManual:

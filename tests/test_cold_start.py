@@ -65,9 +65,13 @@ def bad_config(tmp_path):
     (["szego", "--help"], 0),
     (["simulate", "--help"], 0),
     (["szego", "--bogus"], 2),
+    # an argument left over by the command's parser is reported by the tree
+    (["bound-sweep", "--model", "phase-noise", "--bogus"], 2),
+    (["szego", "--mod", "phase-noise", "--bogus"], 2),
 ], ids=["spectrum", "miso", "manual", "help", "phase-sweep", "phase-report",
         "threshold-sweep", "threshold-report", "unknown-model", "malformed-config",
-        "phase-bad-threshold", "szego-help", "simulate-help", "szego-bad-flag"])
+        "phase-bad-threshold", "szego-help", "simulate-help", "szego-bad-flag",
+        "sweep-leftover-flag", "szego-leftover-flag"])
 def test_light_commands_do_not_import_numpy(argv, code, bad_config):
     reads_json = "json" in argv or "--config" in argv
     argv = [bad_config if a == "BAD" else a for a in argv]

@@ -143,7 +143,8 @@ def test_bad_snr_is_a_domain_error(snr):
         optimize_upsilon(rayleigh_band_model(0.1), snr, [1.0])
 
 
-BAD_THRESHOLDS = [0.0, -1.0, math.nan, math.inf, 1e-170, 1e200]
+# a numpy float64 whose square overflows is refused without an overflow warning
+BAD_THRESHOLDS = [0.0, -1.0, math.nan, math.inf, 1e-170, 1e200, np.float64(1e200)]
 
 
 def _counting_model(monkeypatch):
