@@ -185,12 +185,15 @@ BUILTIN_MODELS = {
 # ---------------------------------------------------------------------------
 # bounds
 
-def _threshold_grid(grid: Sequence[float] | None) -> list[float]:
+def _threshold_grid(grid: Sequence[float] | None) -> Sequence[float]:
     """A threshold grid (None: the default grid), sorted and checked.
 
-    Every threshold is checked before any is used.
+    Every threshold is checked before any is used.  The default grid is
+    sorted and checked once, when the module loads.
     """
-    ups = sorted(default_upsilon_grid() if grid is None else grid)
+    if grid is None:
+        return _DEFAULT_THRESHOLDS
+    ups = sorted(grid)
     if not ups:
         raise DomainError("threshold grid must be nonempty")
     for u in ups:
@@ -220,6 +223,9 @@ def default_upsilon_grid() -> list[float]:
     lo, hi, points = 1e-3, 4.0, 60
     step = (math.log(hi) - math.log(lo)) / (points - 1)
     return [math.exp(math.log(lo) + k * step) for k in range(points)]
+
+
+_DEFAULT_THRESHOLDS = tuple(_threshold_grid(default_upsilon_grid()))
 
 
 def _optimal_threshold(c: float, snr: float) -> float:

@@ -54,6 +54,7 @@ UTF-8 is malformed input (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -322,33 +323,27 @@ def _common_args(p: argparse.ArgumentParser, model: bool = True) -> None:
     p.add_argument("--config", help="JSON file whose entries override flags")
 
 
-# Each helper names its command's function when the parser is built, so a
-# rebound module attribute (a tracer's wrapper) is the one that runs.
-
-def _spectrum_args(p: argparse.ArgumentParser) -> None:
-    _common_args(p)
-    p.set_defaults(fn=cmd_spectrum)
-
+# Each helper adds its command's arguments and nothing else: main looks
+# cmd_<name> up when the command runs (_command_fn), so a rebound module
+# attribute (a tracer's wrapper, a test's stand-in) is the one that runs,
+# even through a parser built and cached before it was rebound.
 
 def _bound_sweep_args(p: argparse.ArgumentParser) -> None:
     _common_args(p)
     p.add_argument("--snr", default="1e2:1e10:9", help="grid lo:hi:points, list, or value")
     p.add_argument("--upsilon", help=_UPSILON_HELP)
-    p.set_defaults(fn=cmd_bound_sweep)
 
 
 def _prelog_report_args(p: argparse.ArgumentParser) -> None:
     _common_args(p)
     p.add_argument("--snr", default="1e4:1e10:4", help="grid lo:hi:points, list, or value")
     p.add_argument("--upsilon", help=_UPSILON_HELP)
-    p.set_defaults(fn=cmd_prelog_report)
 
 
 def _szego_args(p: argparse.ArgumentParser) -> None:
     _common_args(p)
     p.add_argument("--snr", default="100", help="single snr value")
     p.add_argument("--n", default="32,64,128", help="comma list of dimensions")
-    p.set_defaults(fn=cmd_szego)
 
 
 def _simulate_args(p: argparse.ArgumentParser) -> None:
@@ -357,24 +352,21 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base seed for all streams")
     p.add_argument("--m-max", type=int, default=8, help="largest autocovariance lag to table")
     p.add_argument("--path-out", help="write the path itself (.bin for binary, else CSV)")
-    p.set_defaults(fn=cmd_simulate)
 
 
 def _miso_args(p: argparse.ArgumentParser) -> None:
     _common_args(p, model=False)
     p.add_argument("--spectra", required=True,
                    help="comma list of W=<half-width> or spectrum JSON files")
-    p.set_defaults(fn=cmd_miso)
 
 
 def _manual_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", "-o", default="-", help="output file, - for stdout")
-    p.set_defaults(fn=cmd_manual)
 
 
 # command name -> (its help and description, the helper adding its arguments)
 _COMMANDS = {
-    "spectrum": ("segments and zero-set diagnostics of a model spectrum", _spectrum_args),
+    "spectrum": ("segments and zero-set diagnostics of a model spectrum", _common_args),
     "bound-sweep": ("lower/upper capacity bounds over an snr grid", _bound_sweep_args),
     "prelog-report": ("finite-snr pre-log ratios vs analytic limits", _prelog_report_args),
     "szego": ("log-det rate vs spectral integral over matrix sizes", _szego_args),
@@ -404,11 +396,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     A command's own parser is the subparser the full tree would hand its
     arguments to: same prog, description, arguments and help, so its usage,
     --help and errors read the same.  It also sets command, as the tree
-    does.  main builds one per call and names the invoked command, so it
-    skips the top-level parser and the other six subparsers: in-process,
-    building the parser fell from 0.68 to 0.16 ms and a szego --n 64 call
-    from about 1.05 to 0.5 ms (best of 21 x 200 calls, 2-vCPU Xeon,
-    Python 3.11).
+    does.  Each call returns a new parser, so a caller may change it.
+    main parses a named command with one built on that command's first
+    call and kept for the process (_command_parser), so a call skips the
+    other six subparsers and, after the first, argparse's setup: in-process,
+    a szego --n 64 call took about 1.05 ms with the full tree, 0.5 ms with
+    a new command parser per call and 0.26-0.42 ms with the kept one (best
+    of 21 x 200 calls, 2-vCPU Xeon, Python 3.11).
     """
     if command is None:
         return _parser_tree()[0]
@@ -465,7 +459,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     flags = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("config", "fn", "command"):
+        if not hasattr(args, dest) or dest in ("config", "command"):
             raise DomainError(f"config key {key!r} is not a flag of {args.command!r}")
         # null, true/false, arrays and objects have no typed-flag spelling
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -491,17 +485,35 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str],
     return args
 
 
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The named command's parser, built once per process.
+
+    Only main parses with it; build_parser hands every other caller a
+    parser of its own, so none can change this one.  A parse leaves it as
+    it was: parse_known_args writes only the namespace, and a help or
+    usage text is formatted (reading COLUMNS) when it is printed.
+    """
+    return build_parser(command)
+
+
+def _command_fn(command: str):
+    """The module's cmd_<command>, looked up now rather than when a parser
+    was built."""
+    return globals()["cmd_" + command.replace("-", "_")]
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the invoked command's parser alone; any other first word gets the tree
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser(command)
+    parser = build_parser() if command is None else _command_parser(command)
     try:
         args = _parse(parser, argv, command)
         flags = _config_flags(args)
         if flags:
             args = _parse(parser, argv + flags, command)
-        return args.fn(args)
+        return _command_fn(args.command)(args)
     except SystemExit as exc:  # argparse handles --help and usage errors
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else EXIT_USAGE

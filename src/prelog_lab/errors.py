@@ -13,6 +13,7 @@ Every spectral integral and bound is finite for every finite snr.
 
 import math
 import operator
+import sys
 
 
 class DomainError(ValueError):
@@ -27,10 +28,20 @@ class NumericError(ArithmeticError):
     """A numerical routine failed to converge or produced unusable output."""
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def check_positive(name: str, value: float) -> None:
-    """Raise DomainError unless value is finite and > 0 (NaN and inf fail)."""
+    """Raise DomainError unless value is finite and > 0 (NaN and inf fail),
+    and at most the largest float, so float(value) is finite."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be finite and positive, got {value}")
+    if value > _FLOAT_MAX:  # an int or a long double past the float range
+        import decimal
+
+        # an int is shown in six digits, not all of its own
+        text = f"{decimal.Decimal(value):.6e}" if isinstance(value, int) else str(value)
+        raise DomainError(f"{name} {text} is too large: it leaves the float range")
 
 
 def check_index(name: str, value) -> int:

@@ -29,7 +29,12 @@ from prelog_lab.bounds import (
     rayleigh_band_model,
 )
 from prelog_lab.errors import DomainError, NumericError, PreconditionError
-from prelog_lab.spectra import SpectralDensity, make_rect_band, zero_set_measure
+from prelog_lab.spectra import (
+    SpectralDensity,
+    make_rect_band,
+    spectral_log_integral,
+    zero_set_measure,
+)
 
 from oracles import (
     FLOOR_SPECTRUM,
@@ -311,6 +316,12 @@ class TestBoundSweep:
             bound_sweep(model, [1e2, 1e4])
         assert len(calls) == 4
 
+    def test_default_grid_is_a_new_list_each_call(self):
+        grid = default_upsilon_grid()
+        assert default_upsilon_grid() is not grid
+        grid.append(-1.0)
+        assert bounds._threshold_grid(None) == tuple(default_upsilon_grid()) == tuple(grid[:-1])
+
 
 class TestPrelogReport:
     @pytest.mark.parametrize("W", [0.05, 0.1, 0.2])
@@ -433,6 +444,32 @@ class TestOverflow:
             lb = phase_noise_lower_bound(np.float64(1.5e306))
         assert ub == coherent_avg_upper_bound(model, 1.7e308)
         assert lb == phase_noise_lower_bound(1.5e306)
+
+    # x is a Python int past the float range, as a threshold or as an snr
+    BIG_CALLS = {
+        "sweep-threshold": lambda m, x: bound_sweep(m, [10.0], [x]),
+        "optimize_upsilon": lambda m, x: optimize_upsilon(m, 10.0, [x]),
+        "capacity_lower_bound": lambda m, x: capacity_lower_bound(m, 10.0, x),
+        "sweep-snr": lambda m, x: bound_sweep(m, [x]),
+        "phase-sweep-snr": lambda m, x: bound_sweep(phase_noise_model(), [x]),
+        "prelog_report": lambda m, x: prelog_report(m, [x]),
+        "coherent_avg_upper_bound": lambda m, x: coherent_avg_upper_bound(m, x),
+        "phase_noise_lower_bound": lambda m, x: phase_noise_lower_bound(x),
+        "spectral_log_integral": lambda m, x: spectral_log_integral(m.spectrum, x),
+    }
+
+    @pytest.mark.parametrize("call", BIG_CALLS.values(), ids=BIG_CALLS)
+    def test_int_past_the_float_range_is_domain_error(self, call):
+        with pytest.raises(DomainError, match=r"^(threshold|snr) 1\.000000e\+400 is too "
+                                              r"large: it leaves the float range$"):
+            call(rayleigh_band_model(0.1), 10**400)
+
+    def test_largest_float_as_an_int_is_that_float(self):
+        model = rayleigh_band_model(0.1)
+        big = sys.float_info.max
+        assert coherent_avg_upper_bound(model, int(big)) == coherent_avg_upper_bound(model, big)
+        assert spectral_log_integral(model.spectrum, int(big)) == spectral_log_integral(
+            model.spectrum, big)
 
 
 class TestFadingModelValidation:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import prelog_lab
-from prelog_lab import bounds, spectra, toeplitz
+from prelog_lab import bounds, cli, spectra, toeplitz
 from prelog_lab.cli import build_parser, main, parse_grid, parse_model
 from prelog_lab.errors import DomainError
 from prelog_lab.processes import read_path_binary
@@ -739,6 +739,20 @@ _PARSER_ARGV = (
 )
 
 
+# argv run one after another in one process, each with its COLUMNS: the
+# kept parser of a command must print what a fresh one prints
+_SZ = ["szego", "--model", "phase-noise", "--n", "8"]
+_CACHED_SEQUENCES = {
+    "config after a plain call": [("80", _SZ), ("80", [*_SZ, "--config", "CFG"])],
+    "manual after a usage error": [("80", ["manual", "--out"]), ("80", ["manual"])],
+    "good argv after a usage error": [("80", [*_SZ, "--format", "xml"]), ("80", _SZ)],
+    "good argv after help": [("80", ["bound-sweep", "--help"]),
+                             ("80", ["bound-sweep", "--model", "phase-noise"])],
+    "help at two widths": [("60", ["prelog-report", "--help"]),
+                           ("200", ["prelog-report", "--help"])],
+}
+
+
 class TestFrozenParser:
     """main prints what the parser that built every command's arguments
     printed, at any terminal width."""
@@ -753,11 +767,12 @@ class TestFrozenParser:
         want = (eager_main(argv), *capsys.readouterr())
         assert run(capsys, argv) == want
 
-    def test_named_command_builds_only_its_parser(self, capsys, monkeypatch):
+    def test_named_command_parser_is_built_once(self, capsys, monkeypatch):
         parser = build_parser("szego")
         assert parser.prog == "prelog-lab szego"
         assert not [a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)]
+        assert build_parser("szego") is not parser
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -766,14 +781,39 @@ class TestFrozenParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._command_parser.cache_clear()
         assert main(["szego", "--model", "phase-noise", "--n", "8"]) == 0
         assert built == ["prelog-lab szego"]
-        # an argument the command's parser leaves over builds the whole tree
         built.clear()
+        assert main(["szego", "--model", "phase-noise", "--n", "16"]) == 0
+        assert built == []
+        # an argument the command's parser leaves over builds the whole tree
         assert main(["szego", "--model", "phase-noise", "--bogus"]) == 2
-        assert built == ["prelog-lab szego", "prelog-lab",
-                         *(f"prelog-lab {name}" for name in _REQUIRED)]
+        assert built == ["prelog-lab", *(f"prelog-lab {name}" for name in _REQUIRED)]
         assert capsys.readouterr().err.startswith("usage: prelog-lab [-h]")
+
+    @pytest.mark.parametrize("steps", _CACHED_SEQUENCES.values(), ids=_CACHED_SEQUENCES)
+    def test_kept_parser_carries_nothing_over(self, capsys, tmp_path, monkeypatch, steps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"snr": "1e3"}))
+        cli._command_parser.cache_clear()
+        for columns, argv in steps:
+            monkeypatch.setenv("COLUMNS", columns)
+            argv = [str(cfg) if a == "CFG" else a for a in argv]
+            want = (eager_main(argv), *capsys.readouterr())
+            assert run(capsys, argv) == want, argv
+
+    @pytest.mark.parametrize("cmd", _REQUIRED)
+    def test_rebound_command_function_runs(self, capsys, monkeypatch, cmd):
+        argv = [cmd, *_REQUIRED[cmd]]
+        assert main([*argv, "--help"]) == 0  # builds and keeps the parser
+        capsys.readouterr()
+        seen = []
+        fn = "cmd_" + cmd.replace("-", "_")
+        monkeypatch.setattr(cli, fn, lambda args: seen.append(args.command) or 7)
+        assert main(argv) == 7
+        assert seen == [cmd]
+        assert capsys.readouterr() == ("", "")
 
 
 # flags of each command, and the values drawn for them (negative numbers
