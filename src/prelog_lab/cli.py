@@ -61,7 +61,7 @@ import sys
 from collections.abc import Sequence
 
 from . import bounds, spectra
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, number_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -259,7 +259,7 @@ def cmd_simulate(args) -> int:
     model = parse_model(args.model)
     n = int(args.n)
     if args.m_max < 0:  # refused before a path is synthesized or written
-        raise DomainError(f"--m-max must be nonnegative, got {args.m_max}")
+        raise DomainError(f"--m-max must be nonnegative, got {number_text(args.m_max)}")
     from . import processes
 
     path = processes.simulate_model(model, n, args.seed)
@@ -326,7 +326,7 @@ def _common_args(p: argparse.ArgumentParser, model: bool = True) -> None:
 # Each helper adds its command's arguments and nothing else: main looks
 # cmd_<name> up when the command runs (_command_fn), so a rebound module
 # attribute (a tracer's wrapper, a test's stand-in) is the one that runs,
-# even through a parser built and cached before it was rebound.
+# even through a parser built and kept before it was rebound.
 
 def _bound_sweep_args(p: argparse.ArgumentParser) -> None:
     _common_args(p)
@@ -377,7 +377,11 @@ _COMMANDS = {
 
 
 def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and every command's subparser by name."""
+    """The top-level parser and every command's subparser by name.
+
+    A subparser sets command itself, so it parses its command's arguments
+    alone as the tree would hand them over.
+    """
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
         prog="prelog-lab",
@@ -386,35 +390,25 @@ def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text, description=help_text, formatter_class=fmt))
+        sp = sub.add_parser(name, help=help_text, description=help_text, formatter_class=fmt)
+        add_args(sp)
+        sp.set_defaults(command=name)
     return parser, sub.choices
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser of every command, or the named command's own.
+# the tree main parses with, built on its first call and kept for the
+# process; a parse leaves it as it was (parse_known_args writes only the
+# namespace, and a help or usage text reads COLUMNS when it is printed)
+_kept_tree = functools.cache(_parser_tree)
 
-    A command's own parser is the subparser the full tree would hand its
-    arguments to: same prog, description, arguments and help, so its usage,
-    --help and errors read the same.  It also sets command, as the tree
-    does.  Each call returns a new parser, so a caller may change it.
-    main parses a named command with one built on that command's first
-    call and kept for the process (_command_parser), so a call skips the
-    other six subparsers and, after the first, argparse's setup: in-process,
-    a szego --n 64 call took about 1.05 ms with the full tree, 0.5 ms with
-    a new command parser per call and 0.26-0.42 ms with the kept one (best
-    of 21 x 200 calls, 2-vCPU Xeon, Python 3.11).
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, new on each call.
+
+    main parses with a tree kept for the process, so a caller may change
+    the parser this returns without changing what main does.
     """
-    if command is None:
-        return _parser_tree()[0]
-    help_text, add_args = _COMMANDS[command]
-    parser = argparse.ArgumentParser(
-        prog=f"prelog-lab {command}",
-        description=help_text,
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    add_args(parser)
-    parser.set_defaults(command=command)
-    return parser
+    return _parser_tree()[0]
 
 
 def _manual_text() -> str:
@@ -423,7 +417,7 @@ def _manual_text() -> str:
     Defaults come straight out of argparse, so the page can never drift
     from what the program actually does.
     """
-    parser, sections = _parser_tree()
+    parser, sections = _kept_tree()
     title = "PRELOG-LAB(1)"
     chunks = [title, "=" * len(title), "", (__doc__ or "").strip(), ""]
     head = "GLOBAL USAGE"
@@ -469,32 +463,20 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return flags
 
 
-def _parse(parser: argparse.ArgumentParser, argv: list[str],
-           command: str | None) -> argparse.Namespace:
-    """argv parsed as the full tree parses it.
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the kept tree parses it.
 
-    A named command's parser takes argv[1:], as the tree's subparser
-    would; an argument it leaves over is the tree's own error, printed
-    with the top-level usage, so the tree is built to report it.
+    A named command's subparser takes argv[1:], as the tree would hand it
+    over, without the top-level pass; an argument it leaves over, or a
+    first word that is no command, goes to the tree, which reports it with
+    the top-level usage.
     """
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = parser.parse_known_args(argv[1:])
-    if extras:
-        return _parser_tree()[0].parse_args(argv)
-    return args
-
-
-@functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The named command's parser, built once per process.
-
-    Only main parses with it; build_parser hands every other caller a
-    parser of its own, so none can change this one.  A parse leaves it as
-    it was: parse_known_args writes only the namespace, and a help or
-    usage text is formatted (reading COLUMNS) when it is printed.
-    """
-    return build_parser(command)
+    parser, sections = _kept_tree()
+    if argv and argv[0] in sections:
+        args, extras = sections[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _command_fn(command: str):
@@ -505,14 +487,11 @@ def _command_fn(command: str):
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the invoked command's parser alone; any other first word gets the tree
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = build_parser() if command is None else _command_parser(command)
     try:
-        args = _parse(parser, argv, command)
+        args = _parse(argv)
         flags = _config_flags(args)
         if flags:
-            args = _parse(parser, argv + flags, command)
+            args = _parse(argv + flags)
         return _command_fn(args.command)(args)
     except SystemExit as exc:  # argparse handles --help and usage errors
         code = exc.code if exc.code is not None else 0

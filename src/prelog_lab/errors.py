@@ -31,17 +31,32 @@ class NumericError(ArithmeticError):
 _FLOAT_MAX = sys.float_info.max
 
 
+def number_text(value) -> str:
+    """value as a message shows it: an int past the float range in six
+    digits, not all of its own; anything else as str shows it."""
+    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+        import decimal
+
+        return f"{decimal.Decimal(value):.6e}"
+    return str(value)
+
+
 def check_positive(name: str, value: float) -> None:
     """Raise DomainError unless value is finite and > 0 (NaN and inf fail),
     and at most the largest float, so float(value) is finite."""
     if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {value}")
+        raise DomainError(f"{name} must be finite and positive, got {number_text(value)}")
     if value > _FLOAT_MAX:  # an int or a long double past the float range
-        import decimal
+        raise DomainError(f"{name} {number_text(value)} is too large: it leaves the float range")
 
-        # an int is shown in six digits, not all of its own
-        text = f"{decimal.Decimal(value):.6e}" if isinstance(value, int) else str(value)
-        raise DomainError(f"{name} {text} is too large: it leaves the float range")
+
+def as_float(name: str, value) -> float:
+    """float(value), with an int past the float range a DomainError rather
+    than an OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} {number_text(value)} leaves the float range") from None
 
 
 def check_index(name: str, value) -> int:

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._record import Record
 from .bounds import FadingModel
-from .errors import DomainError, check_index, check_positive
+from .errors import DomainError, check_index, check_positive, number_text
 from .spectra import AutocovarianceSeq, SpectralDensity, make_onoff_spectrum, make_rect_band
 
 # Philox stream tags, one per draw purpose; a tag is never renumbered, so
@@ -78,7 +78,7 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """
     seed = check_index("seed", seed)
     if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+        raise DomainError(f"seed must lie in [0, 2**64), got {number_text(seed)}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -181,7 +181,7 @@ def _check_length(n) -> int:
     # 16 n bytes must fit numpy's address arithmetic (n < 2**59), or the
     # allocation raises ValueError instead of MemoryError
     if not 1 <= n < 2**59:
-        raise DomainError(f"path length must lie in [1, 2**59), got {n}")
+        raise DomainError(f"path length must lie in [1, 2**59), got {number_text(n)}")
     return n
 
 
@@ -289,7 +289,7 @@ def marginal_draws(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """
     n = check_index("draw count", n)
     if not 0 <= n < 2**59:
-        raise DomainError(f"draw count must lie in [0, 2**59), got {n}")
+        raise DomainError(f"draw count must lie in [0, 2**59), got {number_text(n)}")
     rng = stream_rng(seed, STREAM_TAIL_MC)
     if model.law == "unit":
         return _unit_phasors(rng, n)
@@ -308,7 +308,8 @@ def tail_probability_mc(
     check_positive("threshold", upsilon)
     n_samples = check_index("the Monte Carlo sample count", n_samples)
     if n_samples < 1:
-        raise DomainError(f"the Monte Carlo sample count must be >= 1, got {n_samples}")
+        raise DomainError("the Monte Carlo sample count must be >= 1, "
+                          f"got {number_text(n_samples)}")
     draws = marginal_draws(model, n_samples, seed)
     # the bits of np.mean: a pairwise sum of 0/1 values is exact below 2**53
     return float(np.count_nonzero(np.abs(draws) >= upsilon)) / n_samples
@@ -343,9 +344,9 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
     n = path.n
     m_max = check_index("m_max", m_max)
     if m_max < 0:
-        raise DomainError(f"m_max must be nonnegative, got {m_max}")
+        raise DomainError(f"m_max must be nonnegative, got {number_text(m_max)}")
     if m_max >= n:
-        raise DomainError(f"m_max = {m_max} needs a path longer than {n}")
+        raise DomainError(f"m_max = {number_text(m_max)} needs a path longer than {n}")
     h = path.values - np.mean(path.values)
     leaves = []  # (start, lag, count); the zeros _pairwise_sum adds are dropped
     for m in range(m_max + 1):

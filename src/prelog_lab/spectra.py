@@ -24,7 +24,7 @@ import cmath
 import math
 
 from ._record import Record
-from .errors import DomainError, check_positive
+from .errors import DomainError, as_float, check_index, check_positive, number_text
 
 # mass bookkeeping tolerance for validated densities
 MASS_TOL = 1e-12
@@ -45,9 +45,10 @@ class SpectralDensity(Record):
     __slots__ = ("segments", "variance")
 
     def __init__(self, segments, variance: float = 1.0):
-        segs = tuple((float(lo), float(hi), float(v)) for lo, hi, v in segments)
+        segs = tuple((as_float("segment edge", lo), as_float("segment edge", hi),
+                      as_float("density value", v)) for lo, hi, v in segments)
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "variance", float(variance))
+        object.__setattr__(self, "variance", as_float("variance", variance))
         check_positive("variance", self.variance)
         if not segs:
             raise DomainError("density needs at least one segment")
@@ -200,8 +201,13 @@ def autocovariance(S: SpectralDensity, m: int) -> complex:
 def autocovariance_sequence(S: SpectralDensity, m_max: int) -> AutocovarianceSeq:
     """r(0..m_max) as an AutocovarianceSeq, each lag autocovariance(S, m)
     bit for bit (see _autocovariance_row)."""
+    m_max = check_index("m_max", m_max)
     if m_max < 0:
-        raise DomainError(f"m_max must be nonnegative, got {m_max}")
+        raise DomainError(f"m_max must be nonnegative, got {number_text(m_max)}")
+    # 16 (m_max + 1) bytes must fit numpy's address arithmetic, as for the
+    # Szego row
+    if m_max >= 2**59 - 1:
+        raise DomainError(f"m_max must be below 2**59 - 1, got {number_text(m_max)}")
     return AutocovarianceSeq(_autocovariance_row(S, m_max).tolist())
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericError, check_index, check_positive
+from .errors import DomainError, NumericError, check_index, check_positive, number_text
 from .spectra import (
     AutocovarianceSeq,
     SpectralDensity,
@@ -36,7 +36,7 @@ def _dimension(n) -> int:
     """n as an int of at least 1; anything else is a DomainError."""
     n = check_index("dimension", n)
     if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+        raise DomainError(f"dimension must be >= 1, got {number_text(n)}")
     return n
 
 
@@ -131,7 +131,7 @@ def szego_logdet_rate(S: SpectralDensity, snr: float, n: int) -> float:
     n = _dimension(n)
     # 16 n bytes must fit numpy's address arithmetic, as for a sample path
     if n >= 2**59:
-        raise DomainError(f"dimension must be below 2**59, got {n}")
+        raise DomainError(f"dimension must be below 2**59, got {number_text(n)}")
     r = _autocovariance_row(S, n - 1)
     r0 = float(r[0].real)
     # np.hypot is Python's abs(complex) bit for bit; np.abs is not

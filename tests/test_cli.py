@@ -524,6 +524,17 @@ class TestSimulateCommand:
         assert "--m-max" in err
         assert not pfile.exists()
 
+    # an int past the float range is shown in six digits, not its 401
+    @pytest.mark.parametrize("flag, value", [
+        ("--m-max", -10**400), ("--n", 10**400), ("--n", -10**400), ("--seed", 10**400),
+    ], ids=["--m-max -10**400", "--n 10**400", "--n -10**400", "--seed 10**400"])
+    def test_int_past_the_float_range_is_shown_short(self, capsys, flag, value):
+        argv = ["simulate", "--model", "phase-noise", "--n", "16", flag, str(value)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "1.000000e+400" in err
+        assert len(err) < 80
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_is_usage(self, capsys, seed):
         code, out, err = run(
@@ -767,12 +778,7 @@ class TestFrozenParser:
         want = (eager_main(argv), *capsys.readouterr())
         assert run(capsys, argv) == want
 
-    def test_named_command_parser_is_built_once(self, capsys, monkeypatch):
-        parser = build_parser("szego")
-        assert parser.prog == "prelog-lab szego"
-        assert not [a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)]
-        assert build_parser("szego") is not parser
+    def test_kept_tree_is_built_once(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -781,22 +787,27 @@ class TestFrozenParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli._command_parser.cache_clear()
+        cli._kept_tree.cache_clear()
         assert main(["szego", "--model", "phase-noise", "--n", "8"]) == 0
-        assert built == ["prelog-lab szego"]
+        assert built == ["prelog-lab", *(f"prelog-lab {name}" for name in _REQUIRED)]
         built.clear()
         assert main(["szego", "--model", "phase-noise", "--n", "16"]) == 0
-        assert built == []
-        # an argument the command's parser leaves over builds the whole tree
+        # an argument the command's subparser leaves over goes to the kept tree
         assert main(["szego", "--model", "phase-noise", "--bogus"]) == 2
-        assert built == ["prelog-lab", *(f"prelog-lab {name}" for name in _REQUIRED)]
+        assert main(["manual"]) == 0
+        assert built == []
         assert capsys.readouterr().err.startswith("usage: prelog-lab [-h]")
+        # every other caller gets a tree of its own
+        parser = build_parser()
+        assert build_parser() is not parser
+        assert parser is not cli._kept_tree()[0]
+        assert len(built) == 16
 
     @pytest.mark.parametrize("steps", _CACHED_SEQUENCES.values(), ids=_CACHED_SEQUENCES)
     def test_kept_parser_carries_nothing_over(self, capsys, tmp_path, monkeypatch, steps):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"snr": "1e3"}))
-        cli._command_parser.cache_clear()
+        cli._kept_tree.cache_clear()
         for columns, argv in steps:
             monkeypatch.setenv("COLUMNS", columns)
             argv = [str(cfg) if a == "CFG" else a for a in argv]

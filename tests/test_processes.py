@@ -303,6 +303,24 @@ class TestIntegerArguments:
         with pytest.raises(DomainError, match="m_max must be an integer"):
             empirical_autocov(simulate_phase_noise(16, 1), m_max)
 
+    # an int past the float range is shown in six digits, not its 401
+    BIG_CALLS = {
+        "path length": lambda big: simulate_phase_noise(big, 1),
+        "gaussian path length": lambda big: simulate_model(rayleigh_band_model(0.1), -big, 1),
+        "draw count": lambda big: marginal_draws(phase_noise_model(), big, 0),
+        "seed": lambda big: processes.stream_rng(big, 0),
+        "sample count": lambda big: tail_probability_mc(phase_noise_model(), 1.0, -big),
+        "threshold": lambda big: tail_probability_mc(phase_noise_model(), -big),
+        "lag": lambda big: empirical_autocov(simulate_phase_noise(16, 1), big),
+        "negative lag": lambda big: empirical_autocov(simulate_phase_noise(16, 1), -big),
+    }
+
+    @pytest.mark.parametrize("call", BIG_CALLS.values(), ids=BIG_CALLS)
+    def test_int_past_the_float_range_is_shown_short(self, call):
+        with pytest.raises(DomainError, match=r"1\.000000e\+400") as error:
+            call(10**400)
+        assert len(str(error.value)) < 80
+
 
 class TestEmpiricalAutocov:
     def test_constant_path_all_zero(self):

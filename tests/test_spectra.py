@@ -49,6 +49,18 @@ class TestConstructors:
         with pytest.raises(DomainError):
             make_rect_band(W)
 
+    @pytest.mark.parametrize("segments, variance, message", [
+        ([(-10**400, 0.5, 1.0)], 1.0, "segment edge -1.000000e+400"),
+        ([(-0.5, 10**400, 1.0)], 1.0, "segment edge 1.000000e+400"),
+        ([(-0.5, 0.5, 10**400)], 1.0, "density value 1.000000e+400"),
+        ([(-0.5, 0.5, 1.0)], 10**400, "variance 1.000000e+400"),
+        ([(-0.1, 0.1, 5.0)], 10**400, "variance 1.000000e+400"),
+    ], ids=["low edge", "high edge", "value", "variance", "variance of a short list"])
+    def test_int_past_the_float_range_is_domain_error(self, segments, variance, message):
+        with pytest.raises(DomainError) as error:
+            SpectralDensity(segments, variance)
+        assert str(error.value) == f"{message} leaves the float range"
+
     def test_onoff_bands(self):
         S = make_onoff_spectrum(1 / 16)
         assert len(S.segments) == 5
@@ -172,6 +184,22 @@ class TestAutocovariance:
         assert seq.values[0] == 1.0
         with pytest.raises(DomainError):
             autocovariance_sequence(make_rect_band(0.5), -1)
+
+    @pytest.mark.parametrize("m_max, message", [
+        (2.5, "m_max must be an integer, got 2.5"),
+        ("3", "m_max must be an integer, got 3"),
+        (-10**400, "m_max must be nonnegative, got -1.000000e+400"),
+        (2**59 - 1, f"m_max must be below 2**59 - 1, got {2**59 - 1}"),
+        (10**400, "m_max must be below 2**59 - 1, got 1.000000e+400"),
+    ], ids=["2.5", "'3'", "-10**400", "2**59-1", "10**400"])
+    def test_sequence_lag_guard(self, m_max, message):
+        with pytest.raises(DomainError) as error:
+            autocovariance_sequence(make_rect_band(0.5), m_max)
+        assert str(error.value) == message
+
+    def test_sequence_takes_a_numpy_integer(self):
+        S = make_onoff_spectrum(1 / 16)
+        assert autocovariance_sequence(S, np.int64(6)) == autocovariance_sequence(S, 6)
 
 
 class TestAutocovarianceSeqType:

@@ -174,6 +174,10 @@ class TestSzego:
         (2.5, "dimension must be an integer, got 2.5"),
         (2**59, f"dimension must be below 2**59, got {2**59}"),
         (10**19, f"dimension must be below 2**59, got {10**19}"),
+        # an int past the float range is shown in six digits, not its 401
+        pytest.param(10**400, "dimension must be below 2**59, got 1.000000e+400",
+                     id="10**400"),
+        pytest.param(-10**400, "dimension must be >= 1, got -1.000000e+400", id="-10**400"),
     ])
     def test_dimension_guard(self, n, message):
         with pytest.raises(DomainError) as error:
