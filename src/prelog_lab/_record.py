@@ -19,13 +19,9 @@ def _restore(cls, values):
 
 
 class Record:
-    """Base of an immutable record whose fields are its __slots__.
-
-    _hidden names the fields that repr leaves out.
-    """
+    """Base of an immutable record whose fields are its __slots__."""
 
     __slots__ = ()
-    _hidden: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -39,8 +35,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__ if name not in self._hidden)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

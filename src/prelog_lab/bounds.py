@@ -69,8 +69,7 @@ class FadingModel(Record):
     the Monte Carlo law of processes.marginal_draws.
     """
 
-    __slots__ = ("name", "spectrum", "law", "tail", "mass_at_zero")
-    _hidden = ("tail",)
+    __slots__ = ("name", "spectrum", "law", "mass_at_zero")
 
     def __init__(self, name: str, spectrum: SpectralDensity, law: str):
         object.__setattr__(self, "name", name)
@@ -85,9 +84,12 @@ class FadingModel(Record):
             )
         if self.law == "unit" and self.spectrum != make_rect_band(0.5):
             raise DomainError("the unit law needs the flat spectrum (IID phases)")
-        tail, mass, _ = LAWS[self.law]
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "mass_at_zero", mass)
+        object.__setattr__(self, "mass_at_zero", LAWS[self.law][1])
+
+    @property
+    def tail(self):
+        """ups -> P(|H1| >= ups), the law's tail."""
+        return LAWS[self.law][0]
 
 
 class BoundCurve(Record):
@@ -292,8 +294,7 @@ def coherent_avg_upper_bound(model: FadingModel, snr: float) -> float:
     through the spectral integral's overflow rule, so the bound is finite
     for every finite snr.
     """
-    check_positive("snr", snr)
-    snr = float(snr)  # exact; a numpy scalar would warn where snr/p overflows
+    snr = check_positive("snr", snr)
     p = 1.0 - model.mass_at_zero
     return p * _log1p_product(snr, 1.0 / p)
 
@@ -313,8 +314,7 @@ def phase_noise_lower_bound(snr: float) -> float:
     log(16 pi e) + log snr + log1p(1/(2 snr)), so the bound is finite for
     every finite snr.
     """
-    check_positive("snr", snr)
-    snr = float(snr)  # exact; a numpy scalar would warn where x overflows
+    snr = check_positive("snr", snr)
     x = 4.0 * math.pi * math.e * (2.0 + 4.0 * snr)
     if x < math.inf:
         log_x = math.log(x)
@@ -412,6 +412,7 @@ def prelog_report(
     against them; a lower bound above bound_sweep's upper bound, which no
     snr allows, raises NumericError.
     """
+    snr_grid = list(snr_grid)  # read once, as bound_sweep reads it
     if any(s <= 1 for s in snr_grid):
         raise DomainError("pre-log ratios need snr > 1")
 

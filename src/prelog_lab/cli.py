@@ -61,7 +61,7 @@ import sys
 from collections.abc import Sequence
 
 from . import bounds, spectra
-from .errors import DomainError, NumericError, number_text
+from .errors import DomainError, NumericError, check_index
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,9 +96,9 @@ def parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise DomainError(f"grid spec must be lo:hi:points, got {text!r}")
         lo, hi = _number(parts[0]), _number(parts[1])
-        points = _number(parts[2], int)
-        if points < 2 or lo <= 0 or hi <= lo:
-            raise DomainError(f"grid needs 0 < lo < hi and points >= 2, got {text!r}")
+        points = check_index("grid points", _number(parts[2], int), 2)
+        if lo <= 0 or hi <= lo:
+            raise DomainError(f"grid needs 0 < lo < hi, got {text!r}")
         step = (math.log(hi) - math.log(lo)) / (points - 1)
         grid = [math.exp(math.log(lo) + k * step) for k in range(points)]
         grid[0], grid[-1] = lo, hi  # pin endpoints exactly
@@ -258,8 +258,7 @@ def cmd_szego(args) -> int:
 def cmd_simulate(args) -> int:
     model = parse_model(args.model)
     n = int(args.n)
-    if args.m_max < 0:  # refused before a path is synthesized or written
-        raise DomainError(f"--m-max must be nonnegative, got {number_text(args.m_max)}")
+    check_index("--m-max", args.m_max, 0)  # before a path is synthesized or written
     from . import processes
 
     path = processes.simulate_model(model, n, args.seed)

@@ -41,13 +41,16 @@ def number_text(value) -> str:
     return str(value)
 
 
-def check_positive(name: str, value: float) -> None:
-    """Raise DomainError unless value is finite and > 0 (NaN and inf fail),
-    and at most the largest float, so float(value) is finite."""
+def check_positive(name: str, value: float) -> float:
+    """float(value), once value is finite and > 0 (NaN and inf fail) and at
+    most the largest float; anything else raises DomainError.  The float
+    is exact, and a numpy scalar computes as it, so no numpy warning
+    arises where a product with it overflows."""
     if not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be finite and positive, got {number_text(value)}")
     if value > _FLOAT_MAX:  # an int or a long double past the float range
         raise DomainError(f"{name} {number_text(value)} is too large: it leaves the float range")
+    return float(value)
 
 
 def as_float(name: str, value) -> float:
@@ -59,10 +62,33 @@ def as_float(name: str, value) -> float:
         raise DomainError(f"{name} {number_text(value)} leaves the float range") from None
 
 
-def check_index(name: str, value) -> int:
-    """value as an int; raise DomainError unless it is an integer (a float
-    or a string fails, a numpy integer passes)."""
+# most elements of an array: a complex array of 2**59 elements holds 2**63
+# bytes, past which numpy's address arithmetic raises ValueError, not
+# MemoryError
+MAX_ELEMENTS = 2**59
+
+
+def _end_text(end: int) -> str:
+    """A range end as a message shows it: 2**k or 2**k - 1 from k = 32 on
+    (the seed and element limits), negated as -(...), digits otherwise."""
+    a = abs(end)
+    k = (a + 1).bit_length() - 1  # a is 2**k - 1 or 2**k, or above 2**k
+    if k < 32 or a > 2**k:
+        return str(end)
+    text = f"2**{k}" if a == 2**k else f"2**{k} - 1"
+    return f"-({text})" if end < 0 else text
+
+
+def check_index(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as an int in [lo, hi), hi None for no upper end (a numpy
+    integer passes); anything else, a float or a string included, raises
+    DomainError: "{name} must be an integer in [lo, hi), got {value}", or
+    "... an integer >= lo, ..." without an upper end."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value}") from None
+        index = None
+    if index is None or index < lo or hi is not None and index >= hi:
+        where = f">= {_end_text(lo)}" if hi is None else f"in [{_end_text(lo)}, {_end_text(hi)})"
+        raise DomainError(f"{name} must be an integer {where}, got {number_text(value)}")
+    return index

@@ -1,11 +1,13 @@
 """Sample-path simulation of the fading processes.
 
-Stationary Gaussian paths are zero-mean and synthesized as a superposition
-of M = HARMONICS (4096) random-phase harmonics whose frequencies are drawn
-from the normalized spectral measure (stratified, one frequency per
-equal-mass stratum).  The empirical autocovariance of such a path matches
-the closed form of the spectrum, and the law is asymptotically Gaussian in
-M.
+Paths of the Gaussian laws are zero-mean and synthesized as a
+superposition of M = HARMONICS (4096) equal-power random-phase harmonics
+whose frequencies are drawn from the normalized spectral measure
+(stratified, one frequency per equal-mass stratum).  The empirical
+autocovariance of such a path matches the closed form of the spectrum.
+The law is not exactly Gaussian, only asymptotically in M: a sample H has
+E|H|^4 = (2 - 1/M) var^2, where a circularly-symmetric Gaussian has
+2 var^2.
 
 Memory: a path of n samples costs the path itself (16 n bytes), the chunk
 matrix of amplitudes (about 32 n bytes) and one block of _SYNTH_BLOCK rows
@@ -38,7 +40,7 @@ import numpy as np
 
 from ._record import Record
 from .bounds import FadingModel
-from .errors import DomainError, check_index, check_positive, number_text
+from .errors import MAX_ELEMENTS, DomainError, check_index, check_positive
 from .spectra import AutocovarianceSeq, SpectralDensity, make_onoff_spectrum, make_rect_band
 
 # Philox stream tags, one per draw purpose; a tag is never renumbered, so
@@ -76,9 +78,7 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     The seed is one 64-bit word of the Philox key, so it must be an
     integer in [0, 2**64); anything else raises DomainError.
     """
-    seed = check_index("seed", seed)
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {number_text(seed)}")
+    seed = check_index("seed", seed, 0, 2**64)
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -175,16 +175,6 @@ def _synthesize(lam: np.ndarray, amp: np.ndarray, n: int,
     return path
 
 
-def _check_length(n) -> int:
-    """n as an int in [1, 2**59), or DomainError."""
-    n = check_index("path length", n)
-    # 16 n bytes must fit numpy's address arithmetic (n < 2**59), or the
-    # allocation raises ValueError instead of MemoryError
-    if not 1 <= n < 2**59:
-        raise DomainError(f"path length must lie in [1, 2**59), got {number_text(n)}")
-    return n
-
-
 def _harmonics(S: SpectralDensity, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies and complex amplitudes of the harmonics of a path with
     spectrum S: HARMONICS stratified frequencies with IID uniform phases."""
@@ -196,12 +186,13 @@ def _harmonics(S: SpectralDensity, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_gaussian(S: SpectralDensity, n: int, seed: int) -> SamplePath:
-    """Stationary zero-mean circularly-symmetric Gaussian path with spectrum S.
+    """Stationary zero-mean path with spectrum S, Gaussian as HARMONICS grows.
 
-    Harmonic superposition of HARMONICS stratified spectral frequencies
-    with IID uniform phases.
+    A sum of HARMONICS equal-power harmonics at stratified spectral
+    frequencies with IID uniform phases, so E|H|^4 = (2 - 1/HARMONICS)
+    var^2 rather than the 2 var^2 of a circularly-symmetric Gaussian.
     """
-    n = _check_length(n)
+    n = check_index("path length", n, 1, MAX_ELEMENTS)
     return SamplePath(_synthesize(*_harmonics(S, seed), n), seed)
 
 
@@ -215,7 +206,7 @@ def simulate_onoff(W: float, n: int, seed: int) -> SamplePath:
     """
     if not 0 < W < 0.25:
         raise DomainError(f"on-off half-width must lie in (0, 1/4), got {W}")
-    n = _check_length(n)
+    n = check_index("path length", n, 1, MAX_ELEMENTS)
     parity = int(stream_rng(seed, STREAM_PARITY).integers(0, 2))
     lam, amp = _harmonics(make_rect_band(W, variance=2.0), seed)
     return SamplePath(_synthesize(lam, amp, n, parity), seed)
@@ -253,7 +244,7 @@ def simulate_phase_noise(n: int, seed: int) -> SamplePath:
 
     Every sample satisfies |H_k| = 1 exactly, not merely to rounding.
     """
-    n = _check_length(n)
+    n = check_index("path length", n, 1, MAX_ELEMENTS)
     rng = stream_rng(seed, STREAM_PHASE)
     return SamplePath(_unit_phasors(rng, n), seed)
 
@@ -282,14 +273,13 @@ def _onoff_halfwidth(S: SpectralDensity) -> float:
 
 
 def marginal_draws(model: FadingModel, n: int, seed: int) -> np.ndarray:
-    """n independent draws of H1 under the model's law, n in [0, 2**59).
+    """n independent draws of H1 under the model's law, n in
+    [0, MAX_ELEMENTS).
 
     A Gaussian draw is a pair of consecutive standard normals read in
     place as one complex number, so the normals buffer is the result.
     """
-    n = check_index("draw count", n)
-    if not 0 <= n < 2**59:
-        raise DomainError(f"draw count must lie in [0, 2**59), got {number_text(n)}")
+    n = check_index("draw count", n, 0, MAX_ELEMENTS)
     rng = stream_rng(seed, STREAM_TAIL_MC)
     if model.law == "unit":
         return _unit_phasors(rng, n)
@@ -304,12 +294,14 @@ def marginal_draws(model: FadingModel, n: int, seed: int) -> np.ndarray:
 def tail_probability_mc(
     model: FadingModel, upsilon: float, n_samples: int = 1_000_000, seed: int = 0
 ) -> float:
-    """Monte Carlo estimate of the tail, the cross-check for closed forms."""
+    """Monte Carlo estimate of the tail, the cross-check for closed forms.
+
+    For the unit law every draw has |H1| = 1 exactly, so the estimate is
+    exactly 1.0 (upsilon <= 1) or 0.0 and checks only _unit_phasors, not
+    a distribution.
+    """
     check_positive("threshold", upsilon)
-    n_samples = check_index("the Monte Carlo sample count", n_samples)
-    if n_samples < 1:
-        raise DomainError("the Monte Carlo sample count must be >= 1, "
-                          f"got {number_text(n_samples)}")
+    n_samples = check_index("Monte Carlo sample count", n_samples, 1, MAX_ELEMENTS)
     draws = marginal_draws(model, n_samples, seed)
     # the bits of np.mean: a pairwise sum of 0/1 values is exact below 2**53
     return float(np.count_nonzero(np.abs(draws) >= upsilon)) / n_samples
@@ -342,11 +334,7 @@ def empirical_autocov(path: SamplePath, m_max: int) -> AutocovarianceSeq:
     window nor the walk order changes a bit.
     """
     n = path.n
-    m_max = check_index("m_max", m_max)
-    if m_max < 0:
-        raise DomainError(f"m_max must be nonnegative, got {number_text(m_max)}")
-    if m_max >= n:
-        raise DomainError(f"m_max = {number_text(m_max)} needs a path longer than {n}")
+    m_max = check_index("m_max", m_max, 0, n)
     h = path.values - np.mean(path.values)
     leaves = []  # (start, lag, count); the zeros _pairwise_sum adds are dropped
     for m in range(m_max + 1):

@@ -24,7 +24,7 @@ import cmath
 import math
 
 from ._record import Record
-from .errors import DomainError, as_float, check_index, check_positive, number_text
+from .errors import MAX_ELEMENTS, DomainError, as_float, check_index, check_positive
 
 # mass bookkeeping tolerance for validated densities
 MASS_TOL = 1e-12
@@ -184,9 +184,10 @@ def autocovariance(S: SpectralDensity, m: int) -> complex:
 
     Piecewise-constant density gives a sum of complex-exponential
     antiderivatives per segment.  r(0) is the total mass and
-    r(-m) = conj(r(m)).
+    r(-m) = conj(r(m)).  m is an integer with |m| < MAX_ELEMENTS, the lags
+    a sequence could hold; anything else is a DomainError.
     """
-    m = int(m)
+    m = check_index("lag", m, 1 - MAX_ELEMENTS, MAX_ELEMENTS)
     if m == 0:
         return complex(S.variance)
     acc = 0j
@@ -201,13 +202,7 @@ def autocovariance(S: SpectralDensity, m: int) -> complex:
 def autocovariance_sequence(S: SpectralDensity, m_max: int) -> AutocovarianceSeq:
     """r(0..m_max) as an AutocovarianceSeq, each lag autocovariance(S, m)
     bit for bit (see _autocovariance_row)."""
-    m_max = check_index("m_max", m_max)
-    if m_max < 0:
-        raise DomainError(f"m_max must be nonnegative, got {number_text(m_max)}")
-    # 16 (m_max + 1) bytes must fit numpy's address arithmetic, as for the
-    # Szego row
-    if m_max >= 2**59 - 1:
-        raise DomainError(f"m_max must be below 2**59 - 1, got {number_text(m_max)}")
+    m_max = check_index("m_max", m_max, 0, MAX_ELEMENTS - 1)  # m_max + 1 lags
     return AutocovarianceSeq(_autocovariance_row(S, m_max).tolist())
 
 
@@ -262,8 +257,7 @@ def spectral_log_integral(S: SpectralDensity, snr: float) -> float:
     Closed form: sum over segments of (hi - lo) log(1 + snr value), finite
     for every finite snr (see _log1p_product).
     """
-    check_positive("snr", snr)
-    snr = float(snr)  # exact; a numpy scalar would warn where snr F' overflows
+    snr = check_positive("snr", snr)
     return math.fsum(
         (hi - lo) * _log1p_product(snr, v) for lo, hi, v in S.segments if v > 0.0
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, NumericError, check_index, check_positive, number_text
+from .errors import MAX_ELEMENTS, DomainError, NumericError, check_index, check_positive
 from .spectra import (
     AutocovarianceSeq,
     SpectralDensity,
@@ -32,24 +32,14 @@ from .spectra import (
 HERMITIAN_TOL = 1e-10
 
 
-def _dimension(n) -> int:
-    """n as an int of at least 1; anything else is a DomainError."""
-    n = check_index("dimension", n)
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {number_text(n)}")
-    return n
-
-
 def covariance_matrix(r: AutocovarianceSeq, n: int) -> np.ndarray:
     """n x n Hermitian Toeplitz covariance M[j, k] = r(k - j), with
     r(-m) = conj(r(m)), from the autocovariance sequence.
 
-    Needs lags 0..n-1; raises DomainError when the sequence is shorter or
-    n is not an integer of at least 1.
+    Needs lags 0..n-1: n must be an integer in [1, len(r)], or it is a
+    DomainError.
     """
-    n = _dimension(n)
-    if len(r) < n:
-        raise DomainError(f"need lags 0..{n - 1}, sequence has only {len(r)}")
+    n = check_index("dimension", n, 1, len(r) + 1)
     row = np.asarray(r.values[:n], dtype=np.complex128)
     idx = np.subtract.outer(np.arange(n), np.arange(n))
     M = np.where(idx <= 0, row[np.abs(idx)], np.conj(row[np.abs(idx)]))
@@ -125,13 +115,10 @@ def szego_logdet_rate(S: SpectralDensity, snr: float, n: int) -> float:
     first row.  Converges to spectral_log_integral(S, snr) as n grows.
     The lags r(0..n-1) come as one array, with the bits and the
     |r(m)| <= r(0) check of autocovariance_sequence.  Raises DomainError
-    for an n that is not an integer in [1, 2**59).
+    for an n that is not an integer in [1, MAX_ELEMENTS).
     """
     check_positive("snr", snr)
-    n = _dimension(n)
-    # 16 n bytes must fit numpy's address arithmetic, as for a sample path
-    if n >= 2**59:
-        raise DomainError(f"dimension must be below 2**59, got {number_text(n)}")
+    n = check_index("dimension", n, 1, MAX_ELEMENTS)
     r = _autocovariance_row(S, n - 1)
     r0 = float(r[0].real)
     # np.hypot is Python's abs(complex) bit for bit; np.abs is not

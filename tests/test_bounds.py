@@ -376,6 +376,14 @@ class TestPrelogReport:
         assert report.upper_prelog == 0.5
         assert report.finite_ratios == ((1.001, 4.666735461029414),)
 
+    @pytest.mark.parametrize("model", [rayleigh_band_model(0.1), phase_noise_model()],
+                             ids=["rayleigh", "unit"])
+    def test_one_shot_snr_iterable(self, model):
+        # the grid is read once, as bound_sweep reads it
+        report = prelog_report(model, iter([1e4, 1e6]))
+        assert report == prelog_report(model, [1e4, 1e6])
+        assert bound_sweep(model, iter([1e4, 1e6])) == bound_sweep(model, [1e4, 1e6])
+
     def test_grid_guards(self):
         model = rayleigh_band_model(0.1)
         with pytest.raises(DomainError, match="nonempty"):

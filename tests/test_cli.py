@@ -342,7 +342,7 @@ class TestSzegoCommand:
     def test_dimension_past_numpy_is_usage(self, capsys, n):
         code, out, err = run(capsys, ["szego", "--model", "rayleigh-band:W=0.1", "--n", n])
         assert (code, out) == (2, "")
-        assert err.splitlines() == [f"error: dimension must be below 2**59, got {n}"]
+        assert err.splitlines() == [f"error: dimension must be an integer in [1, 2**59), got {n}"]
 
     def test_lag_past_r0_is_usage(self, capsys, monkeypatch):
         def row_past_r0(S, m_max):

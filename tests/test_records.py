@@ -28,7 +28,7 @@ RECORDS = {
                           "AutocovarianceSeq(values=((1+0j), 0.5j))", True, True),
     "FadingModel": (lambda: FadingModel("m", SpectralDensity(BAND), "onoff"),
                     f"FadingModel(name='m', spectrum={BAND_REPR}, law='onoff', "
-                    "mass_at_zero=0.5)", True, False),  # tail is a lambda
+                    "mass_at_zero=0.5)", True, True),
     "BoundCurve": (lambda: BoundCurve("LOWER_LB", ((10.0, 0.25),), params=(0.5,)),
                    "BoundCurve(kind='LOWER_LB', points=((10.0, 0.25),), params=(0.5,))",
                    True, True),

@@ -186,11 +186,11 @@ class TestAutocovariance:
             autocovariance_sequence(make_rect_band(0.5), -1)
 
     @pytest.mark.parametrize("m_max, message", [
-        (2.5, "m_max must be an integer, got 2.5"),
-        ("3", "m_max must be an integer, got 3"),
-        (-10**400, "m_max must be nonnegative, got -1.000000e+400"),
-        (2**59 - 1, f"m_max must be below 2**59 - 1, got {2**59 - 1}"),
-        (10**400, "m_max must be below 2**59 - 1, got 1.000000e+400"),
+        (2.5, "m_max must be an integer in [0, 2**59 - 1), got 2.5"),
+        ("3", "m_max must be an integer in [0, 2**59 - 1), got 3"),
+        (-10**400, "m_max must be an integer in [0, 2**59 - 1), got -1.000000e+400"),
+        (2**59 - 1, f"m_max must be an integer in [0, 2**59 - 1), got {2**59 - 1}"),
+        (10**400, "m_max must be an integer in [0, 2**59 - 1), got 1.000000e+400"),
     ], ids=["2.5", "'3'", "-10**400", "2**59-1", "10**400"])
     def test_sequence_lag_guard(self, m_max, message):
         with pytest.raises(DomainError) as error:
