@@ -24,9 +24,7 @@ maximized in closed form: for the two Gaussian-tail laws the optimal
 threshold is ups*^2 = c / W0(c snr / e), W0 the principal Lambert W
 function, so each snr costs one spectral integral.  A threshold grid only
 bounds the range of that optimum.  Everything here is plain math, and
-FadingModel, BoundCurve and PrelogReport are immutable records.  An snr
-is taken as the float it holds once it is checked, so a numpy scalar
-snr gives the bits of the same Python float and no numpy warning.
+FadingModel, BoundCurve and PrelogReport are immutable records.
 """
 
 from __future__ import annotations
@@ -97,8 +95,8 @@ class BoundCurve(Record):
 
     kind is "LOWER_LB" (the threshold lower bound), "UPPER_COHERENT" (the
     coherent average-power ceiling), "PHASE_LB" or "PHASE_UB" (the
-    unit-modulus bounds).  params holds the optimal threshold per snr of a
-    threshold lower bound, and None per snr for a bound without one.
+    unit-modulus bounds).  params holds the optimal threshold per snr of
+    LOWER_LB and None per snr of PHASE_LB; an upper curve's params are ().
     """
 
     __slots__ = ("kind", "points", "params")
@@ -187,23 +185,21 @@ BUILTIN_MODELS = {
 # ---------------------------------------------------------------------------
 # bounds
 
-def _threshold_grid(grid: Sequence[float] | None) -> Sequence[float]:
-    """A threshold grid (None: the default grid), sorted and checked.
+def _threshold(u: float) -> float:
+    """u as the float it holds, once u and u^2 are positive and finite."""
+    x = check_positive("threshold", u)
+    if not 0.0 < x * x < math.inf:  # log u^2 must be finite
+        raise DomainError(f"threshold {u} is too {'small' if x < 1 else 'large'}: "
+                          "its square leaves the float range")
+    return x
 
-    Every threshold is checked before any is used.  The default grid is
-    sorted and checked once, when the module loads.
-    """
-    if grid is None:
-        return _DEFAULT_THRESHOLDS
-    ups = sorted(grid)
+
+def _threshold_range(grid: Sequence[float]) -> tuple[float, float]:
+    """Least and greatest threshold of grid, as its own elements, all checked."""
+    ups = sorted(grid, key=_threshold)
     if not ups:
         raise DomainError("threshold grid must be nonempty")
-    for u in ups:
-        check_positive("threshold", u)
-        if not 0.0 < float(u) * float(u) < math.inf:  # log u^2 must be finite
-            raise DomainError(f"threshold {u} is too {'small' if u < 1 else 'large'}: "
-                              "its square leaves the float range")
-    return ups
+    return ups[0], ups[-1]
 
 
 def capacity_lower_bound(model: FadingModel, snr: float, upsilon: float) -> float:
@@ -213,10 +209,10 @@ def capacity_lower_bound(model: FadingModel, snr: float, upsilon: float) -> floa
     Any fixed ups > 0 is valid; the value may be negative (capacity itself
     is nonnegative, the raw bound is reported unclamped).
     """
-    _threshold_grid((upsilon,))
+    u = _threshold(upsilon)
     integral = spectral_log_integral(model.spectrum, snr)  # rejects a bad snr
-    tail = model.tail(upsilon)
-    return tail * math.log(snr) - tail * (1.0 - math.log(upsilon * upsilon)) - integral
+    tail = model.tail(u)
+    return tail * math.log(snr) - tail * (1.0 - math.log(u * u)) - integral
 
 
 def default_upsilon_grid() -> list[float]:
@@ -227,7 +223,7 @@ def default_upsilon_grid() -> list[float]:
     return [math.exp(math.log(lo) + k * step) for k in range(points)]
 
 
-_DEFAULT_THRESHOLDS = tuple(_threshold_grid(default_upsilon_grid()))
+_DEFAULT_RANGE = _threshold_range(default_upsilon_grid())
 
 
 def _optimal_threshold(c: float, snr: float) -> float:
@@ -264,12 +260,13 @@ def optimize_upsilon(
     the grid's own element, so a one-point grid fixes the threshold.  The
     unit law has no Gaussian tail and raises PreconditionError.
     """
-    ups = _threshold_grid(grid)
+    lo, hi = _threshold_range(grid)
     c = LAWS[model.law][2]
     if c is None:
         raise PreconditionError(f"the {model.law} law has no threshold optimum")
-    check_positive("snr", snr)
-    u = min(max(_optimal_threshold(c, snr), ups[0]), ups[-1])
+    snr = check_positive("snr", snr)
+    u = _optimal_threshold(c, snr)
+    u = lo if u < float(lo) else hi if u > float(hi) else u
     return u, capacity_lower_bound(model, snr, u)
 
 
@@ -326,7 +323,7 @@ def phase_noise_lower_bound(snr: float) -> float:
 def phase_noise_upper_bound(snr: float) -> float:
     """Average-power capacity ceiling (1/2) log(1 + snr/2) for unit-modulus
     fading, in nats."""
-    check_positive("snr", snr)
+    snr = check_positive("snr", snr)
     return 0.5 * math.log1p(snr / 2.0)
 
 
@@ -373,7 +370,7 @@ def bound_sweep(
         raise DomainError("snr grid must be nonempty")
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise DomainError("snr grid must be strictly increasing")
-    ups = _threshold_grid(upsilon_grid)
+    ends = _DEFAULT_RANGE if upsilon_grid is None else _threshold_range(upsilon_grid)
     if model.law == "unit":
         kinds = ("PHASE_LB", "PHASE_UB")
 
@@ -381,7 +378,6 @@ def bound_sweep(
             return phase_noise_lower_bound(snr), None, phase_noise_upper_bound(snr)
     else:
         kinds = ("LOWER_LB", "UPPER_COHERENT")
-        ends = (ups[0], ups[-1])
 
         def one(snr: float) -> tuple[float, float, float]:
             u_star, lb = optimize_upsilon(model, snr, ends)

@@ -9,6 +9,13 @@ variance in the Szego recursion, i.e. a matrix that is not numerically
 positive definite, a non-Hermitian matrix handed to the eigenvalue
 routine, or a capacity lower bound above its upper bound at the same snr).
 Every spectral integral and bound is finite for every finite snr.
+
+A number is checked once, and every formula after the check uses the
+float the check returns, never the caller's object: an snr or a threshold
+from check_positive, a band half-width from its range check in spectra.
+So a numpy scalar of any precision, or an int, gives the bits of
+float(value) and no numpy warning; numpy's own scalar rules would round
+in float16 or float32, carry a long double, or overflow casting down.
 """
 
 import math
@@ -28,13 +35,10 @@ class NumericError(ArithmeticError):
     """A numerical routine failed to converge or produced unusable output."""
 
 
-_FLOAT_MAX = sys.float_info.max
-
-
 def number_text(value) -> str:
     """value as a message shows it: an int past the float range in six
     digits, not all of its own; anything else as str shows it."""
-    if isinstance(value, int) and abs(value) > _FLOAT_MAX:
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
         import decimal
 
         return f"{decimal.Decimal(value):.6e}"
@@ -42,15 +46,19 @@ def number_text(value) -> str:
 
 
 def check_positive(name: str, value: float) -> float:
-    """float(value), once value is finite and > 0 (NaN and inf fail) and at
-    most the largest float; anything else raises DomainError.  The float
-    is exact, and a numpy scalar computes as it, so no numpy warning
-    arises where a product with it overflows."""
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {number_text(value)}")
-    if value > _FLOAT_MAX:  # an int or a long double past the float range
+    """float(value), once that float is finite and > 0 (NaN and inf fail);
+    anything else raises DomainError.  A value past the float range, an
+    int or a long double, is named too large.  The range is judged on the
+    float, so no bound is cast down to a numpy scalar's precision."""
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf if value > 0 else -math.inf
+    if x == math.inf and value != x:  # an int or a long double past the float range
         raise DomainError(f"{name} {number_text(value)} is too large: it leaves the float range")
-    return float(value)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {number_text(value)}")
+    return x
 
 
 def as_float(name: str, value) -> float:

@@ -92,7 +92,7 @@ class SamplePath(Record):
         vals = np.asarray(values, dtype=np.complex128)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", check_index("seed", seed, 0, 2**64))
         if vals.ndim != 1 or vals.size < 1:
             raise DomainError("path must hold at least one sample")
 
@@ -204,8 +204,7 @@ def simulate_onoff(W: float, n: int, seed: int) -> SamplePath:
     a fair coin per path.  Half the samples are exact zeros, and only the
     other half of B is computed.
     """
-    if not 0 < W < 0.25:
-        raise DomainError(f"on-off half-width must lie in (0, 1/4), got {W}")
+    make_onoff_spectrum(W)  # a DomainError for a W the on-off spectrum does not take
     n = check_index("path length", n, 1, MAX_ELEMENTS)
     parity = int(stream_rng(seed, STREAM_PARITY).integers(0, 2))
     lam, amp = _harmonics(make_rect_band(W, variance=2.0), seed)
@@ -300,7 +299,7 @@ def tail_probability_mc(
     exactly 1.0 (upsilon <= 1) or 0.0 and checks only _unit_phasors, not
     a distribution.
     """
-    check_positive("threshold", upsilon)
+    upsilon = check_positive("threshold", upsilon)
     n_samples = check_index("Monte Carlo sample count", n_samples, 1, MAX_ELEMENTS)
     draws = marginal_draws(model, n_samples, seed)
     # the bits of np.mean: a pairwise sum of 0/1 values is exact below 2**53
@@ -398,7 +397,7 @@ def write_path_binary(path: SamplePath, fname: str) -> None:
     """16-byte header (n, seed as little-endian u64) then interleaved
     re/im little-endian doubles."""
     with open(fname, "wb") as fh:
-        fh.write(_HEADER.pack(path.n, path.seed & 0xFFFFFFFFFFFFFFFF))
+        fh.write(_HEADER.pack(path.n, path.seed))
         fh.write(np.ascontiguousarray(path.values, dtype="<c16"))
 
 

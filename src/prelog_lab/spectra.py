@@ -140,6 +140,7 @@ def make_rect_band(W: float, variance: float = 1.0) -> SpectralDensity:
     """
     if not 0 < W <= 0.5:
         raise DomainError(f"band half-width must lie in (0, 1/2], got {W}")
+    W, variance = float(W), as_float("variance", variance)
     if W == 0.5:
         return SpectralDensity(((-0.5, 0.5, variance),), variance)
     v = variance / (2 * W)
@@ -158,6 +159,7 @@ def make_onoff_spectrum(W: float) -> SpectralDensity:
     """
     if not 0 < W < 0.25:
         raise DomainError(f"on-off half-width must lie in (0, 1/4), got {W}")
+    W = float(W)
     v = 1.0 / (4 * W)
     return SpectralDensity(
         (

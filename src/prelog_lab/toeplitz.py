@@ -42,9 +42,10 @@ def covariance_matrix(r: AutocovarianceSeq, n: int) -> np.ndarray:
     n = check_index("dimension", n, 1, len(r) + 1)
     row = np.asarray(r.values[:n], dtype=np.complex128)
     idx = np.subtract.outer(np.arange(n), np.arange(n))
+    # M[j, k] = conj(M[k, j]) exactly; r(0) is real up to the rounding it may hold
     M = np.where(idx <= 0, row[np.abs(idx)], np.conj(row[np.abs(idx)]))
-    # exact Hermitian symmetry regardless of rounding in the source lags
-    return (M + M.conj().T) / 2
+    np.fill_diagonal(M, row[0].real)
+    return M
 
 
 def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -117,7 +118,7 @@ def szego_logdet_rate(S: SpectralDensity, snr: float, n: int) -> float:
     |r(m)| <= r(0) check of autocovariance_sequence.  Raises DomainError
     for an n that is not an integer in [1, MAX_ELEMENTS).
     """
-    check_positive("snr", snr)
+    snr = check_positive("snr", snr)
     n = check_index("dimension", n, 1, MAX_ELEMENTS)
     r = _autocovariance_row(S, n - 1)
     r0 = float(r[0].real)

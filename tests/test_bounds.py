@@ -320,7 +320,7 @@ class TestBoundSweep:
         grid = default_upsilon_grid()
         assert default_upsilon_grid() is not grid
         grid.append(-1.0)
-        assert bounds._threshold_grid(None) == tuple(default_upsilon_grid()) == tuple(grid[:-1])
+        assert bounds._DEFAULT_RANGE == (grid[0], grid[-2])
 
 
 class TestPrelogReport:

@@ -308,6 +308,10 @@ class TestSzegoCommand:
         )
         assert code == 2
 
+    def test_no_dimension_rejected(self, capsys):
+        code, out, err = run(capsys, ["szego", "--model", "rayleigh-band:W=0.25", "--n", ","])
+        assert (code, out, err) == (2, "", "error: szego needs at least one dimension in --n\n")
+
     def test_large_n_needs_no_cap(self, capsys):
         code, out, _ = run(
             capsys,
@@ -682,6 +686,15 @@ class TestConfigOverride:
             ["spectrum", "--model", "phase-noise", "--config", str(cfg)],
         )
         assert code == 2
+
+    def test_config_that_is_no_object_is_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        code, out, err = run(
+            capsys,
+            ["spectrum", "--model", "phase-noise", "--config", str(cfg)],
+        )
+        assert (code, out, err) == (2, "", "error: config file must hold a JSON object\n")
 
     # a value with no flag spelling is refused, not typed as its Python text:
     # {"out": null} must not write the output to a file named None

@@ -16,6 +16,7 @@ from prelog_lab import cli
 from prelog_lab.bounds import phase_noise_model, rayleigh_band_model
 from prelog_lab.errors import DomainError
 from prelog_lab.processes import (
+    SamplePath,
     empirical_autocov,
     marginal_draws,
     simulate_gaussian,
@@ -34,6 +35,7 @@ FOUR_LAGS = autocovariance_sequence(BAND, 3)
 # entry -> (call with the integer, name, lo, hi, the range as the message shows it)
 ENTRIES = {
     "seed": (lambda v: stream_rng(v, 0), "seed", 0, 2**64, "[0, 2**64)"),
+    "path seed": (lambda v: SamplePath([0j], v), "seed", 0, 2**64, "[0, 2**64)"),
     "gaussian path length": (lambda v: simulate_gaussian(BAND, v, 1),
                              "path length", 1, 2**59, "[1, 2**59)"),
     "on-off path length": (lambda v: simulate_onoff(1 / 16, v, 1),

@@ -408,6 +408,20 @@ class TestPathFiles:
         with pytest.raises(DomainError):
             read_path_binary(fname)
 
+    @pytest.mark.parametrize("size, n, message", [
+        (5, 32, "{}: truncated header"),
+        (16, 0, "path must hold at least one sample"),
+    ], ids=["header", "no sample"])
+    def test_malformed_binary_file_is_named(self, tmp_path, size, n, message):
+        fname = str(tmp_path / "p.bin")
+        write_path_binary(simulate_phase_noise(32, 1), fname)
+        with open(fname, "r+b") as fh:
+            fh.write(n.to_bytes(8, "little"))
+            fh.truncate(size)
+        with pytest.raises(DomainError) as error:
+            read_path_binary(fname)
+        assert str(error.value) == message.format(fname)
+
     def test_csv_bytes_match_row_writer(self, tmp_path, monkeypatch):
         # a block size that splits the rows unevenly, and values whose repr
         # is easy to get wrong: signed zeros, subnormals, extremes

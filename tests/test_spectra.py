@@ -61,6 +61,15 @@ class TestConstructors:
             SpectralDensity(segments, variance)
         assert str(error.value) == f"{message} leaves the float range"
 
+    @pytest.mark.parametrize("segments, message", [
+        ([], "density needs at least one segment"),
+        ([(-0.5, 0.5, math.inf)], "density values must be finite"),
+    ], ids=["no segment", "inf"])
+    def test_malformed_segments_are_named(self, segments, message):
+        with pytest.raises(DomainError) as error:
+            SpectralDensity(segments, 1.0)
+        assert str(error.value) == message
+
     def test_onoff_bands(self):
         S = make_onoff_spectrum(1 / 16)
         assert len(S.segments) == 5
@@ -206,6 +215,11 @@ class TestAutocovarianceSeqType:
     def test_r0_zero_allowed(self):
         seq = AutocovarianceSeq((0j, 0j))
         assert seq.values == (0j, 0j)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError) as error:
+            AutocovarianceSeq(())
+        assert str(error.value) == "autocovariance sequence needs at least r(0)"
 
     def test_r0_complex_rejected(self):
         with pytest.raises(DomainError):

@@ -75,6 +75,13 @@ class TestCovarianceMatrix:
         assert np.array_equal(M, M.conj().T)
         assert np.allclose(M, toeplitz_matrix(row), atol=1e-12)
 
+    def test_r0_past_half_the_float_range(self):
+        # the diagonal is r(0) itself: r(0) + conj(r(0)) would overflow
+        row = _autocovariance_row(SpectralDensity([(-0.5, 0.5, 1.5e308)], 1.5e308), 5)
+        M = covariance_matrix(AutocovarianceSeq(tuple(row)), 6)
+        assert np.array_equal(M, toeplitz_matrix(row))
+        assert np.array_equal(M.diagonal(), np.full(6, 1.5e308 + 0j))
+
 
 class TestEigensolver:
     def test_identity(self):
@@ -104,6 +111,11 @@ class TestEigensolver:
         A = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         A = (A + A.conj().T) / 2
         assert np.max(np.abs(hermitian_eigenvalues(A) - eig_oracle(A))) <= 1e-8
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DomainError) as error:
+            hermitian_eigenvalues(np.zeros((2, 3)))
+        assert str(error.value) == "need a square matrix, got shape (2, 3)"
 
     def test_non_hermitian_rejected(self):
         A = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=np.complex128)
