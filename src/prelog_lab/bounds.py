@@ -151,8 +151,10 @@ def _map_ordered(fn, items: Sequence, threads: int | None):
 # built-in models
 
 def rayleigh_band_model(W: float) -> FadingModel:
-    """Rayleigh fading with a flat band spectrum of half-width W."""
-    return FadingModel(f"rayleigh-band:W={W!r}", make_rect_band(W), "rayleigh")
+    """Rayleigh fading with a flat band spectrum of half-width W, named
+    with the float the spectrum is built from."""
+    S = make_rect_band(W)
+    return FadingModel(f"rayleigh-band:W={float(W)!r}", S, "rayleigh")
 
 
 def onoff_model(W: float) -> FadingModel:
@@ -160,9 +162,11 @@ def onoff_model(W: float) -> FadingModel:
     Gaussian fading of half-width W and variance 2.
 
     Half the samples are exact zeros, so the law has mass 1/2 at zero.
-    Total variance is 1.
+    Total variance is 1.  The name holds the float the spectrum is built
+    from.
     """
-    return FadingModel(f"onoff:W={W!r}", make_onoff_spectrum(W), "onoff")
+    S = make_onoff_spectrum(W)
+    return FadingModel(f"onoff:W={float(W)!r}", S, "onoff")
 
 
 def phase_noise_model() -> FadingModel:
@@ -194,12 +198,19 @@ def _threshold(u: float) -> float:
     return x
 
 
-def _threshold_range(grid: Sequence[float]) -> tuple[float, float]:
-    """Least and greatest threshold of grid, as its own elements, all checked."""
+class _Range(tuple):
+    """(least, greatest) threshold of a grid, every threshold checked."""
+
+
+def _threshold_range(grid: Sequence[float]) -> _Range:
+    """Least and greatest threshold of grid, as its own elements, all
+    checked; a _Range, checked already, is its own range."""
+    if type(grid) is _Range:
+        return grid
     ups = sorted(grid, key=_threshold)
     if not ups:
         raise DomainError("threshold grid must be nonempty")
-    return ups[0], ups[-1]
+    return _Range((ups[0], ups[-1]))
 
 
 def capacity_lower_bound(model: FadingModel, snr: float, upsilon: float) -> float:
@@ -342,6 +353,16 @@ def miso_prelog_lower(spectra: Sequence[SpectralDensity]) -> float:
 # ---------------------------------------------------------------------------
 # sweeps and reports
 
+def _order_key(snr: float) -> float:
+    """float(snr), or an int past the float range as itself: Python
+    compares either with a float exactly, where comparing the caller's
+    numpy scalars would cast a Python float down to their precision."""
+    try:
+        return float(snr)
+    except OverflowError:
+        return snr
+
+
 def bound_sweep(
     model: FadingModel,
     snrs: Sequence[float],
@@ -353,10 +374,10 @@ def bound_sweep(
     Models of the unit law pair the specialized unit-modulus bounds; all
     others pair the threshold-optimized lower bound with the coherent
     average-power ceiling.  The snr grid (any iterable of numbers, an
-    array included) must be nonempty and strictly increasing, and the
-    threshold grid (None: the default grid) nonempty with every u and u**2
-    positive and finite; both are checked before any point is evaluated,
-    for every law.  The threshold grid's ends bound the optimal threshold
+    array included) must be nonempty and strictly increasing as floats
+    (see _order_key), and the threshold grid (None: the default grid)
+    nonempty with every u and u**2 positive and finite; both are checked
+    before any point is evaluated, for every law.  The threshold grid's ends bound the optimal threshold
     at each snr (see optimize_upsilon).  The phase bounds have no
     threshold, so they ignore a valid threshold grid.
 
@@ -368,7 +389,8 @@ def bound_sweep(
     snrs = list(snrs)
     if not snrs:
         raise DomainError("snr grid must be nonempty")
-    if any(b <= a for a, b in zip(snrs, snrs[1:])):
+    keys = [_order_key(s) for s in snrs]
+    if any(b <= a for a, b in zip(keys, keys[1:])):
         raise DomainError("snr grid must be strictly increasing")
     ends = _DEFAULT_RANGE if upsilon_grid is None else _threshold_range(upsilon_grid)
     if model.law == "unit":

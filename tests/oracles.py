@@ -240,6 +240,14 @@ def complex_innovation_variances(first_row) -> np.ndarray:
     return P
 
 
+def variance_bits(recursion, row):
+    """The bits of recursion(row) as uint64, or the text of its NumericError."""
+    try:
+        return recursion(row).view(np.uint64).tolist()
+    except NumericError as exc:
+        return str(exc)
+
+
 def symmetric_density(rng: np.random.Generator) -> SpectralDensity:
     """Random piecewise-constant density with F'(-lam) = F'(lam): random
     cuts of [0, 1/2] mirrored about 0, with a sprinkling of exact zeros."""

@@ -459,8 +459,12 @@ class TestOverflow:
         "optimize_upsilon": lambda m, x: optimize_upsilon(m, 10.0, [x]),
         "capacity_lower_bound": lambda m, x: capacity_lower_bound(m, 10.0, x),
         "sweep-snr": lambda m, x: bound_sweep(m, [x]),
+        # the order check compares an int past the float range exactly
+        "sweep-snr-grid": lambda m, x: bound_sweep(m, [1e2, x]),
+        "sweep-snr-ints": lambda m, x: bound_sweep(m, [x, 10 * x]),
         "phase-sweep-snr": lambda m, x: bound_sweep(phase_noise_model(), [x]),
         "prelog_report": lambda m, x: prelog_report(m, [x]),
+        "prelog_report-grid": lambda m, x: prelog_report(m, [1e2, x]),
         "coherent_avg_upper_bound": lambda m, x: coherent_avg_upper_bound(m, x),
         "phase_noise_lower_bound": lambda m, x: phase_noise_lower_bound(x),
         "spectral_log_integral": lambda m, x: spectral_log_integral(m.spectrum, x),

@@ -59,6 +59,15 @@ class TestParsing:
         assert parse_model("onoff:W=0.0625").mass_at_zero == 0.5
         assert parse_model("phase-noise").law == "unit"
 
+    @pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("build", [bounds.rayleigh_band_model, bounds.onoff_model])
+    def test_builtin_model_name_parses_back(self, build, kind):
+        # the name shows the float the spectrum is built from, not the
+        # caller's repr: np.float32(0.1) is W=0.10000000149011612
+        model = build(kind(0.1))
+        assert model.name.endswith(f"W={float(kind(0.1))!r}")
+        assert parse_model(model.name) == model
+
     def test_model_guards(self):
         for bad in ("nosuch", "rayleigh-band", "rayleigh-band:V=1",
                     "rayleigh-band:W=0.1,extra=2", "phase-noise:W=1",

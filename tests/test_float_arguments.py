@@ -101,3 +101,14 @@ def test_a_number_is_the_float_it_holds(entry, kind, value):
     x = typed(kind, value)
     # NaN compares unequal, so a bound that turns NaN fails here too
     assert plain(call(x)) == plain(call(float(x)))
+
+
+# a numpy scalar next to a Python float it would have to cast down: 1e6
+# overflows float16 and 1e300 float32
+MIXED_GRIDS = ([np.float16(10), 1e6], [np.float32(10), 1e300])
+
+
+@pytest.mark.parametrize("call", [bound_sweep, prelog_report])
+@pytest.mark.parametrize("grid", MIXED_GRIDS, ids=["float16", "float32"])
+def test_mixed_snr_grid_is_its_float_list(call, grid):
+    assert plain(call(MODEL, grid)) == plain(call(MODEL, [float(s) for s in grid]))

@@ -1,10 +1,11 @@
 """Properties over drawn spectra, laws, snr grids and sample paths.
 
 Sizes stay small (at most 6 snr points, n <= 64 for Toeplitz matrices,
-paths of at most 40000 samples and 300 lags, or a dozen examples on one
-path of 3e5 samples, synthesized paths of at most 1e5 samples, phasor
-paths of at most about 2e5 samples) so the tier1 profile's fixed
-examples keep Tier-1 fast.
+first rows of at most 1024 lags for the Schur recursion, paths of at
+most 40000 samples and 300 lags, or a dozen examples on one path of 3e5
+samples, synthesized paths of at most 1e5 samples, phasor paths of at
+most about 2e5 samples) so the tier1 profile's fixed examples keep
+Tier-1 fast.
 """
 
 import numpy as np
@@ -29,14 +30,17 @@ from prelog_lab.spectra import (  # noqa: E402
     make_onoff_spectrum,
     make_rect_band,
 )
-from prelog_lab.toeplitz import szego_logdet_rate  # noqa: E402
+from prelog_lab.toeplitz import _innovation_variances, szego_logdet_rate  # noqa: E402
 
 from oracles import (  # noqa: E402
     FLOOR_SPECTRUM,
+    complex_innovation_variances,
     direct_autocov,
     random_density,
+    symmetric_density,
     toeplitz_matrix,
     unit_phasors,
+    variance_bits,
     whole_table_synthesis,
 )
 
@@ -60,6 +64,20 @@ def test_levinson_rate_matches_slogdet(seed, n, snr):
     assert sign.real > 0
     r0 = row[0].real
     assert abs(szego_logdet_rate(S, snr, n) - logdet / n) <= 1e-13 * snr * max(1.0, r0)
+
+
+# snr from 1 to 1e15, where rows near a spectral zero stop being positive
+# definite; the real part drops the 1e-17 imaginary residues a symmetric
+# random spectrum leaves on its row
+@given(seeds, st.integers(1, 1024), st.floats(0.0, 15.0))
+@example(seed=1, n=1024, log_snr=15.0)
+@example(seed=2, n=2, log_snr=0.0)
+def test_real_schur_route_is_the_complex_recursion(seed, n, log_snr):
+    S = symmetric_density(np.random.default_rng(seed))
+    row = 10.0**log_snr * _autocovariance_row(S, n - 1).real
+    row[0] += 1.0
+    assert (variance_bits(_innovation_variances, row)
+            == variance_bits(complex_innovation_variances, row))
 
 
 def _bits(values) -> bytes:

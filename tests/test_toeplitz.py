@@ -31,6 +31,7 @@ from oracles import (
     sinc,
     symmetric_density,
     toeplitz_matrix,
+    variance_bits,
 )
 
 
@@ -302,14 +303,6 @@ class TestArrayRow:
             f"|r(1)| = {abs(r1)} exceeds r(0) = 1.0")
 
 
-def variance_bits(recursion, row):
-    """The bits of recursion(row) as uint64, or the text of its NumericError."""
-    try:
-        return recursion(row).view(np.uint64).tolist()
-    except NumericError as exc:
-        return str(exc)
-
-
 def snr_row(S, snr, n):
     """First row of I + snr T_n, as szego_logdet_rate builds it."""
     row = snr * _autocovariance_row(S, n - 1)
@@ -361,6 +354,12 @@ class TestFrozenOracle:
                 for candidate in (row, row.real):
                     assert (variance_bits(_innovation_variances, candidate)
                             == variance_bits(complex_innovation_variances, candidate))
+        # real rows past the sizes above, where the buffer's slices are long
+        for n in (513, 1024):
+            for _ in range(3):
+                row = random_row(rng, n).real
+                assert (variance_bits(_innovation_variances, row)
+                        == variance_bits(complex_innovation_variances, row))
 
     # the three ceilings at which the szego command exits 4
     @pytest.mark.parametrize("S, snr, n", [
