@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -71,12 +72,14 @@ EXIT_NUMERIC = 4
 
 def _fmt(x) -> str:
     """Lossless scalar formatting for CSV cells."""
+    if type(x) is float:  # most cells; repr(float(x)) is repr(x) here
+        return repr(x)
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return repr(float(x))  # plain float repr even for numpy scalars
+        return repr(float(x))  # plain float repr for numpy scalars
     return str(x)
 
 
@@ -97,10 +100,14 @@ def parse_grid(text: str) -> list[float]:
             raise DomainError(f"grid spec must be lo:hi:points, got {text!r}")
         lo, hi = _number(parts[0]), _number(parts[1])
         points = check_index("grid points", _number(parts[2], int), 2)
+        for end, value in (("lo", lo), ("hi", hi)):
+            if not math.isfinite(value):
+                raise DomainError(f"grid {end} must be finite, got {value!r} in {text!r}")
         if lo <= 0 or hi <= lo:
             raise DomainError(f"grid needs 0 < lo < hi, got {text!r}")
-        step = (math.log(hi) - math.log(lo)) / (points - 1)
-        grid = [math.exp(math.log(lo) + k * step) for k in range(points)]
+        log_lo = math.log(lo)
+        step = (math.log(hi) - log_lo) / (points - 1)
+        grid = [math.exp(log_lo + k * step) for k in range(points)]
         grid[0], grid[-1] = lo, hi  # pin endpoints exactly
         return grid
     if "," in text:
@@ -154,19 +161,63 @@ def parse_model(text: str) -> bounds.FadingModel:
 
 
 def _emit(args, header: list[str], rows: list[list], scalars: dict) -> None:
-    """Write rows (+ per-run scalars) as CSV or JSON to args.out."""
-    if args.format == "json":
-        import json
+    """Write rows (+ per-run scalars) as CSV or JSON to args.out.
 
-        payload = dict(scalars)
-        payload["rows"] = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+    The JSON text is byte for byte json.dumps(payload, indent=2) + "\\n",
+    where payload holds the scalars in order and then "rows", one
+    {header: cell} object per row (see _json_text).
+    """
+    if args.format == "json":
+        text = _json_text(header, rows, scalars)
     else:
         lines = [f"# {k}={_fmt(v)}" for k, v in scalars.items()]
         lines.append(",".join(header))
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     _write_out(args.out, text)
+
+
+@functools.cache
+def _json_encode():
+    """The json module's encoder with a NUL between list items.
+
+    Built on the first JSON output, so a CSV command never imports json.
+    With no indent, JSONEncoder.encode runs the C encoder.
+    """
+    import json
+
+    return json.JSONEncoder(separators=("\x00", ": ")).encode
+
+
+def _json_text(header: list[str], rows: list[list], scalars: dict) -> str:
+    """_emit's JSON text, from one call of the C encoder.
+
+    json.dumps with an indent runs the pure-Python encoder, which took
+    2.5 times as long on a 32-row bound-sweep table.  So the header keys, the
+    scalars' keys and values and every cell go through the encoder as one
+    flat list, and the text is split into their JSON tokens at the NULs
+    between items: a NUL inside a string is written as \\u0000, so every
+    raw NUL is a separator.  The tokens are then laid out with the fixed
+    2-, 4- and 6-space indentation of json.dumps(indent=2).  The header
+    holds at least one key, its keys are distinct strings, every row has
+    one cell per key, no scalar is named "rows", and every cell and scalar
+    is a JSON scalar: a str, int, float, bool or None.
+    """
+    flat = [*header, *scalars, *scalars.values(), *itertools.chain.from_iterable(rows)]
+    tokens = _json_encode()(flat)[1:-1].split("\x00")
+    h, s = len(header), len(scalars)
+    lines = ["{"]
+    lines += [f"  {k}: {v}," for k, v in zip(tokens[h:h + s], tokens[h + s:h + 2 * s])]
+    if not rows:
+        lines.append('  "rows": []')
+    else:
+        # one row's object, with a %s for each cell and any % in a key doubled
+        keys = ",\n".join(f"      {key.replace('%', '%%')}: %s" for key in tokens[:h])
+        row = "    {\n" + keys + "\n    }"
+        cells = ",\n".join([row] * len(rows)) % tuple(tokens[h + 2 * s:])
+        lines.append('  "rows": [\n' + cells + "\n  ]")
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _write_out(out: str, text: str) -> None:

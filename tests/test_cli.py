@@ -54,6 +54,21 @@ class TestParsing:
             with pytest.raises(DomainError):
                 parse_grid(bad)
 
+    @pytest.mark.parametrize("text, end, value", [
+        ("1e2:inf:4", "hi", "inf"),
+        ("1e2:1e400:4", "hi", "inf"),
+        ("1:nan:3", "hi", "nan"),
+        ("nan:1e4:3", "lo", "nan"),
+        ("inf:inf:3", "lo", "inf"),
+        ("-inf:1:3", "lo", "-inf"),
+    ])
+    def test_grid_end_that_is_not_finite_is_named(self, text, end, value):
+        # 1e2:inf:4 once spaced to [100, inf, inf, inf], which the sweeps
+        # refused as a grid that does not strictly increase
+        with pytest.raises(DomainError) as info:
+            parse_grid(text)
+        assert str(info.value) == f"grid {end} must be finite, got {value} in {text!r}"
+
     def test_model_specs(self):
         assert parse_model("rayleigh-band:W=0.1").name == "rayleigh-band:W=0.1"
         assert parse_model("onoff:W=0.0625").mass_at_zero == 0.5
@@ -377,6 +392,9 @@ class TestSzegoCommand:
         ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "1e2", "--upsilon", "inf"],
         ["szego", "--model", "rayleigh-band:W=0.25", "--snr", "inf"],
         ["prelog-report", "--model", "rayleigh-band:W=0.1", "--snr", "1e4,inf"],
+        ["bound-sweep", "--model", "phase-noise", "--snr", "1e2:inf:4"],
+        ["prelog-report", "--model", "rayleigh-band:W=0.1", "--snr", "1e2:1e400:4"],
+        ["bound-sweep", "--model", "onoff:W=0.0625", "--upsilon", "1e-4:inf:3"],
     ],
 )
 def test_nonfinite_snr_or_threshold_is_usage(capsys, argv):
@@ -731,6 +749,41 @@ def test_threads_flag_is_gone(capsys, cmd):
     code, out, _ = run(capsys, [cmd, "--model", "rayleigh-band:W=0.1", "--threads", "4"])
     assert code == 2
     assert out == ""
+
+
+# every command that takes --format
+_JSON_ARGV = [
+    ["spectrum", "--model", "onoff:W=0.0625"],
+    ["spectrum", "--model", "custom:spectrum=FILE,tail=unit"],
+    ["bound-sweep", "--model", "rayleigh-band:W=0.1", "--snr", "1e2:1e10:32"],
+    ["bound-sweep", "--model", "phase-noise"],
+    ["prelog-report", "--model", "onoff:W=0.0625", "--upsilon", "1e-4:8:400"],
+    ["szego", "--model", "rayleigh-band:W=0.25", "--n", "1,8"],
+    ["simulate", "--model", "onoff:W=0.0625", "--n", "2000", "--seed", "3"],
+    ["miso", "--spectra", "W=0.1,FILE"],
+]
+
+
+def test_json_output_uses_the_c_encoder(capsys, monkeypatch, tmp_path):
+    # the pure-Python encoder, which json runs whenever an indent is
+    # given, is never called; the text is still json.dumps(indent=2)'s
+    def python_encoder(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    sfile = tmp_path / "flat.json"
+    sfile.write_text(spectrum_json(spectra.make_rect_band(0.5)))
+    outputs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        with pytest.raises(AssertionError, match="pure-Python"):
+            json.dumps([1.0], indent=2)
+        for argv in _JSON_ARGV:
+            argv = [a.replace("FILE", str(sfile)) for a in argv] + ["--format", "json"]
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+    for out in outputs:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_float_formatting_is_lossless():

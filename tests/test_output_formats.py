@@ -2,10 +2,13 @@
 
 The CLI is the package's one serializer.  For drawn models and grids,
 every JSON scalar and row cell must match its CSV cell: numbers equal
-float() of the cell, None an empty cell, and booleans true/false.
+float() of the cell, None an empty cell, and booleans true/false.  For
+drawn tables, the JSON text is json.dumps(payload, indent=2)'s.
 """
 
+import argparse
 import json
+import math
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -15,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from prelog_lab.cli import main  # noqa: E402
+from prelog_lab.cli import _emit, main  # noqa: E402
 from prelog_lab.spectra import make_rect_band  # noqa: E402
 
 from oracles import random_density, spectrum_json  # noqa: E402
@@ -105,3 +108,39 @@ def test_bound_formats_agree(spectrum_dir, cmd, model, snrs, upsilons):
     if upsilons is not None:
         argv.append("--upsilon=" + ",".join(map(repr, upsilons)))
     _assert_formats_agree(argv)
+
+
+# strings with what the JSON writer must escape or must not misread: NUL
+# (its token separator), other control characters, quotes, backslashes,
+# % (its row template's placeholder), non-ASCII and astral characters
+texts = st.text(st.sampled_from('\x00\x01\x1f\n\t"\\%/é€\U0001f600 a') | st.characters())
+cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64)),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.floats().map(np.float64),
+    texts,
+)
+
+
+@st.composite
+def tables(draw):
+    header = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    row = st.lists(cells, min_size=len(header), max_size=len(header))
+    rows = draw(st.lists(row, max_size=4))
+    scalars = draw(st.dictionaries(texts.filter(lambda key: key != "rows"), cells, max_size=4))
+    return header, rows, scalars
+
+
+@given(tables())
+def test_json_is_json_dumps_indent_2(table):
+    header, rows, scalars = table
+    buf = StringIO()
+    with redirect_stdout(buf):
+        _emit(argparse.Namespace(format="json", out="-"), header, rows, scalars)
+    payload = dict(scalars)
+    payload["rows"] = [dict(zip(header, row)) for row in rows]
+    assert buf.getvalue() == json.dumps(payload, indent=2) + "\n"
