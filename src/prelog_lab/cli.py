@@ -44,11 +44,11 @@ paths from 4096 harmonics.
 Grids are lo:hi:points (log-spaced, endpoints pinned to lo and hi), a
 comma list, or a single value.  A threshold grid (--upsilon) is a range:
 the sweeps maximize the threshold bound exactly over [min, max] of the
-grid, so its interior points do not matter and a single value fixes the
-threshold.  A JSON config file given with --config
-overrides the flags it names; each value is parsed as if it had been
-typed after its flag.  Sweeps run serially.  A file that is not valid
-UTF-8 is malformed input (exit 2).
+grid, so a single value fixes the threshold and a lo:hi:points spec is
+read as [lo, hi], its interior never built.  A JSON config file given
+with --config overrides the flags it names; each value is parsed as if
+it had been typed after its flag.  Sweeps run serially.  A file that is
+not valid UTF-8 is malformed input (exit 2).
 """
 
 from __future__ import annotations
@@ -91,20 +91,26 @@ def _number(text: str, kind=float):
         raise DomainError(f"expected a number, got {text!r}") from None
 
 
+def _range_spec(text: str) -> tuple[float, float, int]:
+    """lo, hi and points of a stripped lo:hi:points spec, checked."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise DomainError(f"grid spec must be lo:hi:points, got {text!r}")
+    lo, hi = _number(parts[0]), _number(parts[1])
+    points = check_index("grid points", _number(parts[2], int), 2)
+    for end, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise DomainError(f"grid {end} must be finite, got {value!r} in {text!r}")
+    if lo <= 0 or hi <= lo:
+        raise DomainError(f"grid needs 0 < lo < hi, got {text!r}")
+    return lo, hi, points
+
+
 def parse_grid(text: str) -> list[float]:
     """lo:hi:points log-spaced grid, comma list, or single value."""
     text = text.strip()
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"grid spec must be lo:hi:points, got {text!r}")
-        lo, hi = _number(parts[0]), _number(parts[1])
-        points = check_index("grid points", _number(parts[2], int), 2)
-        for end, value in (("lo", lo), ("hi", hi)):
-            if not math.isfinite(value):
-                raise DomainError(f"grid {end} must be finite, got {value!r} in {text!r}")
-        if lo <= 0 or hi <= lo:
-            raise DomainError(f"grid needs 0 < lo < hi, got {text!r}")
+        lo, hi, points = _range_spec(text)
         log_lo = math.log(lo)
         step = (math.log(hi) - log_lo) / (points - 1)
         grid = [math.exp(log_lo + k * step) for k in range(points)]
@@ -113,6 +119,17 @@ def parse_grid(text: str) -> list[float]:
     if "," in text:
         return [_number(p) for p in text.split(",") if p.strip()]
     return [_number(text)]
+
+
+def _parse_threshold_grid(text: str) -> list[float]:
+    """A --upsilon grid.  The sweeps read only its least and greatest
+    threshold, so a lo:hi:points range is [lo, hi], the checked ends that
+    parse_grid pins, and its interior is never built."""
+    text = text.strip()
+    if ":" in text:
+        lo, hi, _ = _range_spec(text)
+        return [lo, hi]
+    return parse_grid(text)
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -250,7 +267,7 @@ def cmd_spectrum(args) -> int:
 def cmd_bound_sweep(args) -> int:
     model = parse_model(args.model)
     snrs = parse_grid(args.snr)
-    ugrid = None if args.upsilon is None else parse_grid(args.upsilon)
+    ugrid = None if args.upsilon is None else _parse_threshold_grid(args.upsilon)
     low, up = bounds.bound_sweep(model, snrs, ugrid)
     rows = [
         [snr, lb, star, ub]
@@ -264,7 +281,7 @@ def cmd_bound_sweep(args) -> int:
 def cmd_prelog_report(args) -> int:
     model = parse_model(args.model)
     snrs = parse_grid(args.snr)
-    ugrid = None if args.upsilon is None else parse_grid(args.upsilon)
+    ugrid = None if args.upsilon is None else _parse_threshold_grid(args.upsilon)
     report = bounds.prelog_report(model, snrs, ugrid)
     zset = spectra.zero_set_measure(model.spectrum)
     scalars = {
@@ -357,9 +374,9 @@ def cmd_miso(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-_UPSILON_HELP = ("threshold range: the optimal threshold is clamped to [min, max] of a "
-                 "grid lo:hi:points or a list, whose interior points do not matter; a "
-                 "single value fixes it; unset uses 0.0010000000000000002 to "
+_UPSILON_HELP = ("threshold range: the optimal threshold is clamped to [lo, hi] of a "
+                 "range lo:hi:points, whose interior is never built, or to [min, max] "
+                 "of a list; a single value fixes it; unset uses 0.0010000000000000002 to "
                  "4.000000000000001 (1e-3:4:60 pins its ends at 0.001 and 4.0)")
 
 

@@ -11,9 +11,9 @@ only by SpectralDensity.from_json.
 
 autocovariance(S, m) is one lag in plain complex arithmetic.  A sequence
 r(0..m_max) (autocovariance_sequence, and the first row of the Szego
-route) is one complex ndarray built with one numpy pass per segment edge,
-bit for bit the scalar's lags; numpy is imported there and nowhere else
-in this module.
+route) is one complex ndarray, the same closed form taken over all lags
+at once per segment, bit for bit the scalar's lags; numpy is imported
+there and nowhere else in this module.
 
 All information quantities are in nats.
 """
@@ -22,12 +22,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from ._record import Record
 from .errors import MAX_ELEMENTS, DomainError, as_float, check_index, check_positive
 
 # mass bookkeeping tolerance for validated densities
 MASS_TOL = 1e-12
+
+# the largest density value whose closed-form terms take the direct form
+_HALF_MAX = sys.float_info.max / 2
 
 DIAGNOSTIC_SNRS = (1e3, 1e6, 1e12)
 
@@ -188,6 +192,12 @@ def autocovariance(S: SpectralDensity, m: int) -> complex:
     antiderivatives per segment.  r(0) is the total mass and
     r(-m) = conj(r(m)).  m is an integer with |m| < MAX_ELEMENTS, the lags
     a sequence could hold; anything else is a DomainError.
+
+    The phase difference d of a segment has |Re d|, |Im d| <= 2, so v d is
+    finite for v <= _HALF_MAX.  A larger v, whose v d may pass the float
+    range, takes its term as 2 ((v/2) d / w): the halving and doubling are
+    exact there, so every lag keeps the direct form's bits wherever that
+    form is finite, and is finite everywhere.
     """
     m = check_index("lag", m, 1 - MAX_ELEMENTS, MAX_ELEMENTS)
     if m == 0:
@@ -197,7 +207,8 @@ def autocovariance(S: SpectralDensity, m: int) -> complex:
     for lo, hi, v in S.segments:
         if v == 0.0:
             continue
-        acc += v * (cmath.exp(w * hi) - cmath.exp(w * lo)) / w
+        d = cmath.exp(w * hi) - cmath.exp(w * lo)
+        acc += v * d / w if v <= _HALF_MAX else 2 * (v / 2 * d / w)
     return acc
 
 
@@ -211,17 +222,16 @@ def autocovariance_sequence(S: SpectralDensity, m_max: int) -> AutocovarianceSeq
 def _autocovariance_row(S: SpectralDensity, m_max: int):
     """r(0..m_max) as one complex ndarray, unchecked; m_max >= 0.
 
-    Every lag has the bits of autocovariance(S, m): the loop replays
-    CPython's v * (cmath.exp(w hi) - cmath.exp(w lo)) / w, w = 2j pi m, on
-    float64 parts, one nonzero segment at a time.  With c = fl(2 pi m),
-    w x is 0 + i fl(c x), and numpy's complex exp (libm cexp) of it equals
-    cmath.exp; the float v times d is (v dr, v di); dividing by w = (0, c)
-    takes CPython's branch ((a_r 0 + a_i) / c, (a_i 0 - a_r) / c).  A sign
-    of zero may differ on the way, but it cannot reach the sums, which
-    start at +0.  numpy's own complex product and quotient would round
-    differently (they contract to fused multiply-adds).  The phases
-    e^{i c x} of an edge are one numpy pass, shared by two adjacent nonzero
-    segments, into one of two buffers.
+    The closed form of autocovariance(S, m) over all lags at once, with
+    c = fl(2 pi m): per nonzero segment, d = e^{i c hi} - e^{i c lo} and
+    r += v d / (i c), that is re += v Im d / c and im -= v Re d / c.  Two
+    facts give every lag the scalar's bits.  ic x has imaginary part
+    fl(c x), with or without fused multiply-adds, and real part +-0, which
+    cexp ignores, so its exp is cmath.exp(w x), w = 2j pi m.  And CPython
+    divides by w = (0, c) as two real divisions by c; the zero terms of its
+    branch only flip signs of zero, which the sums, starting at +0, never
+    keep.  numpy's own complex quotient multiplies by 1/c, which rounds
+    differently.  A v past _HALF_MAX takes autocovariance's overflow rule.
     """
     import numpy as np
 
@@ -229,27 +239,17 @@ def _autocovariance_row(S: SpectralDensity, m_max: int):
     row[0] = S.variance
     re, im = row.real[1:], row.imag[1:]
     c = 2 * math.pi * np.arange(1, m_max + 1, dtype=np.float64)
-    arg = np.zeros(m_max, dtype=np.complex128)
-    e_lo, e_hi = np.empty_like(arg), np.empty_like(arg)
-
-    def phases(x, out):
-        np.multiply(c, x, out=arg.imag)
-        np.exp(arg, out=out)
-
-    last = None  # the edge whose phases e_hi holds
+    ic = 1j * c
     for lo, hi, v in S.segments:
         if v == 0.0:
             continue
-        if lo == last:
-            e_lo, e_hi = e_hi, e_lo
+        d = np.exp(ic * hi) - np.exp(ic * lo)
+        if v <= _HALF_MAX:
+            re += v * d.imag / c
+            im -= v * d.real / c
         else:
-            phases(lo, e_lo)
-        phases(hi, e_hi)
-        last = hi
-        ar = v * (e_hi.real - e_lo.real)
-        ai = v * (e_hi.imag - e_lo.imag)
-        re += (ar * 0.0 + ai) / c
-        im += (ai * 0.0 - ar) / c
+            re += 2 * (v / 2 * d.imag / c)
+            im -= 2 * (v / 2 * d.real / c)
     return row
 
 

@@ -397,9 +397,9 @@ def decimal_threshold_lower(law: str, S: SpectralDensity, snr: float, u: float) 
 
 def eager_build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    upsilon_help = ("threshold range: the optimal threshold is clamped to [min, max] of a "
-                    "grid lo:hi:points or a list, whose interior points do not matter; a "
-                    "single value fixes it; unset uses 0.0010000000000000002 to "
+    upsilon_help = ("threshold range: the optimal threshold is clamped to [lo, hi] of a "
+                    "range lo:hi:points, whose interior is never built, or to [min, max] "
+                    "of a list; a single value fixes it; unset uses 0.0010000000000000002 to "
                     "4.000000000000001 (1e-3:4:60 pins its ends at 0.001 and 4.0)")
     parser = argparse.ArgumentParser(
         prog="prelog-lab",

@@ -507,6 +507,45 @@ def test_threshold_whose_square_leaves_the_float_range_is_named(capsys, cmd, gri
         2, "", f"error: threshold {end}: its square leaves the float range\n")
 
 
+# the sweeps read only a threshold range's ends, so a lo:hi:points spec is
+# [lo, hi] with parse_grid's checks and texts, and no interior is built
+@pytest.mark.parametrize("spec", ["1:2", "1e4:1e2:5", "0:10:3", "1:4:1", "1:4:2.5", "1:x:3",
+                                  "1:2:3:4", "1e2:inf:4", " nan:1e4:3 "])
+def test_threshold_range_spec_has_the_grid_checks(spec):
+    with pytest.raises(DomainError) as grid:
+        parse_grid(spec)
+    with pytest.raises(DomainError) as ends:
+        cli._parse_threshold_grid(spec)
+    assert str(ends.value) == str(grid.value)
+
+
+def test_threshold_range_spec_is_its_ends():
+    grid = parse_grid("1e-3:4:60")
+    assert cli._parse_threshold_grid("1e-3:4:60") == [grid[0], grid[-1]] == [1e-3, 4.0]
+    assert cli._parse_threshold_grid(" 1e-4:8:1000000000000 ") == [1e-4, 8.0]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report"])
+def test_threshold_range_of_2_to_the_40_points_is_the_2_point_range(capsys, cmd, fmt):
+    def output(points):
+        return run(capsys, [cmd, "--model", "rayleigh-band:W=0.1", "--format", fmt,
+                            "--upsilon", f"1e-4:8:{points}"])
+    assert output(2**40) == output(2)
+
+
+@pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report"])
+def test_threshold_range_a_few_ulps_wide_is_exactly_its_ends(capsys, cmd):
+    # spaced as a grid, this range's interior rounds to 256.1915172112674,
+    # below lo; the clamped threshold must be lo itself
+    lo, hi = "256.19151721126747", "256.1915172112675"
+    code, out, _ = run(capsys, [cmd, "--model", "rayleigh-band:W=0.1", "--snr", "1e4,1e8",
+                                "--upsilon", f"{lo}:{hi}:3"])
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [row["upsilon_star"] for row in rows] == [lo, lo]
+
+
 class TestSimulateCommand:
     def test_onoff_structure_and_table(self, capsys, tmp_path):
         pfile = tmp_path / "path.csv"

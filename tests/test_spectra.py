@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from prelog_lab.spectra import (
     DIAGNOSTIC_SNRS,
     AutocovarianceSeq,
     SpectralDensity,
+    _autocovariance_row,
     autocovariance,
     autocovariance_sequence,
     finite_snr_ratios,
@@ -20,6 +22,7 @@ from prelog_lab.spectra import (
     spectral_log_integral,
     zero_set_measure,
 )
+from prelog_lab.toeplitz import szego_logdet_rate
 
 from oracles import (
     decimal_log_integral,
@@ -209,6 +212,42 @@ class TestAutocovariance:
     def test_sequence_takes_a_numpy_integer(self):
         S = make_onoff_spectrum(1 / 16)
         assert autocovariance_sequence(S, np.int64(6)) == autocovariance_sequence(S, 6)
+
+
+# valid spectra whose density value v passes half the float maximum, so
+# v d, with |d| up to 2, overflows in the direct closed form
+HUGE_DENSITIES = [
+    [(-0.5, 0.2, 0.0), (0.2, 0.5, 1.7e308)],
+    [(-0.5, -0.1, 0.0), (-0.1, 0.5, 1.7e308)],
+]
+
+
+@pytest.mark.parametrize("segments", HUGE_DENSITIES)
+class TestDensityPastHalfTheFloatMax:
+    @staticmethod
+    def spectrum(segments, scale=1.0):
+        segs = [(lo, hi, v * scale) for lo, hi, v in segments]
+        return SpectralDensity(segs, math.fsum((hi - lo) * v for lo, hi, v in segs))
+
+    def test_row_is_the_scalar_and_the_scaled_row(self, segments):
+        S = self.spectrum(segments)
+        row = _autocovariance_row(S, 64)
+        want = np.array([autocovariance(S, m) for m in range(65)], dtype=np.complex128)
+        assert np.all(np.isfinite(row))
+        assert row.tobytes() == want.tobytes()
+        # scaling by a power of two is exact on both sides
+        scaled = _autocovariance_row(self.spectrum(segments, 2.0**-1000), 64)
+        assert row.tobytes() == (2.0**1000 * scaled).tobytes()
+        assert np.all(np.abs(row) <= row[0].real)
+
+    def test_sequence_and_rate_are_finite_without_warnings(self, segments):
+        S = self.spectrum(segments)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = autocovariance_sequence(S, 5)
+            rate = szego_logdet_rate(S, 1.0, 6)
+        assert all(abs(v) <= seq.values[0].real for v in seq.values)
+        assert math.isfinite(rate)
 
 
 class TestAutocovarianceSeqType:
