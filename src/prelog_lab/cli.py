@@ -327,6 +327,8 @@ def cmd_simulate(args) -> int:
     model = parse_model(args.model)
     n = int(args.n)
     check_index("--m-max", args.m_max, 0)  # before a path is synthesized or written
+    import numpy as np
+
     from . import processes
 
     path = processes.simulate_model(model, n, args.seed)
@@ -340,7 +342,7 @@ def cmd_simulate(args) -> int:
     analytic = spectra.autocovariance_sequence(model.spectrum, m_max)
     rows = [[m, est.real, est.imag, r.real, r.imag, abs(est - r)]
             for m, (est, r) in enumerate(zip(emp.values, analytic.values))]
-    nonzero = float((path.values != 0).sum()) / n
+    nonzero = float(np.count_nonzero(path.values)) / n
     scalars = {
         "model": model.name,
         "n": n,

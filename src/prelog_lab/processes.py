@@ -15,15 +15,18 @@ of the harmonic power table (16 MiB), never the whole 128 MiB table.
 On-off paths compute only the samples they keep and write the others as
 exact zeros.  Unit-modulus phasors are drawn at most _PHASOR_BLOCK angles
 at a time, cos and sin written into the parts of one reused block, so a
-phase-noise path or a unit-law Monte Carlo run costs its output plus about
-3.4 MiB of temporaries (18.7 MiB traced at n = 1e6).  Gaussian Monte
+phase-noise path or n unit-law marginal draws cost their output plus
+about 3.4 MiB of temporaries (18.7 MiB traced at n = 1e6).  A unit-law
+Monte Carlo tail draws nothing: its value is known exactly.  Gaussian Monte
 Carlo draws are the buffer of 2n standard normals read as n complex
 pairs and scaled in place, so a 1e6-draw Rayleigh or on-off tail costs
 the draws, their moduli and the comparison (23.8 MiB traced; 30.6 and
 53.5 MiB with the complex temporaries of g[0::2] + 1j * g[1::2]).
 The empirical autocovariance costs the centred path, one conjugated
 window of about 1.25 MiB, a 256 KiB product buffer and one leaf sum per
-256 KiB or less of each lag's sum (about 64 per lag at n = 1e6).
+256 KiB or less of each lag's sum (about 64 per lag at n = 1e6).  A CSV
+path file is written _CSV_ROWS rows at a time, so its text costs one
+block, whatever the path length.
 
 Reproducibility contract: identical (model, n, seed) gives bit-identical
 paths.  The generator is counter-based (Philox) keyed by (seed, stream),
@@ -295,12 +298,17 @@ def tail_probability_mc(
 ) -> float:
     """Monte Carlo estimate of the tail, the cross-check for closed forms.
 
-    For the unit law every draw has |H1| = 1 exactly, so the estimate is
-    exactly 1.0 (upsilon <= 1) or 0.0 and checks only _unit_phasors, not
-    a distribution.
+    For the unit law every draw of marginal_draws has |H1| = 1.0 exactly,
+    so the fraction at or above upsilon is 1.0 (upsilon <= 1) or 0.0 for
+    every sample count and seed; that value is returned without drawing,
+    after the same argument checks in the same order (threshold, count,
+    seed).  A unit-law tail therefore costs no memory, whatever its count.
     """
     upsilon = check_positive("threshold", upsilon)
     n_samples = check_index("Monte Carlo sample count", n_samples, 1, MAX_ELEMENTS)
+    if model.law == "unit":
+        check_index("seed", seed, 0, 2**64)
+        return 1.0 if upsilon <= 1.0 else 0.0
     draws = marginal_draws(model, n_samples, seed)
     # the bits of np.mean: a pairwise sum of 0/1 values is exact below 2**53
     return float(np.count_nonzero(np.abs(draws) >= upsilon)) / n_samples
@@ -383,14 +391,22 @@ _CSV_ROWS = 16384  # rows formatted per write, so memory stays bounded
 
 
 def write_path_csv(path: SamplePath, fname: str) -> None:
-    """Write k, re, im rows; floats at full round-trip precision."""
+    """Write k, re, im rows; floats at full round-trip precision.
+
+    Each block of _CSV_ROWS rows is one %-format call on the flat tuple
+    (k, re, im, k, re, im, ...): %r of a Python float is its repr, as
+    f"{x!r}" is, so the bytes are those of one f-string per row.  Memory
+    is bounded by one block's text and tuple, whatever the path length.
+    """
     with open(fname, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,re,im\n")
         for start in range(0, path.n, _CSV_ROWS):
             rows = path.values[start:start + _CSV_ROWS]
-            ks = range(start, start + rows.size)
-            fh.write("".join(f"{k},{re!r},{im!r}\n" for k, re, im in
-                             zip(ks, rows.real.tolist(), rows.imag.tolist())))
+            flat = [None] * (3 * rows.size)
+            flat[0::3] = range(start, start + rows.size)
+            flat[1::3] = rows.real.tolist()
+            flat[2::3] = rows.imag.tolist()
+            fh.write("%d,%r,%r\n" * rows.size % tuple(flat))
 
 
 def write_path_binary(path: SamplePath, fname: str) -> None:

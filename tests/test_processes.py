@@ -250,6 +250,43 @@ class TestFrozenDraws:
                         == float(np.mean(np.abs(want) >= ups)))
 
 
+class TestUnitTail:
+    """The unit law's tail, returned without drawing, against the count over
+    the draws it stands for."""
+
+    @pytest.mark.parametrize("n", [1, 7, 65537])
+    def test_is_the_count_over_the_draws(self, n):
+        model = phase_noise_model()
+        for seed in (0, 3, 2**64 - 1):
+            moduli = np.abs(marginal_draws(model, n, seed))
+            for ups in (1e-300, 0.5, 1.0, math.nextafter(1.0, 2.0), 2.5):
+                p = tail_probability_mc(model, ups, n, seed)
+                assert type(p) is float
+                assert p == np.count_nonzero(moduli >= ups) / n
+
+    def test_huge_count_draws_nothing(self):
+        # 2**58 phasors would take 4 EiB; the tail needs none of them
+        model = phase_noise_model()
+        assert tail_probability_mc(model, 1.0, 2**58, 5) == 1.0
+        assert tail_probability_mc(model, 2.0, 2**58, 5) == 0.0
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "1"], ids=repr)
+    def test_refusals_in_order(self, bad):
+        # threshold, then sample count, then seed, each with the text the
+        # drawing route of the Gaussian laws gives
+        shown = {-1: "-1", 2**64: "18446744073709551616", 1.5: "1.5", "1": "1"}[bad]
+        count = f"Monte Carlo sample count must be an integer in [1, 2**59), got {shown}"
+        seed = f"seed must be an integer in [0, 2**64), got {shown}"
+        cases = [((1.0, bad, bad), count), ((1.0, 10, bad), seed)]
+        if bad == -1:
+            cases.append(((bad, bad, bad), "threshold must be finite and positive, got -1"))
+        for model in (phase_noise_model(), rayleigh_band_model(0.1)):
+            for args, text in cases:
+                with pytest.raises(DomainError) as error:
+                    tail_probability_mc(model, *args)
+                assert str(error.value) == text
+
+
 class TestTailMemory:
     @pytest.mark.parametrize("law", sorted(GAUSSIAN_MODELS))
     def test_traced_peak(self, law):
@@ -422,12 +459,18 @@ class TestPathFiles:
             read_path_binary(fname)
         assert str(error.value) == message.format(fname)
 
-    def test_csv_bytes_match_row_writer(self, tmp_path, monkeypatch):
-        # a block size that splits the rows unevenly, and values whose repr
-        # is easy to get wrong: signed zeros, subnormals, extremes
-        monkeypatch.setattr(processes, "_CSV_ROWS", 7)
-        values = np.concatenate([_SPECIAL, simulate_gaussian(make_rect_band(0.3), 40, 5).values])
-        for n in (1, 7, 8, values.size):
+    @pytest.mark.parametrize("rows, sizes", [(7, (1, 7, 8, 50)), (None, (16383, 16384, 16385))],
+                             ids=["7-row blocks", "real blocks"])
+    def test_csv_bytes_match_row_writer(self, tmp_path, monkeypatch, rows, sizes):
+        # a block size that splits the rows unevenly, and the real one around
+        # a block's end; values whose repr is easy to get wrong (signed
+        # zeros, subnormals, extremes) at both ends of the path
+        if rows is not None:
+            monkeypatch.setattr(processes, "_CSV_ROWS", rows)
+        values = simulate_gaussian(make_rect_band(0.3), max(sizes), 5).values.copy()
+        values[:_SPECIAL.size] = _SPECIAL
+        values[-_SPECIAL.size:] = _SPECIAL
+        for n in sizes:
             path = processes.SamplePath(values[:n], 0)
             write_path_csv(path, str(tmp_path / "lib.csv"))
             path_csv_rows(path.values, str(tmp_path / "ref.csv"))
