@@ -17,14 +17,16 @@ spectrum, and the single-antenna-selection MISO lower bound.
 Every model is zero-mean: the pre-log depends only on the spectrum and on
 whether the law of H1 has mass at zero.  A FadingModel is therefore a
 spectrum and the name of one of the three laws in LAWS, and it checks that
-the two fit when it is built.  All values are in nats, and everything here
-is pure and thread-safe.  bound_sweep is the one place a law picks its
-bounds; prelog_report is built on it.  The threshold lower bound is
-maximized in closed form: for the two Gaussian-tail laws the optimal
-threshold is ups*^2 = c / W0(c snr / e), W0 the principal Lambert W
-function, so each snr costs one spectral integral.  A threshold grid only
-bounds the range of that optimum.  Everything here is plain math, and
-FadingModel, BoundCurve and PrelogReport are immutable records.
+the two fit when it is built.  Each law is one Law row: its tail, its mass
+at zero, the scale of its Gaussian tail, the spectra it takes, its pair of
+bounds and its pre-log limits.  bound_sweep and prelog_report read the
+row, so neither names a law.  All values are in nats, and everything here
+is pure and thread-safe.  The threshold lower bound is maximized in
+closed form: for the two Gaussian-tail laws the optimal threshold is
+ups*^2 = c / W0(c snr / e), W0 the principal Lambert W function, so each
+snr costs one spectral integral.  A threshold grid only bounds the range
+of that optimum.  Everything here is plain math, and Law, FadingModel,
+BoundCurve and PrelogReport are immutable records.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 from collections.abc import Sequence
 
 from ._record import Record
-from .errors import DomainError, NumericError, PreconditionError, check_positive
+from .errors import DomainError, NumericError, PreconditionError, _as_number, check_positive
 from .spectra import (
     SpectralDensity,
     _log1p_product,
@@ -43,28 +45,40 @@ from .spectra import (
     zero_set_measure,
 )
 
-# Scalar laws of H1 with E|H1|^2 = 1: law -> (tail, mass at zero, c), where
-# tail(ups) = P(|H1| >= ups) and c is the scale of a Gaussian tail,
-# tail proportional to exp(-ups^2 / c) (None: no such tail).  rayleigh:
-# |H1|^2 exponential with unit mean.  onoff: zero or variance-2 Gaussian
-# with probability 1/2 each.  unit: |H1| = 1, a uniform phase.
-LAWS = {
-    "rayleigh": (lambda u: math.exp(-u * u), 0.0, 1.0),
-    "onoff": (lambda u: 0.5 * math.exp(-u * u / 2.0), 0.5, 2.0),
-    "unit": (lambda u: 1.0 if u <= 1.0 else 0.0, 0.0, None),
-}
+
+class Law(Record):
+    """A scalar law of H1 with E|H1|^2 = 1, and all that it decides.
+
+    tail(ups) = P(|H1| >= ups) for ups > 0 and mass_at_zero = P(H1 = 0).
+    scale is the c of a Gaussian tail, one proportional to exp(-ups^2 / c),
+    or None for a law without one, which has no threshold optimum.
+    spectrum_rule(S) is None when the law takes the spectrum S, else what
+    the law needs instead.  kinds names bound_sweep's (lower, upper)
+    curves, point(model, snr, ends) is one snr's (lower bound, optimal
+    threshold in the range ends or None, upper bound), and limits(model)
+    is prelog_report's (analytic_limit, upper_prelog).  A row reaches the
+    public functions it calls through this module's globals, so a
+    function rebound on the module (by a tracer or a test) sees each call.
+    """
+
+    __slots__ = ("tail", "mass_at_zero", "scale", "spectrum_rule", "kinds", "point", "limits")
+
+    def __init__(self, tail, mass_at_zero: float, scale: float | None, spectrum_rule,
+                 kinds: tuple[str, str], point, limits):
+        for name, value in zip(self.__slots__, (tail, mass_at_zero, scale, spectrum_rule,
+                                                kinds, point, limits)):
+            object.__setattr__(self, name, value)
 
 
 class FadingModel(Record):
     """A zero-mean fading process: a spectrum and the scalar law of H1.
 
-    law is a key of LAWS, and tail(ups) = P(|H1| >= ups) for ups > 0 and
-    mass_at_zero = P(H1 = 0) are read from it.  Every law has E|H1|^2 = 1,
-    so the spectrum must carry unit variance; the unit law needs the flat
-    spectrum, since its phase bounds hold only for IID phases.  law picks
-    the bound route ("unit" takes the phase-noise bounds, the others the
-    threshold lower bound), the sampler of processes.simulate_model, and
-    the Monte Carlo law of processes.marginal_draws.
+    law names a row of LAWS, and the model's tail and mass_at_zero are the
+    row's.  Every law has E|H1|^2 = 1, so the spectrum must carry unit
+    variance, and it must pass the row's spectrum rule.  The row also
+    picks the model's bounds in bound_sweep and its limits in
+    prelog_report, and processes keeps the law's samplers in a table of
+    its own.  law stays the name, so a model pickles and compares by value.
     """
 
     __slots__ = ("name", "spectrum", "law", "mass_at_zero")
@@ -80,14 +94,16 @@ class FadingModel(Record):
                 f"the {self.law} law has unit variance, "
                 f"the spectrum has {self.spectrum.variance!r}"
             )
-        if self.law == "unit" and self.spectrum != make_rect_band(0.5):
-            raise DomainError("the unit law needs the flat spectrum (IID phases)")
-        object.__setattr__(self, "mass_at_zero", LAWS[self.law][1])
+        row = LAWS[self.law]
+        need = row.spectrum_rule(self.spectrum)
+        if need is not None:
+            raise DomainError(f"the {self.law} law needs {need}")
+        object.__setattr__(self, "mass_at_zero", row.mass_at_zero)
 
     @property
     def tail(self):
         """ups -> P(|H1| >= ups), the law's tail."""
-        return LAWS[self.law][0]
+        return LAWS[self.law].tail
 
 
 class BoundCurve(Record):
@@ -137,14 +153,15 @@ class PrelogReport(Record):
         object.__setattr__(self, "upsilon_star", upsilon_star)
 
 
-def _map_ordered(fn, items: Sequence, threads: int | None):
-    """Map fn over items, optionally on a thread pool, preserving order."""
-    if threads is not None and threads > 1 and len(items) > 1:
+def _map_points(point, model, snrs: list, ends, threads: int | None) -> list:
+    """point(model, snr, ends) for each snr, in order, optionally on a
+    thread pool."""
+    if threads is not None and threads > 1 and len(snrs) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
+            return list(pool.map(point, [model] * len(snrs), snrs, [ends] * len(snrs)))
+    return [point(model, snr, ends) for snr in snrs]
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +285,11 @@ def optimize_upsilon(
     decreases, so the bound is unimodal in ups and the closed-form optimum
     clamped to [min(grid), max(grid)] is the maximum over that range; it
     is never below the bound at any grid point.  A clamped upsilon_star is
-    the grid's own element, so a one-point grid fixes the threshold.  The
-    unit law has no Gaussian tail and raises PreconditionError.
+    the grid's own element, so a one-point grid fixes the threshold.  A
+    law with no Gaussian tail (scale None) raises PreconditionError.
     """
     lo, hi = _threshold_range(grid)
-    c = LAWS[model.law][2]
+    c = LAWS[model.law].scale
     if c is None:
         raise PreconditionError(f"the {model.law} law has no threshold optimum")
     snr = check_positive("snr", snr)
@@ -351,17 +368,49 @@ def miso_prelog_lower(spectra: Sequence[SpectralDensity]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the laws
+
+def _any_spectrum(S: SpectralDensity) -> None:
+    """A Gaussian-tail law takes every unit-variance spectrum."""
+    return None
+
+
+def _flat_spectrum(S: SpectralDensity) -> str | None:
+    """The phase bounds hold only for IID phases: the flat spectrum."""
+    return None if S == make_rect_band(0.5) else "the flat spectrum (IID phases)"
+
+
+def _threshold_point(model: FadingModel, snr: float, ends: _Range) -> tuple[float, float, float]:
+    """The threshold lower bound at its optimum within ends, and the
+    coherent average-power ceiling."""
+    u_star, lb = optimize_upsilon(model, snr, ends)
+    return lb, u_star, coherent_avg_upper_bound(model, snr)
+
+
+def _phase_point(model: FadingModel, snr: float, ends: _Range) -> tuple[float, None, float]:
+    """The unit-modulus bounds, which have no threshold."""
+    return phase_noise_lower_bound(snr), None, phase_noise_upper_bound(snr)
+
+
+# rayleigh: |H1|^2 exponential with unit mean; with no mass at zero its
+# pre-log is at least the zero-set measure and at most the coherent 1.
+# onoff: zero or variance-2 Gaussian with probability 1/2 each; the mass
+# at zero leaves no lower limit and caps the pre-log at P(|H1| > 0).
+# unit: |H1| = 1, a uniform phase; pre-log 1/2 despite its flat spectrum.
+LAWS = {
+    "rayleigh": Law(lambda u: math.exp(-u * u), 0.0, 1.0, _any_spectrum,
+                    ("LOWER_LB", "UPPER_COHERENT"), _threshold_point,
+                    lambda model: (prelog_lower_bound(model), 1.0)),
+    "onoff": Law(lambda u: 0.5 * math.exp(-u * u / 2.0), 0.5, 2.0, _any_spectrum,
+                 ("LOWER_LB", "UPPER_COHERENT"), _threshold_point,
+                 lambda model: (None, masspoint_prelog_upper(model))),
+    "unit": Law(lambda u: 1.0 if u <= 1.0 else 0.0, 0.0, None, _flat_spectrum,
+                ("PHASE_LB", "PHASE_UB"), _phase_point, lambda model: (0.5, 0.5)),
+}
+
+
+# ---------------------------------------------------------------------------
 # sweeps and reports
-
-def _order_key(snr: float) -> float:
-    """float(snr), or an int past the float range as itself: Python
-    compares either with a float exactly, where comparing the caller's
-    numpy scalars would cast a Python float down to their precision."""
-    try:
-        return float(snr)
-    except OverflowError:
-        return snr
-
 
 def bound_sweep(
     model: FadingModel,
@@ -371,15 +420,15 @@ def bound_sweep(
 ) -> tuple[BoundCurve, BoundCurve]:
     """Lower and upper bound curves over an snr grid.
 
-    Models of the unit law pair the specialized unit-modulus bounds; all
-    others pair the threshold-optimized lower bound with the coherent
-    average-power ceiling.  The snr grid (any iterable of numbers, an
-    array included) must be nonempty and strictly increasing as floats
-    (see _order_key), and the threshold grid (None: the default grid)
-    nonempty with every u and u**2 positive and finite; both are checked
-    before any point is evaluated, for every law.  The threshold grid's ends bound the optimal threshold
-    at each snr (see optimize_upsilon).  The phase bounds have no
-    threshold, so they ignore a valid threshold grid.
+    The model's Law row picks the pair: its kinds name the two curves and
+    its point gives both bounds at each snr.  The snr grid (any iterable
+    of numbers, an array included; a string is no number) must be
+    nonempty and strictly increasing as floats, and the threshold grid
+    (None: the default grid) nonempty with every u and u**2 positive and
+    finite; both are checked before any point is evaluated, for every
+    law.  The threshold grid's ends bound the optimal threshold at each
+    snr (see optimize_upsilon); a law without a threshold ignores a valid
+    threshold grid.
 
     threads > 1 spreads the snr points over a thread pool, in grid order.
     The pool is bound by the GIL and is no faster than the serial loop;
@@ -389,29 +438,18 @@ def bound_sweep(
     snrs = list(snrs)
     if not snrs:
         raise DomainError("snr grid must be nonempty")
-    keys = [_order_key(s) for s in snrs]
+    keys = [_as_number("snr", s) for s in snrs]
     if any(b <= a for a, b in zip(keys, keys[1:])):
         raise DomainError("snr grid must be strictly increasing")
     ends = _DEFAULT_RANGE if upsilon_grid is None else _threshold_range(upsilon_grid)
-    if model.law == "unit":
-        kinds = ("PHASE_LB", "PHASE_UB")
-
-        def one(snr: float) -> tuple[float, None, float]:
-            return phase_noise_lower_bound(snr), None, phase_noise_upper_bound(snr)
-    else:
-        kinds = ("LOWER_LB", "UPPER_COHERENT")
-
-        def one(snr: float) -> tuple[float, float, float]:
-            u_star, lb = optimize_upsilon(model, snr, ends)
-            return lb, u_star, coherent_avg_upper_bound(model, snr)
-
-    rows = _map_ordered(one, snrs, threads)
+    law = LAWS[model.law]
+    rows = _map_points(law.point, model, snrs, ends, threads)
     low = BoundCurve(
-        kinds[0],
+        law.kinds[0],
         tuple((s, r[0]) for s, r in zip(snrs, rows)),
         params=tuple(r[1] for r in rows),
     )
-    up = BoundCurve(kinds[1], tuple((s, r[2]) for s, r in zip(snrs, rows)))
+    up = BoundCurve(law.kinds[1], tuple((s, r[2]) for s, r in zip(snrs, rows)))
     return low, up
 
 
@@ -423,28 +461,20 @@ def prelog_report(
     """Finite-snr pre-log diagnostics against the analytic limits.
 
     Each ratio is bound_sweep's lower bound at that snr divided by log snr,
-    floored at 0.  For zero-mass models the analytic limit is the zero-set
-    measure and the ceiling is 1 (coherent slope); with mass at zero the
-    limit is absent and the ceiling is P(|H1| > 0); for the unit law both
-    are 1/2.  The limits hold only as snr grows, so no ratio is checked
-    against them; a lower bound above bound_sweep's upper bound, which no
-    snr allows, raises NumericError.
+    floored at 0.  The analytic limit and the ceiling are the limits of
+    the model's Law row.  They hold only as snr grows, so no ratio is
+    checked against them; a lower bound above bound_sweep's upper bound,
+    which no snr allows, raises NumericError.
     """
     snr_grid = list(snr_grid)  # read once, as bound_sweep reads it
-    if any(s <= 1 for s in snr_grid):
+    if any(_as_number("snr", s) <= 1 for s in snr_grid):
         raise DomainError("pre-log ratios need snr > 1")
 
     low, up = bound_sweep(model, snr_grid, upsilon_grid)
     for (snr, lb), ub in zip(low.points, up.values):
         if lb > ub:
             raise NumericError(f"lower bound {lb!r} exceeds upper bound {ub!r} at snr {snr!r}")
-    if model.law == "unit":
-        analytic, upper = 0.5, 0.5
-    elif model.mass_at_zero > 0:
-        analytic, upper = None, masspoint_prelog_upper(model)
-    else:
-        analytic, upper = prelog_lower_bound(model), 1.0
-
+    analytic, upper = LAWS[model.law].limits(model)
     raw = [(snr, lb / math.log(snr)) for snr, lb in low.points]
     floored = tuple(r < 0 for _, r in raw)
     ratios = tuple((snr, max(r, 0.0)) for snr, r in raw)

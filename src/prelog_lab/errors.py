@@ -15,7 +15,9 @@ float the check returns, never the caller's object: an snr or a threshold
 from check_positive, a band half-width from its range check in spectra.
 So a numpy scalar of any precision, or an int, gives the bits of
 float(value) and no numpy warning; numpy's own scalar rules would round
-in float16 or float32, carry a long double, or overflow casting down.
+in float16 or float32, carry a long double, or overflow casting down.  A
+string, bytes or anything else float() refuses is no number, and every
+check raises DomainError for it (see _as_number).
 """
 
 import math
@@ -45,15 +47,35 @@ def number_text(value) -> str:
     return str(value)
 
 
+def _as_number(name: str, value):
+    """float(value), or an int past the float range as itself: Python
+    compares either with a float exactly, where comparing the caller's
+    numpy scalars would cast a Python float down to their precision.  A
+    str, bytes or bytearray, which float() would parse, and anything
+    float() refuses raise DomainError."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            return value
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{name} must be a number, got {value!r}")
+
+
 def check_positive(name: str, value: float) -> float:
     """float(value), once that float is finite and > 0 (NaN and inf fail);
-    anything else raises DomainError.  A value past the float range, an
-    int or a long double, is named too large.  The range is judged on the
-    float, so no bound is cast down to a numpy scalar's precision."""
-    try:
-        x = float(value)
-    except OverflowError:  # an int past the float range
-        x = math.inf if value > 0 else -math.inf
+    anything else, a non-number included, raises DomainError.  A value
+    past the float range, an int or a long double, is named too large.
+    The range is judged on the float, so no bound is cast down to a numpy
+    scalar's precision."""
+    x = value
+    if type(x) is not float:
+        x = _as_number(name, value)
+        if type(x) is not float:  # an int past the float range
+            x = math.inf if x > 0 else -math.inf
     if x == math.inf and value != x:  # an int or a long double past the float range
         raise DomainError(f"{name} {number_text(value)} is too large: it leaves the float range")
     if not 0.0 < x < math.inf:
@@ -62,12 +84,12 @@ def check_positive(name: str, value: float) -> float:
 
 
 def as_float(name: str, value) -> float:
-    """float(value), with an int past the float range a DomainError rather
-    than an OverflowError."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"{name} {number_text(value)} leaves the float range") from None
+    """float(value) of a number, with an int past the float range a
+    DomainError rather than an OverflowError, as is a non-number."""
+    x = _as_number(name, value)
+    if type(x) is not float:
+        raise DomainError(f"{name} {number_text(value)} leaves the float range")
+    return x
 
 
 # most elements of an array: a complex array of 2**59 elements holds 2**63

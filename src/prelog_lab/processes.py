@@ -251,46 +251,63 @@ def simulate_phase_noise(n: int, seed: int) -> SamplePath:
     return SamplePath(_unit_phasors(rng, n), seed)
 
 
-def simulate_model(model: FadingModel, n: int, seed: int) -> SamplePath:
-    """Path of the model's process, the sampler picked by its law.
-
-    The onoff law names the on-off product process, so its paths need the
-    spectrum make_onoff_spectrum(W) of some W; FadingModel already holds
-    the unit law to the flat spectrum.
-    """
-    if model.law == "unit":
-        return simulate_phase_noise(n, seed)
-    if model.law == "onoff":
-        return simulate_onoff(_onoff_halfwidth(model.spectrum), n, seed)
-    return simulate_gaussian(model.spectrum, n, seed)
-
-
-def _onoff_halfwidth(S: SpectralDensity) -> float:
-    """W such that S is make_onoff_spectrum(W)."""
+def _onoff_path(model: FadingModel, n: int, seed: int) -> SamplePath:
+    """The on-off product process's path, once the model's spectrum is
+    make_onoff_spectrum(W) of some W, the only spectrum that process has."""
+    S = model.spectrum
     # the band around zero of the on-off spectrum ends at its half-width
     W = next(hi for lo, hi, _ in S.segments if lo < 0 <= hi)
     if not (0 < W < 0.25 and S == make_onoff_spectrum(W)):
         raise DomainError("an onoff-law path needs the spectrum make_onoff_spectrum(W)")
-    return W
+    return simulate_onoff(W, n, seed)
+
+
+def _rayleigh_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Circularly-symmetric Gaussian draws of unit variance."""
+    z = rng.standard_normal(2 * n).view(np.complex128)
+    z *= math.sqrt(0.5)
+    return z
+
+
+def _onoff_draws(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A fair coin after the normals, times B of variance 2."""
+    z = rng.standard_normal(2 * n).view(np.complex128)
+    np.multiply(rng.integers(0, 2, n), z, out=z)
+    return z
+
+
+# law of bounds.LAWS -> (path sampler (model, n, seed), marginal draws
+# (rng, n), whether the tail is known exactly: every draw has |H1| = 1.0).
+# A sampler reaches its public simulate_* through this module's globals,
+# so one rebound on the module (by a tracer or a test) sees each call.
+_SAMPLERS = {
+    "rayleigh": (lambda model, n, seed: simulate_gaussian(model.spectrum, n, seed),
+                 _rayleigh_draws, False),
+    "onoff": (_onoff_path, _onoff_draws, False),
+    "unit": (lambda model, n, seed: simulate_phase_noise(n, seed), _unit_phasors, True),
+}
+
+
+def simulate_model(model: FadingModel, n: int, seed: int) -> SamplePath:
+    """Path of the model's process, by the sampler of its law in _SAMPLERS.
+
+    A rayleigh path is Gaussian with the model's spectrum.  The onoff law
+    names the on-off product process, so its paths need the spectrum
+    make_onoff_spectrum(W) of some W; FadingModel already holds the unit
+    law to the flat spectrum of IID phases.
+    """
+    return _SAMPLERS[model.law][0](model, n, seed)
 
 
 def marginal_draws(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """n independent draws of H1 under the model's law, n in
-    [0, MAX_ELEMENTS).
+    [0, MAX_ELEMENTS), by the draws of its law in _SAMPLERS.
 
     A Gaussian draw is a pair of consecutive standard normals read in
     place as one complex number, so the normals buffer is the result.
     """
     n = check_index("draw count", n, 0, MAX_ELEMENTS)
-    rng = stream_rng(seed, STREAM_TAIL_MC)
-    if model.law == "unit":
-        return _unit_phasors(rng, n)
-    z = rng.standard_normal(2 * n).view(np.complex128)
-    if model.law == "rayleigh":
-        z *= math.sqrt(0.5)
-    else:  # onoff: a fair coin after the normals, times B of variance 2
-        np.multiply(rng.integers(0, 2, n), z, out=z)
-    return z
+    return _SAMPLERS[model.law][1](stream_rng(seed, STREAM_TAIL_MC), n)
 
 
 def tail_probability_mc(
@@ -298,17 +315,18 @@ def tail_probability_mc(
 ) -> float:
     """Monte Carlo estimate of the tail, the cross-check for closed forms.
 
-    For the unit law every draw of marginal_draws has |H1| = 1.0 exactly,
-    so the fraction at or above upsilon is 1.0 (upsilon <= 1) or 0.0 for
-    every sample count and seed; that value is returned without drawing,
-    after the same argument checks in the same order (threshold, count,
-    seed).  A unit-law tail therefore costs no memory, whatever its count.
+    Where every draw of marginal_draws has |H1| = 1.0 exactly (the unit
+    law), the fraction at or above upsilon is model.tail(upsilon), 1.0 or
+    0.0, for every sample count and seed; that value is returned without
+    drawing, after the same argument checks in the same order (threshold,
+    count, seed).  Such a tail therefore costs no memory, whatever its
+    count.
     """
     upsilon = check_positive("threshold", upsilon)
     n_samples = check_index("Monte Carlo sample count", n_samples, 1, MAX_ELEMENTS)
-    if model.law == "unit":
+    if _SAMPLERS[model.law][2]:
         check_index("seed", seed, 0, 2**64)
-        return 1.0 if upsilon <= 1.0 else 0.0
+        return model.tail(upsilon)
     draws = marginal_draws(model, n_samples, seed)
     # the bits of np.mean: a pairwise sum of 0/1 values is exact below 2**53
     return float(np.count_nonzero(np.abs(draws) >= upsilon)) / n_samples

@@ -25,7 +25,14 @@ import math
 import sys
 
 from ._record import Record
-from .errors import MAX_ELEMENTS, DomainError, as_float, check_index, check_positive
+from .errors import (
+    MAX_ELEMENTS,
+    DomainError,
+    _as_number,
+    as_float,
+    check_index,
+    check_positive,
+)
 
 # mass bookkeeping tolerance for validated densities
 MASS_TOL = 1e-12
@@ -142,9 +149,10 @@ def make_rect_band(W: float, variance: float = 1.0) -> SpectralDensity:
     W = 1/2 gives the flat (IID) density.  Raises DomainError outside
     0 < W <= 1/2.
     """
-    if not 0 < W <= 0.5:
+    x = _as_number("band half-width", W)
+    if not 0 < x <= 0.5:
         raise DomainError(f"band half-width must lie in (0, 1/2], got {W}")
-    W, variance = float(W), as_float("variance", variance)
+    W, variance = x, as_float("variance", variance)
     if W == 0.5:
         return SpectralDensity(((-0.5, 0.5, variance),), variance)
     v = variance / (2 * W)
@@ -161,9 +169,10 @@ def make_onoff_spectrum(W: float) -> SpectralDensity:
     harmonic interval is the image of the baseband pair shifted by 1/2.
     Requires 0 < W < 1/4.
     """
-    if not 0 < W < 0.25:
+    x = _as_number("on-off half-width", W)
+    if not 0 < x < 0.25:
         raise DomainError(f"on-off half-width must lie in (0, 1/4), got {W}")
-    W = float(W)
+    W = x
     v = 1.0 / (4 * W)
     return SpectralDensity(
         (

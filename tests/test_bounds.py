@@ -507,9 +507,9 @@ class TestFadingModelValidation:
 
     def test_three_fields_and_the_law_sets_the_rest(self):
         assert list(inspect.signature(FadingModel).parameters) == ["name", "spectrum", "law"]
-        for law, (tail, mass, _) in LAWS.items():
+        for law, row in LAWS.items():
             model = FadingModel("m", make_rect_band(0.5), law)
-            assert model.tail is tail and model.mass_at_zero == mass
+            assert model.tail is row.tail and model.mass_at_zero == row.mass_at_zero
 
     def test_closed_loopholes(self):
         # a law's variance and a unit law's spectrum are checked at build time
@@ -525,7 +525,7 @@ TAIL_PROBES = (1e-9, 0.25, 0.5, 1.0, 2.0, 4.0, 40.0)
 
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_law_tail_is_a_tail(law):
-    tail, mass, _ = LAWS[law]
+    tail, mass = LAWS[law].tail, LAWS[law].mass_at_zero
     assert abs(tail(TAIL_PROBES[0]) - (1.0 - mass)) <= 1e-6
     values = [tail(u) for u in TAIL_PROBES]
     assert all(0.0 <= t <= 1.0 for t in values)

@@ -25,7 +25,13 @@ from prelog_lab.bounds import (
     rayleigh_band_model,
 )
 from prelog_lab.processes import simulate_onoff, tail_probability_mc
-from prelog_lab.spectra import make_onoff_spectrum, make_rect_band, spectral_log_integral
+from prelog_lab.errors import DomainError
+from prelog_lab.spectra import (
+    SpectralDensity,
+    make_onoff_spectrum,
+    make_rect_band,
+    spectral_log_integral,
+)
 from prelog_lab.toeplitz import szego_logdet_rate
 
 MODEL = rayleigh_band_model(0.1)
@@ -112,3 +118,21 @@ MIXED_GRIDS = ([np.float16(10), 1e6], [np.float32(10), 1e300])
 @pytest.mark.parametrize("grid", MIXED_GRIDS, ids=["float16", "float32"])
 def test_mixed_snr_grid_is_its_float_list(call, grid):
     assert plain(call(MODEL, grid)) == plain(call(MODEL, [float(s) for s in grid]))
+
+
+# no numbers, though float() would parse the first three
+NON_NUMBERS = {"str": "1e4", "bytes": b"0.5", "bytearray": bytearray(b"2"), "text": "abc",
+               "None": None, "object": object()}
+# the entries above, and the two that take a spectrum's numbers
+NUMBER_ENTRIES = {
+    **{entry: call for entry, (call, _) in ENTRIES.items()},
+    "SpectralDensity edge": lambda x: SpectralDensity([(x, 0.5, 1.0)]),
+    "SpectralDensity variance": lambda x: SpectralDensity([(-0.5, 0.5, 1.0)], x),
+}
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
+@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
+def test_a_non_number_is_a_domain_error(entry, value):
+    with pytest.raises(DomainError, match="must be a number, got "):
+        NUMBER_ENTRIES[entry](value)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prelog_lab import processes
+from prelog_lab import bounds, processes
 from prelog_lab.bounds import (
     FadingModel,
     onoff_model,
@@ -396,6 +396,41 @@ class TestModelDispatch:
         assert np.array_equal(
             g.values, simulate_gaussian(make_rect_band(0.2), 32, 1).values
         )
+
+    def test_the_law_tables_hold_the_same_laws(self):
+        assert sorted(processes._SAMPLERS) == sorted(bounds.LAWS)
+
+    # (module, function, model, call): the call reaches the function only
+    # through the law row of the model
+    ROUTED = [
+        (processes, "simulate_gaussian", rayleigh_band_model(0.2),
+         lambda m: simulate_model(m, 32, 1)),
+        (processes, "simulate_onoff", onoff_model(1 / 8), lambda m: simulate_model(m, 32, 1)),
+        (processes, "simulate_phase_noise", phase_noise_model(),
+         lambda m: simulate_model(m, 32, 1)),
+        (bounds, "optimize_upsilon", rayleigh_band_model(0.2),
+         lambda m: bounds.bound_sweep(m, [1e2, 1e4])),
+        (bounds, "coherent_avg_upper_bound", onoff_model(1 / 8),
+         lambda m: bounds.bound_sweep(m, [1e2, 1e4])),
+        (bounds, "phase_noise_lower_bound", phase_noise_model(),
+         lambda m: bounds.bound_sweep(m, [1e2, 1e4])),
+    ]
+
+    @pytest.mark.parametrize("module, name, model, call", ROUTED,
+                             ids=[r[1] for r in ROUTED])
+    def test_a_law_row_calls_the_function_bound_on_its_module(
+            self, monkeypatch, module, name, model, call):
+        # a row that held the function object itself would skip a rebinding
+        # such as the benchmark tracer's
+        real, calls = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        call(model)
+        assert calls
 
 
 # values whose bits are easy to lose: signed zeros, subnormals, extremes,

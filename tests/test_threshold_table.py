@@ -154,7 +154,9 @@ def _counting_model(monkeypatch):
         calls.append(u)
         return math.exp(-u * u)
 
-    monkeypatch.setitem(bounds.LAWS, "rayleigh", (tail, 0.0, 1.0))
+    row = bounds.LAWS["rayleigh"]
+    fields = {name: getattr(row, name) for name in bounds.Law.__slots__}
+    monkeypatch.setitem(bounds.LAWS, "rayleigh", bounds.Law(**{**fields, "tail": tail}))
     return FadingModel("counting", make_rect_band(0.1), "rayleigh"), calls
 
 
