@@ -71,15 +71,14 @@ EXIT_NUMERIC = 4
 
 
 def _fmt(x) -> str:
-    """Lossless scalar formatting for CSV cells."""
-    if type(x) is float:  # most cells; repr(float(x)) is repr(x) here
+    """Lossless scalar formatting for CSV cells: a float, int, bool, str
+    or None, never a numpy scalar."""
+    if type(x) is float:  # most cells
         return repr(x)
     if x is None:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(float(x))  # plain float repr for numpy scalars
     return str(x)
 
 

@@ -825,6 +825,37 @@ def test_json_output_uses_the_c_encoder(capsys, monkeypatch, tmp_path):
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_cell_is_a_plain_python_scalar(capsys, monkeypatch, tmp_path, fmt):
+    # _fmt and the JSON encoder format plain Python scalars only: a numpy
+    # scalar's str and repr differ across numpy versions
+    plain = (float, int, bool, str, type(None))
+    emitted = []
+
+    def checked_emit(args, header, rows, scalars):
+        for value in [*scalars.values(), *(cell for row in rows for cell in row)]:
+            assert type(value) in plain, (args.command, value, type(value))
+        emitted.append(args.command)
+        return emit(args, header, rows, scalars)
+
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", checked_emit)
+    sfile = tmp_path / "flat.json"
+    sfile.write_text(spectrum_json(spectra.make_rect_band(0.5)))
+    extra = [
+        ["prelog-report", "--model", "phase-noise"],
+        ["prelog-report", "--model", "rayleigh-band:W=0.1", "--upsilon", "1.5"],
+        ["simulate", "--model", "rayleigh-band:W=0.1", "--n", "2000", "--m-max", "4"],
+        ["simulate", "--model", "phase-noise", "--n", "500"],
+    ]
+    for argv in _JSON_ARGV + extra:
+        argv = [a.replace("FILE", str(sfile)) for a in argv] + ["--format", fmt]
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+    assert set(emitted) == {"spectrum", "bound-sweep", "prelog-report", "szego",
+                            "simulate", "miso"}
+
+
 def test_float_formatting_is_lossless():
     # repr round-trips doubles exactly, the invariant the CSV layer relies on
     vals = [math.pi, 1e-300, 2.651652454029538, 7.254329119262048]

@@ -1,6 +1,7 @@
 """Covariance construction, Hermitian eigenvalues, and the Levinson Szego rate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,7 +324,10 @@ REAL_SPECTRA = {
        for seed in (1, 2, 3)},
 }
 ORACLE_SNRS = (1e2, 1e6, 1e10, 1e14, 1e15)
-ORACLE_NS = (1, 2, 3, 16, 33, 512, 1024)
+# a real row moves a over its gap after every C-th step: C - 1 and C never
+# move it, C + 1 and 2C + 1 end on a move, and C + 2 ends one step after one
+C = toeplitz._COMPACT
+ORACLE_NS = tuple(sorted({1, 2, 3, 16, 33, 512, 1024, C - 1, C, C + 1, C + 2, 2 * C + 1}))
 
 
 class TestFrozenOracle:
@@ -361,6 +365,15 @@ class TestFrozenOracle:
                 assert (variance_bits(_innovation_variances, row)
                         == variance_bits(complex_innovation_variances, row))
 
+    def test_band_row_at_snr_1e300(self):
+        # entries near 1e300, short of the float range: the real route's gap
+        # adds no overflow and no warning of its own
+        row = snr_row(make_rect_band(0.25), 1e300, 1024).real
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (variance_bits(_innovation_variances, row)
+                    == variance_bits(complex_innovation_variances, row))
+
     # the three ceilings at which the szego command exits 4
     @pytest.mark.parametrize("S, snr, n", [
         (make_rect_band(0.1), 1e15, 128),
@@ -374,6 +387,28 @@ class TestFrozenOracle:
         with pytest.raises(NumericError) as library:
             _innovation_variances(row)
         assert str(library.value) == str(frozen.value)
+
+
+class TestRealRowGap:
+    """A real row's buffer keeps each entry the recursion eliminates at 0.0
+    until a moves over it, so the gap's products are 0.0 * kappa."""
+
+    @pytest.mark.parametrize("n", [2, C - 1, C, C + 1, C + 2, 2 * C + 5, 512])
+    def test_eliminated_entries_are_zero(self, monkeypatch, n):
+        row = snr_row(make_rect_band(0.25), 1e6, n).real
+        arrays = []
+
+        def recording_empty(*args, **kwargs):
+            arrays.append(numpy_empty(*args, **kwargs))
+            return arrays[-1]
+
+        numpy_empty = np.empty
+        monkeypatch.setattr(np, "empty", recording_empty)
+        _innovation_variances(row)
+        [X] = [a for a in arrays if a.shape == (2 * n,)]
+        # the steps after a last moved, after step k = C floor((n - 1) / C)
+        # or never (k = 0), eliminated X[:n - 1 - k]
+        assert not X[:(n - 1) % C].any()
 
 
 class TestRealRowsStayReal:
