@@ -2,8 +2,9 @@
 
 A record lists its fields in __slots__ and sets each one once, in its own
 __init__, through object.__setattr__; afterwards assignment and deletion
-raise AttributeError.  Equality and hashing go by the field values, and
-only between records of the same class; repr lists the fields by name.
+raise AttributeError.  Equality and hashing go by _key, the field values
+unless a record says otherwise, and only between records of the same
+class; repr lists the fields by name.
 Nothing here is imported beyond the interpreter's builtins, so records
 cost a light command's cold start nothing.
 """
@@ -26,13 +27,15 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    _key = _values
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

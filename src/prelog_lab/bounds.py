@@ -243,12 +243,19 @@ def capacity_lower_bound(model: FadingModel, snr: float, upsilon: float) -> floa
     return tail * math.log(snr) - tail * (1.0 - math.log(u * u)) - integral
 
 
+def _log_grid(lo: float, hi: float, points: int) -> list[float]:
+    """points >= 2 log-spaced values from 0 < lo < hi: exp(log lo + k step)
+    inside, and lo and hi themselves at the ends.  The one rule of every
+    lo:hi:points grid, the CLI's included."""
+    log_lo = math.log(lo)
+    step = (math.log(hi) - log_lo) / (points - 1)
+    return [lo, *[math.exp(log_lo + k * step) for k in range(1, points - 1)], hi]
+
+
 def default_upsilon_grid() -> list[float]:
-    """Logarithmic threshold grid used when the caller does not pick one:
-    60 points from 1e-3 to 4.  Its ends bound the default threshold range."""
-    lo, hi, points = 1e-3, 4.0, 60
-    step = (math.log(hi) - math.log(lo)) / (points - 1)
-    return [math.exp(math.log(lo) + k * step) for k in range(points)]
+    """Threshold grid used when the caller does not pick one, that of
+    --upsilon 1e-3:4:60; its ends, 0.001 and 4.0, are the default range."""
+    return _log_grid(1e-3, 4.0, 60)
 
 
 _DEFAULT_RANGE = _threshold_range(default_upsilon_grid())

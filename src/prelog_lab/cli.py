@@ -38,8 +38,9 @@ names one of three laws of H1: rayleigh (Gaussian, any spectrum), onoff
 spectrum of some W), and unit (uniform phase; the flat spectrum only).
 Every model, built-in or custom, is a spectrum and one of these laws, and
 a law that does not fit its spectrum is a usage error.  Each parameter is
-given once.  Every model is zero-mean, and simulate synthesizes Gaussian
-paths from 4096 harmonics.
+given once.  Every model is zero-mean, and simulate synthesizes the
+paths of the Gaussian laws as random-phase sums of 4096 equal-power
+harmonics, Gaussian only as that count grows.
 
 Grids are lo:hi:points (log-spaced, endpoints pinned to lo and hi), a
 comma list, or a single value.  A threshold grid (--upsilon) is a range:
@@ -109,12 +110,7 @@ def parse_grid(text: str) -> list[float]:
     """lo:hi:points log-spaced grid, comma list, or single value."""
     text = text.strip()
     if ":" in text:
-        lo, hi, points = _range_spec(text)
-        log_lo = math.log(lo)
-        step = (math.log(hi) - log_lo) / (points - 1)
-        grid = [math.exp(log_lo + k * step) for k in range(points)]
-        grid[0], grid[-1] = lo, hi  # pin endpoints exactly
-        return grid
+        return bounds._log_grid(*_range_spec(text))
     if "," in text:
         return [_number(p) for p in text.split(",") if p.strip()]
     return [_number(text)]
@@ -375,12 +371,6 @@ def cmd_miso(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-_UPSILON_HELP = ("threshold range: the optimal threshold is clamped to [lo, hi] of a "
-                 "range lo:hi:points, whose interior is never built, or to [min, max] "
-                 "of a list; a single value fixes it; unset uses 0.0010000000000000002 to "
-                 "4.000000000000001 (1e-3:4:60 pins its ends at 0.001 and 4.0)")
-
-
 def _common_args(p: argparse.ArgumentParser, model: bool = True) -> None:
     if model:
         p.add_argument("--model", required=True, default=argparse.SUPPRESS,
@@ -396,16 +386,15 @@ def _common_args(p: argparse.ArgumentParser, model: bool = True) -> None:
 # attribute (a tracer's wrapper, a test's stand-in) is the one that runs,
 # even through a parser built and kept before it was rebound.
 
-def _bound_sweep_args(p: argparse.ArgumentParser) -> None:
+def _sweep_args(p: argparse.ArgumentParser, snr: str) -> None:
+    """bound-sweep's and prelog-report's arguments, which differ only in
+    the default snr grid."""
     _common_args(p)
-    p.add_argument("--snr", default="1e2:1e10:9", help="grid lo:hi:points, list, or value")
-    p.add_argument("--upsilon", help=_UPSILON_HELP)
-
-
-def _prelog_report_args(p: argparse.ArgumentParser) -> None:
-    _common_args(p)
-    p.add_argument("--snr", default="1e4:1e10:4", help="grid lo:hi:points, list, or value")
-    p.add_argument("--upsilon", help=_UPSILON_HELP)
+    p.add_argument("--snr", default=snr, help="grid lo:hi:points, list, or value")
+    p.add_argument("--upsilon",
+                   help="threshold range: the optimal threshold is clamped to [lo, hi] of "
+                        "a range lo:hi:points, whose interior is never built, or to "
+                        "[min, max] of a list; a single value fixes it; unset uses 1e-3:4:60")
 
 
 def _szego_args(p: argparse.ArgumentParser) -> None:
@@ -435,8 +424,10 @@ def _manual_args(p: argparse.ArgumentParser) -> None:
 # command name -> (its help and description, the helper adding its arguments)
 _COMMANDS = {
     "spectrum": ("segments and zero-set diagnostics of a model spectrum", _common_args),
-    "bound-sweep": ("lower/upper capacity bounds over an snr grid", _bound_sweep_args),
-    "prelog-report": ("finite-snr pre-log ratios vs analytic limits", _prelog_report_args),
+    "bound-sweep": ("lower/upper capacity bounds over an snr grid",
+                    functools.partial(_sweep_args, snr="1e2:1e10:9")),
+    "prelog-report": ("finite-snr pre-log ratios vs analytic limits",
+                      functools.partial(_sweep_args, snr="1e4:1e10:4")),
     "szego": ("log-det rate vs spectral integral over matrix sizes", _szego_args),
     "simulate": ("sample a fading path and check its autocovariance", _simulate_args),
     "miso": ("multi-antenna pre-log lower bound", _miso_args),

@@ -87,21 +87,38 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 class SamplePath(Record):
-    """Realization H_1..H_n of a fading process."""
+    """Realization H_1..H_n of a fading process.
+
+    values is a read-only complex128 copy of the caller's array, and paths
+    compare and hash by (seed, samples), the samples bit for bit.
+    """
 
     __slots__ = ("values", "seed")
 
     def __init__(self, values, seed: int):
-        vals = np.asarray(values, dtype=np.complex128)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "seed", check_index("seed", seed, 0, 2**64))
-        if vals.ndim != 1 or vals.size < 1:
-            raise DomainError("path must hold at least one sample")
+        _own_path(np.array(values, dtype=np.complex128), seed, self)
 
     @property
     def n(self) -> int:
         return self.values.size
+
+    def _key(self) -> tuple:
+        return self.seed, self.values.tobytes()
+
+    def __reduce__(self):  # an unpickled or deep-copied array is writeable
+        return _own_path, (self.values, self.seed)
+
+
+def _own_path(vals: np.ndarray, seed: int, path: SamplePath | None = None) -> SamplePath:
+    """path, or a new SamplePath, holding vals itself, made read-only: a
+    complex128 array no caller keeps, so the library's paths take no copy."""
+    path = object.__new__(SamplePath) if path is None else path
+    vals.setflags(write=False)
+    object.__setattr__(path, "values", vals)
+    object.__setattr__(path, "seed", check_index("seed", seed, 0, 2**64))
+    if vals.ndim != 1 or vals.size < 1:
+        raise DomainError("path must hold at least one sample")
+    return path
 
 
 def _draw_frequencies(S: SpectralDensity, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -196,7 +213,7 @@ def simulate_gaussian(S: SpectralDensity, n: int, seed: int) -> SamplePath:
     var^2 rather than the 2 var^2 of a circularly-symmetric Gaussian.
     """
     n = check_index("path length", n, 1, MAX_ELEMENTS)
-    return SamplePath(_synthesize(*_harmonics(S, seed), n), seed)
+    return _own_path(_synthesize(*_harmonics(S, seed), n), seed)
 
 
 def simulate_onoff(W: float, n: int, seed: int) -> SamplePath:
@@ -211,7 +228,7 @@ def simulate_onoff(W: float, n: int, seed: int) -> SamplePath:
     n = check_index("path length", n, 1, MAX_ELEMENTS)
     parity = int(stream_rng(seed, STREAM_PARITY).integers(0, 2))
     lam, amp = _harmonics(make_rect_band(W, variance=2.0), seed)
-    return SamplePath(_synthesize(lam, amp, n, parity), seed)
+    return _own_path(_synthesize(lam, amp, n, parity), seed)
 
 
 def _unit_phasors(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -248,7 +265,7 @@ def simulate_phase_noise(n: int, seed: int) -> SamplePath:
     """
     n = check_index("path length", n, 1, MAX_ELEMENTS)
     rng = stream_rng(seed, STREAM_PHASE)
-    return SamplePath(_unit_phasors(rng, n), seed)
+    return _own_path(_unit_phasors(rng, n), seed)
 
 
 def _onoff_path(model: FadingModel, n: int, seed: int) -> SamplePath:
@@ -445,4 +462,5 @@ def read_path_binary(fname: str) -> SamplePath:
         body = fh.read()
     if len(body) != 16 * n:
         raise DomainError(f"{fname}: expected {16 * n} bytes of samples, found {len(body)}")
-    return SamplePath(np.frombuffer(body, dtype="<c16"), int(seed))
+    return _own_path(np.frombuffer(body, dtype="<c16").astype(np.complex128, copy=False),
+                     int(seed))

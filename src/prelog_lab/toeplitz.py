@@ -74,7 +74,7 @@ def _innovation_variances(first_row: np.ndarray) -> np.ndarray:
     prod (1 + |kappa|) / (1 - |kappa|), and near spectral zeros at high snr,
     where |kappa| -> 1, they drive P negative (Cybenko 1980; Bojanczyk,
     Brent, de Hoog and Sweet 1995).  O(n^2) time and O(n) memory.  Raises
-    NumericError when some P_k is not positive.
+    NumericError when some P_k, P_0 = r(0) included, is not positive.
 
     A row whose imaginary parts are all exactly zero (a spectrum symmetric
     about 0, as every built-in model has) runs on float64 arrays; a row
@@ -110,6 +110,8 @@ def _innovation_variances(first_row: np.ndarray) -> np.ndarray:
     n = v.size
     P = np.empty(n)
     p = P[0] = float(v[0].real)
+    if not p > 0.0:
+        raise NumericError(f"innovation variance P_0 = {p} is not positive")
     real = not v.imag.any()
     if real:
         X = np.empty(2 * n)

@@ -79,10 +79,13 @@ def spectrum_json(S: SpectralDensity) -> str:
 
 
 def log_grid(lo: float, hi: float, points: int) -> list[float]:
-    """points log-spaced values from lo to hi, by the formula of
-    bounds.default_upsilon_grid (points >= 2)."""
+    """points log-spaced values from lo to hi (points >= 2): the formula
+    exp(log lo + k step) at every point but the two ends, which are lo and
+    hi themselves, as every lo:hi:points grid of the library is."""
     step = (math.log(hi) - math.log(lo)) / (points - 1)
-    return [math.exp(math.log(lo) + k * step) for k in range(points)]
+    grid = [math.exp(math.log(lo) + k * step) for k in range(points)]
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
 # unit variance with a 1e-3 density floor and no exact zero: zero-set
@@ -399,8 +402,7 @@ def eager_build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
     upsilon_help = ("threshold range: the optimal threshold is clamped to [lo, hi] of a "
                     "range lo:hi:points, whose interior is never built, or to [min, max] "
-                    "of a list; a single value fixes it; unset uses 0.0010000000000000002 to "
-                    "4.000000000000001 (1e-3:4:60 pins its ends at 0.001 and 4.0)")
+                    "of a list; a single value fixes it; unset uses 1e-3:4:60")
     parser = argparse.ArgumentParser(
         prog="prelog-lab",
         description="Capacity pre-log analysis for noncoherent fading channels with memory",

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from prelog_lab import bounds
+from prelog_lab import bounds, cli
 from prelog_lab.bounds import (
     LAWS,
     FadingModel,
@@ -28,6 +28,7 @@ from prelog_lab.bounds import (
     prelog_report,
     rayleigh_band_model,
 )
+from prelog_lab.cli import parse_grid
 from prelog_lab.errors import DomainError, NumericError, PreconditionError
 from prelog_lab.spectra import (
     SpectralDensity,
@@ -116,7 +117,21 @@ class TestOptimizeUpsilon:
     def test_default_grid(self):
         grid = default_upsilon_grid()
         assert grid == log_grid(1e-3, 4.0, 60)
-        assert (grid[0], grid[-1]) == (0.0010000000000000002, 4.000000000000001)
+        assert (grid[0], grid[-1]) == (0.001, 4.0)
+        range_of_spec = tuple(cli._parse_threshold_grid("1e-3:4:60"))
+        assert bounds._DEFAULT_RANGE == (1e-3, 4.0) == range_of_spec
+
+    @pytest.mark.parametrize("lo, hi, points", [
+        (1e-3, 4.0, 60), (1e2, 1e10, 9), (1e4, 1e10, 4), (0.3, 0.30000000000000004, 5),
+        (1e-300, 1e300, 1001), (1.0, 2.0, 2), (7.0, 8.0, 3)])
+    def test_log_grid_interior_is_the_exp_log_formula(self, lo, hi, points):
+        # every interior point has the bits of exp(log lo + k step); only
+        # the two ends are pinned, to lo and hi
+        step = (math.log(hi) - math.log(lo)) / (points - 1)
+        formula = [math.exp(math.log(lo) + k * step) for k in range(points)]
+        grid = bounds._log_grid(lo, hi, points)
+        assert grid[1:-1] == formula[1:-1] and (grid[0], grid[-1]) == (lo, hi)
+        assert parse_grid(f"{lo!r}:{hi!r}:{points}") == grid
 
 
 class TestPrelogLower:

@@ -218,6 +218,16 @@ class TestBoundSweepCommand:
             assert float(row["upsilon_star"]) == star
             assert float(row["ub_coherent"]) == bounds.coherent_avg_upper_bound(model, snr)
 
+    @pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "onoff:W=0.0625"])
+    def test_default_range_clamps_at_exactly_4(self, capsys, model):
+        # below snr of about 0.2 the optimum lies above the default range
+        code, out, _ = run(capsys, ["bound-sweep", "--model", model, "--snr", "0.01:0.1:2"])
+        assert code == 0
+        fm = parse_model(model)
+        for row in csv_rows(out)[1]:
+            assert row["upsilon_star"] == "4.0"
+            assert float(row["lb"]) == bounds.capacity_lower_bound(fm, float(row["snr"]), 4.0)
+
     def test_phase_model_columns(self, capsys):
         code, out, _ = run(
             capsys, ["bound-sweep", "--model", "phase-noise", "--snr", "1e2,1e4"]

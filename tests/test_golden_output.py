@@ -3,12 +3,10 @@
 Each argv below runs with its default grids and its stdout is compared by
 sha256 against a recorded digest.  The set covers spectrum, bound-sweep and
 prelog-report over every model in both formats, plus miso.  The explicit
-threshold grid --upsilon 1e-3:4:60 is pinned on its own for every
-threshold-bound model: it pins 0.001 and 4.0 as the ends of the threshold
-range, where the default grid's exp/log ends are 0.0010000000000000002 and
-4.000000000000001, so the two can part once the default changes.  simulate
-and szego are left out: their numpy vectorized exp/log can differ in the
-last bit across CPUs.  Each threshold lower bound is also checked, row by
+threshold grid --upsilon 1e-3:4:60, the one an unset --upsilon uses, is
+pinned on its own for every threshold-bound model, so the two can part
+only on purpose.  simulate and szego are left out: their numpy vectorized
+exp/log can differ in the last bit across CPUs.  Each threshold lower bound is also checked, row by
 row, against the best bound at the points of its threshold grid.
 
 The spectrum files are literal JSON, so the pinned input does not depend on

@@ -255,6 +255,14 @@ class TestLevinson:
         with pytest.raises(NumericError):
             _innovation_variances(np.array([1.0, 2.0, 0.5]))
 
+    @pytest.mark.parametrize("row, p0", [([0.0], "0.0"), ([-1.0], "-1.0"), ([math.nan], "nan"),
+                                         ([0.0, 0.0], "0.0"), ([-1.0, 0.5], "-1.0"),
+                                         ([-1.0, 0.5j], "-1.0")])
+    def test_nonpositive_r0_is_numeric_error_at_p0(self, row, p0):
+        text = rf"^innovation variance P_0 = {p0} is not positive$"
+        with pytest.raises(NumericError, match=text):
+            _innovation_variances(np.array(row))
+
 
 # the szego-sweep benchmark's spectra: its band, its on-off spectrum, and
 # its custom spectrum (bench/oracle.random_spectrum of generator seed 2)
