@@ -153,17 +153,6 @@ class PrelogReport(Record):
         object.__setattr__(self, "upsilon_star", upsilon_star)
 
 
-def _map_points(point, model, snrs: list, ends, threads: int | None) -> list:
-    """point(model, snr, ends) for each snr, in order, optionally on a
-    thread pool."""
-    if threads is not None and threads > 1 and len(snrs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(point, [model] * len(snrs), snrs, [ends] * len(snrs)))
-    return [point(model, snr, ends) for snr in snrs]
-
-
 # ---------------------------------------------------------------------------
 # built-in models
 
@@ -367,8 +356,9 @@ def miso_prelog_lower(spectra: Sequence[SpectralDensity]) -> float:
 
     Signaling from the single best antenna achieves that antenna's zero-set
     measure, so the bound is the max over antennas.  It holds when no
-    antenna's law of H1 has mass at zero.
+    antenna's law of H1 has mass at zero.  spectra may be any iterable.
     """
+    spectra = tuple(spectra)
     if not spectra:
         raise DomainError("need at least one antenna spectrum")
     return max(zero_set_measure(S) for S in spectra)
@@ -437,10 +427,8 @@ def bound_sweep(
     snr (see optimize_upsilon); a law without a threshold ignores a valid
     threshold grid.
 
-    threads > 1 spreads the snr points over a thread pool, in grid order.
-    The pool is bound by the GIL and is no faster than the serial loop;
-    it stays only because bench/selftest.py calls bound_sweep(...,
-    threads=4) and goes with the next change to the benchmark.
+    threads is accepted and ignored: the snr points run serially, in grid
+    order, and the keyword goes with the benchmark self-test's next change.
     """
     snrs = list(snrs)
     if not snrs:
@@ -450,7 +438,7 @@ def bound_sweep(
         raise DomainError("snr grid must be strictly increasing")
     ends = _DEFAULT_RANGE if upsilon_grid is None else _threshold_range(upsilon_grid)
     law = LAWS[model.law]
-    rows = _map_points(law.point, model, snrs, ends, threads)
+    rows = [law.point(model, snr, ends) for snr in snrs]
     low = BoundCurve(
         law.kinds[0],
         tuple((s, r[0]) for s, r in zip(snrs, rows)),

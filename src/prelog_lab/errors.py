@@ -47,17 +47,18 @@ def number_text(value) -> str:
     return str(value)
 
 
-def _as_number(name: str, value):
+def _as_number(name: str, value, convert=float):
     """float(value), or an int past the float range as itself: Python
     compares either with a float exactly, where comparing the caller's
     numpy scalars would cast a Python float down to their precision.  A
     str, bytes or bytearray, which float() would parse, and anything
-    float() refuses raise DomainError."""
-    if type(value) is float:
+    float() refuses raise DomainError.  convert=complex reads a complex
+    number by the same rule."""
+    if type(value) is convert:
         return value
     if not isinstance(value, (str, bytes, bytearray)):
         try:
-            return float(value)
+            return convert(value)
         except OverflowError:  # an int past the float range
             return value
         except (TypeError, ValueError):
@@ -89,6 +90,17 @@ def as_float(name: str, value) -> float:
     x = _as_number(name, value)
     if type(x) is not float:
         raise DomainError(f"{name} {number_text(value)} leaves the float range")
+    return x
+
+
+def as_complex(name: str, value) -> complex:
+    """complex(value) of a number whose parts are finite; a non-number, an
+    int past the float range, and a nan or infinite part raise DomainError."""
+    x = _as_number(name, value, complex)
+    if type(x) is not complex:
+        raise DomainError(f"{name} {number_text(value)} leaves the float range")
+    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
+        raise DomainError(f"{name} must be finite, got {x}")
     return x
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from ._record import Record
 from .bounds import FadingModel
-from .errors import MAX_ELEMENTS, DomainError, check_index, check_positive
+from .errors import MAX_ELEMENTS, DomainError, as_complex, check_index, check_positive
 from .spectra import AutocovarianceSeq, SpectralDensity, make_onoff_spectrum, make_rect_band
 
 # Philox stream tags, one per draw purpose; a tag is never renumbered, so
@@ -90,13 +90,14 @@ class SamplePath(Record):
     """Realization H_1..H_n of a fading process.
 
     values is a read-only complex128 copy of the caller's array, and paths
-    compare and hash by (seed, samples), the samples bit for bit.
+    compare and hash by (seed, samples), the samples bit for bit.  Every
+    sample must be a finite number (see errors.as_complex).
     """
 
     __slots__ = ("values", "seed")
 
     def __init__(self, values, seed: int):
-        _own_path(np.array(values, dtype=np.complex128), seed, self)
+        _own_path(_finite(_sample_array(values)), seed, self)
 
     @property
     def n(self) -> int:
@@ -119,6 +120,29 @@ def _own_path(vals: np.ndarray, seed: int, path: SamplePath | None = None) -> Sa
     if vals.ndim != 1 or vals.size < 1:
         raise DomainError("path must hold at least one sample")
     return path
+
+
+def _sample_array(values) -> np.ndarray:
+    """values as a new complex128 array; a sample that is no number raises
+    DomainError."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "O":  # Python objects, each read as errors reads a number
+        return np.array([as_complex("path sample", v) for v in raw.flat],
+                        dtype=np.complex128).reshape(raw.shape)
+    if raw.dtype.kind not in "biufc":
+        raise DomainError(f"path samples must be numbers, got {raw.dtype} values")
+    with np.errstate(over="ignore"):  # a long double past the float range is inf
+        return raw.astype(np.complex128)
+
+
+def _finite(vals: np.ndarray) -> np.ndarray:
+    """vals, once every sample is finite; else DomainError.  Only the
+    caller's samples are scanned: the library's own paths are finite."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise DomainError(f"path samples must be finite, got {vals.flat[bad[0]]} "
+                          f"at index {bad[0]}")
+    return vals
 
 
 def _draw_frequencies(S: SpectralDensity, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -462,5 +486,5 @@ def read_path_binary(fname: str) -> SamplePath:
         body = fh.read()
     if len(body) != 16 * n:
         raise DomainError(f"{fname}: expected {16 * n} bytes of samples, found {len(body)}")
-    return _own_path(np.frombuffer(body, dtype="<c16").astype(np.complex128, copy=False),
-                     int(seed))
+    return _own_path(_finite(np.frombuffer(body, dtype="<c16").astype(np.complex128,
+                                                                      copy=False)), int(seed))

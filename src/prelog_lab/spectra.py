@@ -29,6 +29,7 @@ from .errors import (
     MAX_ELEMENTS,
     DomainError,
     _as_number,
+    as_complex,
     as_float,
     check_index,
     check_positive,
@@ -56,8 +57,7 @@ class SpectralDensity(Record):
     __slots__ = ("segments", "variance")
 
     def __init__(self, segments, variance: float = 1.0):
-        segs = tuple((as_float("segment edge", lo), as_float("segment edge", hi),
-                      as_float("density value", v)) for lo, hi, v in segments)
+        segs = tuple(map(_segment, segments))
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "variance", as_float("variance", variance))
         check_positive("variance", self.variance)
@@ -104,9 +104,20 @@ class SpectralDensity(Record):
         return cls(tuple(map(tuple, segments)), variance)
 
 
+def _segment(seg) -> tuple[float, float, float]:
+    """seg as a (lo, hi, value) triple of floats; anything else raises
+    DomainError."""
+    try:
+        lo, hi, v = seg
+    except (TypeError, ValueError):
+        raise DomainError(f"a segment is a (lo, hi, value) triple, got {seg!r}") from None
+    return as_float("segment edge", lo), as_float("segment edge", hi), as_float("density value", v)
+
+
 class AutocovarianceSeq(Record):
     """Autocovariance values r(0..m_max) of a stationary process.
 
+    Every value is a number with finite parts (see errors.as_complex).
     r(0) must be real and nonnegative; |r(m)| can never exceed r(0).
     Empirical estimates of a constant path legitimately have r(0) = 0,
     so zero variance is allowed.
@@ -115,7 +126,7 @@ class AutocovarianceSeq(Record):
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = tuple(complex(v) for v in values)
+        vals = tuple(as_complex(f"r({m})", v) for m, v in enumerate(values))
         object.__setattr__(self, "values", vals)
         if not vals:
             raise DomainError("autocovariance sequence needs at least r(0)")

@@ -52,10 +52,15 @@ def covariance_matrix(r: AutocovarianceSeq, n: int) -> np.ndarray:
 
 
 def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian (Toeplitz) covariance, ascending."""
+    """Real eigenvalues of a Hermitian (Toeplitz) covariance, ascending.
+    A must be a nonempty square matrix of finite entries (DomainError)."""
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError(f"need a square matrix, got shape {A.shape}")
+    if A.size == 0:
+        raise DomainError("need a matrix of at least one entry, got shape (0, 0)")
+    if not np.isfinite(A).all():
+        raise DomainError("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(A))))
     if float(np.max(np.abs(A - A.conj().T))) > HERMITIAN_TOL * scale:
         raise NumericError("matrix is not Hermitian")

@@ -3,6 +3,7 @@
 import inspect
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -258,9 +259,12 @@ class TestMiso:
         want = max(prelog_lower_bound(m) for m in models)
         assert miso_prelog_lower(spectra) == want
 
-    def test_guards(self):
-        with pytest.raises(DomainError):
-            miso_prelog_lower([])
+    @pytest.mark.parametrize("empty", [[], (), iter([]), (S for S in ())],
+                             ids=["list", "tuple", "iterator", "generator"])
+    def test_guards(self, empty):
+        with pytest.raises(DomainError) as error:
+            miso_prelog_lower(empty)
+        assert str(error.value) == "need at least one antenna spectrum"
 
 
 class TestBoundOrdering:
@@ -295,12 +299,23 @@ class TestBoundSweep:
 
     @pytest.mark.parametrize("model", [rayleigh_band_model(0.1), onoff_model(1 / 16),
                                        phase_noise_model()], ids=["rayleigh", "onoff", "unit"])
-    def test_threads_do_not_change_values(self, model):
+    def test_threads_is_ignored(self, model, monkeypatch):
+        # every snr point runs on the calling thread, and no thread starts
         snrs = [10.0 ** k for k in range(2, 9)]
-        serial = bound_sweep(model, snrs, threads=1)
-        pooled = bound_sweep(model, snrs, threads=8)
-        assert serial[0].points == pooled[0].points
-        assert serial[1].points == pooled[1].points
+        seen = []
+
+        def watched(fn):
+            def call(*args):
+                seen.append((threading.current_thread(), threading.active_count()))
+                return fn(*args)
+            return call
+
+        for name in ("optimize_upsilon", "phase_noise_lower_bound"):
+            monkeypatch.setattr(bounds, name, watched(getattr(bounds, name)))
+        before = threading.active_count()
+        curves = [bound_sweep(model, snrs, threads=t) for t in (None, 1, 8)]
+        assert all(c == curves[0] for c in curves[1:])
+        assert seen == [(threading.current_thread(), before)] * (3 * len(snrs))
 
     def test_snr_grid_must_increase(self):
         with pytest.raises(DomainError):

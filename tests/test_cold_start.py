@@ -5,7 +5,8 @@ Nor do they import dataclasses or inspect, and json only where they read
 or write JSON.  Each case starts a fresh interpreter, because the test
 process itself has all of these loaded.  The array commands (szego and
 simulate) load numpy where they need it and print the same bytes from a
-cold interpreter as in-process.
+cold interpreter as in-process.  A bound sweep, whatever threads it is
+given, leaves concurrent.futures unloaded.
 """
 
 import os
@@ -104,3 +105,16 @@ def test_scalar_autocovariance_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
     want = spectra.autocovariance(spectra.make_onoff_spectrum(0.0625), 3)
     assert proc.stdout.split() == [repr(want), "False"]
+
+
+def test_sweep_starts_no_pool():
+    # bound_sweep runs its snr points serially, whatever threads asks for
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "from prelog_lab.bounds import bound_sweep, rayleigh_band_model\n"
+             "bound_sweep(rayleigh_band_model(0.1), [1e2, 1e4, 1e6, 1e8], threads=8)\n"
+             "print('concurrent.futures' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, SRC],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

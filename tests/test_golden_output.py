@@ -2,12 +2,14 @@
 
 Each argv below runs with its default grids and its stdout is compared by
 sha256 against a recorded digest.  The set covers spectrum, bound-sweep and
-prelog-report over every model in both formats, plus miso.  The explicit
-threshold grid --upsilon 1e-3:4:60, the one an unset --upsilon uses, is
-pinned on its own for every threshold-bound model, so the two can part
-only on purpose.  simulate and szego are left out: their numpy vectorized
-exp/log can differ in the last bit across CPUs.  Each threshold lower bound is also checked, row by
-row, against the best bound at the points of its threshold grid.
+prelog-report over every model in both formats, plus miso, and a low-snr
+bound-sweep whose optimal threshold sits clamped at the default range's
+upper end, exactly 4.0.  The explicit threshold grid --upsilon 1e-3:4:60,
+the one an unset --upsilon uses, must print the default's bytes for every
+threshold-bound model, so the two can part only on purpose.  simulate and
+szego are left out: their numpy vectorized exp/log can differ in the last
+bit across CPUs.  Each threshold lower bound is also checked, row by row,
+against the best bound at the points of its threshold grid.
 
 The spectrum files are literal JSON, so the pinned input does not depend on
 the spectrum constructors; custom model names carry only the file's base
@@ -56,9 +58,9 @@ CASES = [
     for model in MODELS
     for fmt in ("csv", "json")
 ] + [
-    [cmd, "--model", model, "--upsilon", "1e-3:4:60", "--format", "csv"]
-    for cmd in ("bound-sweep", "prelog-report")
-    for model in THRESHOLD_MODELS
+    ["bound-sweep", "--model", model, "--snr", "0.01:0.1:2", "--format", fmt]
+    for model in ("rayleigh-band:W=0.1", "onoff:W=0.0625")
+    for fmt in ("csv", "json")
 ] + [
     ["miso", "--spectra", spectra, "--format", fmt]
     for spectra in ("W=0.1,W=0.2", "W=0.3,{dir}/flat.json,{dir}/steps.json")
@@ -162,30 +164,14 @@ SHA256 = {
         "9b8edfc92aeef742435bfb0b3210751d064040bc13e379eb210229dda31d8220",
     "prelog-report --model custom:spectrum={dir}/flat.json,tail=unit --format json":
         "d498db5446b89e6612c51d3307243119ae5c243bec9d2ae5b29e9de5a138c512",
-    "bound-sweep --model rayleigh-band:W=0.1 --upsilon 1e-3:4:60 --format csv":
-        "be17320f2e6cd7c5e9ce17925a086edc049e05847135947ef60e83f5b5761ffa",
-    "bound-sweep --model rayleigh-band:W=0.5 --upsilon 1e-3:4:60 --format csv":
-        "f49d9e809f916a98553ae56fa69a41e5f91cf7edf5490f8830aec9d7bc7f9fe9",
-    "bound-sweep --model onoff:W=0.0625 --upsilon 1e-3:4:60 --format csv":
-        "b44a25e7b4bc615a8f0aac737392fca04d485885b6798e7acbee2a820e1c5cf2",
-    "bound-sweep --model custom:spectrum={dir}/steps.json,tail=rayleigh --upsilon 1e-3:4:60 --format csv":
-        "2e1f5a4ba61dd5a8d93d9870e1271f4db8ec175cfffec55cbedee463c15b1a59",
-    "bound-sweep --model custom:spectrum={dir}/steps.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
-        "d5dda0c58db12aa495950820b000825a5a8edc832f988dd5fb0e34b83d5f6c27",
-    "bound-sweep --model custom:spectrum={dir}/onoff.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
-        "ab7689ed70a5b2625cf14591b8465039f3d4b990b800ccb1927ff645d21b0c9a",
-    "prelog-report --model rayleigh-band:W=0.1 --upsilon 1e-3:4:60 --format csv":
-        "ffb2d1869a1fdaef935caea479304a02fa07f568741f20e3b2d7f4f2f4c30dc3",
-    "prelog-report --model rayleigh-band:W=0.5 --upsilon 1e-3:4:60 --format csv":
-        "3f1e14e6d09f842f960d364fe72a0cb7ea4a2cac82dab1d9940417708fa062bc",
-    "prelog-report --model onoff:W=0.0625 --upsilon 1e-3:4:60 --format csv":
-        "9809aad86d1292804a15824808c62a2f3f2e0e4b27b55e52f6281afeaf8dfe39",
-    "prelog-report --model custom:spectrum={dir}/steps.json,tail=rayleigh --upsilon 1e-3:4:60 --format csv":
-        "77ec363d3f1d06aec4fd5380d55e99ae10c9a1d5f5683f259a81df1a2f56d2cd",
-    "prelog-report --model custom:spectrum={dir}/steps.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
-        "6eb7bf25d99f0809ab79c00fca52489e6e59b01e5885e008d06c0b5b172b0d5b",
-    "prelog-report --model custom:spectrum={dir}/onoff.json,tail=onoff --upsilon 1e-3:4:60 --format csv":
-        "6c3b7c77a246947fadf95dd13393572a67955bbd4b41bde09d7bcf489a660dad",
+    "bound-sweep --model rayleigh-band:W=0.1 --snr 0.01:0.1:2 --format csv":
+        "1b20b8f1df824f58fdf815a6986e4179068c1fddec30d5817970070ce15da322",
+    "bound-sweep --model rayleigh-band:W=0.1 --snr 0.01:0.1:2 --format json":
+        "c444b176700be9d715a3f779324e8d0e8f2f355dd1b704f4f27a84c0ce4829da",
+    "bound-sweep --model onoff:W=0.0625 --snr 0.01:0.1:2 --format csv":
+        "d082aaad54e7120b85ad34048b8da3282cad52acca012e06944ca2690fc0b43d",
+    "bound-sweep --model onoff:W=0.0625 --snr 0.01:0.1:2 --format json":
+        "ead411b50f20381c376a0ea231b2a12645a45e3a8af81a9cbab72a1e6f0a9050",
     "miso --spectra W=0.1,W=0.2 --format csv":
         "735fcce490122f63540b4d08a18316a9d2c27e4ef41a8f1d21dded268cb09002",
     "miso --spectra W=0.1,W=0.2 --format json":
@@ -221,6 +207,14 @@ def spectrum_dir(tmp_path_factory):
 def test_default_stdout_is_pinned(argv, spectrum_dir):
     digest = hashlib.sha256(_stdout(argv, spectrum_dir).encode()).hexdigest()
     assert digest == SHA256[_key(argv)]
+
+
+@pytest.mark.parametrize("model", THRESHOLD_MODELS)
+@pytest.mark.parametrize("cmd", ["bound-sweep", "prelog-report"])
+def test_explicit_default_range_prints_the_default_bytes(cmd, model, spectrum_dir):
+    argv = [cmd, "--model", model, "--format", "csv"]
+    assert (_stdout(argv + ["--upsilon", "1e-3:4:60"], spectrum_dir)
+            == _stdout(argv, spectrum_dir))
 
 
 @pytest.mark.parametrize("upsilon", [None, "1e-3:4:60"])

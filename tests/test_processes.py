@@ -433,13 +433,51 @@ class TestModelDispatch:
         assert calls
 
 
-# values whose bits are easy to lose: signed zeros, subnormals, extremes,
-# infinities and a nan
+# values whose bits are easy to lose: signed zeros, subnormals and extremes
 _SPECIAL = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
                      complex(5e-324, -5e-324), complex(-2.2250738585072014e-308, 1e-310),
-                     complex(1.7976931348623157e308, -1e300), complex(1 / 3, -2 / 3),
-                     complex(1.0, math.inf), complex(-math.inf, -0.0),
-                     complex(math.nan, 2.0)])
+                     complex(1.7976931348623157e308, -1e300), complex(1 / 3, -2 / 3)])
+# samples no path holds
+_NON_FINITE = [complex(1.0, math.inf), complex(-math.inf, -0.0), complex(math.nan, 2.0),
+               complex(0.0, math.nan)]
+
+
+class TestPathSamples:
+    @pytest.mark.parametrize("bad", _NON_FINITE + [math.nan, -math.inf, np.float32("inf")],
+                             ids=[*map(repr, _NON_FINITE), "nan", "-inf", "float32-inf"])
+    def test_non_finite_sample_refused(self, bad):
+        with pytest.raises(DomainError) as error:
+            processes.SamplePath([1.0, bad], 3)
+        assert str(error.value).startswith("path samples must be finite, got ")
+        assert str(error.value).endswith(" at index 1")
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= 1024, reason="long double is double")
+    def test_long_double_past_the_float_range_refused(self):
+        # cast to complex128 it is inf, without numpy's overflow warning
+        with pytest.raises(DomainError, match="path samples must be finite"):
+            processes.SamplePath(np.array([np.longdouble(1e300) ** 2]), 3)
+
+    @pytest.mark.parametrize("bad", [["a"], ["1.0"], [1.0, "2"], [b"1"], [object()], [None],
+                                     [1j, None], [10**400], "abc"],
+                             ids=["letter", "text", "mixed-text", "bytes", "object", "none",
+                                  "mixed-none", "huge-int", "string"])
+    def test_non_number_sample_refused(self, bad):
+        with pytest.raises(DomainError):
+            processes.SamplePath(bad, 3)
+
+    def test_numbers_of_any_type_pass(self):
+        from fractions import Fraction
+
+        path = processes.SamplePath([True, 2, np.float32(0.5), Fraction(1, 4), 1j, 2**64], 3)
+        assert path.values.tolist() == [1, 2, 0.5, 0.25, 1j, 2.0**64]
+
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=repr)
+    def test_non_finite_file_sample_refused(self, tmp_path, bad):
+        fname = str(tmp_path / "p.bin")
+        path_binary_elements([1j, 2.0 + 0j, bad], 7, fname)
+        with pytest.raises(DomainError) as error:
+            read_path_binary(fname)
+        assert str(error.value) == f"path samples must be finite, got {bad} at index 2"
 
 
 class TestPathFiles:

@@ -104,6 +104,19 @@ class TestConstructors:
         with pytest.raises(DomainError):
             SpectralDensity(((-0.5, 0.5, -1.0),))
 
+    @pytest.mark.parametrize("segments, message", [
+        ([(-0.5, 0.5)], "a segment is a (lo, hi, value) triple, got (-0.5, 0.5)"),
+        ([None], "a segment is a (lo, hi, value) triple, got None"),
+        ("abc", "a segment is a (lo, hi, value) triple, got 'a'"),
+        ([(-0.5, 0.5, 1.0, 2.0)], "a segment is a (lo, hi, value) triple, "
+                                  "got (-0.5, 0.5, 1.0, 2.0)"),
+        ([(-0.5, 0.5, "1")], "density value must be a number, got '1'"),
+    ], ids=["pair", "none", "string", "quadruple", "text-value"])
+    def test_malformed_segment_rejected(self, segments, message):
+        with pytest.raises(DomainError) as error:
+            SpectralDensity(segments)
+        assert str(error.value) == message
+
     def test_piecewise_span_required(self):
         with pytest.raises(DomainError):
             SpectralDensity(((-0.4, 0.5, 1.0),))
@@ -271,6 +284,26 @@ class TestAutocovarianceSeqType:
     def test_dominance_enforced(self):
         with pytest.raises(DomainError):
             AutocovarianceSeq((1.0, 1.5))
+
+    @pytest.mark.parametrize("values, message", [
+        (["1.0"], "r(0) must be a number, got '1.0'"),
+        ([1.0, b"0.5"], "r(1) must be a number, got b'0.5'"),
+        ([1.0, None], "r(1) must be a number, got None"),
+        ("abc", "r(0) must be a number, got 'a'"),
+        ([math.nan], "r(0) must be finite, got (nan+0j)"),
+        ([math.inf, 1.0], "r(0) must be finite, got (inf+0j)"),
+        ([1.0, complex(0, math.nan)], "r(1) must be finite, got nanj"),
+        ([10**400], "r(0) 1.000000e+400 leaves the float range"),
+    ], ids=["text", "bytes", "none", "string", "nan", "inf", "nan-imag", "huge-int"])
+    def test_values_must_be_finite_numbers(self, values, message):
+        with pytest.raises(DomainError) as error:
+            AutocovarianceSeq(values)
+        assert str(error.value) == message
+
+    def test_numeric_types_read_as_complex(self):
+        seq = AutocovarianceSeq([np.float32(1.0), np.complex64(0.5j), 0, np.complex128(0.25)])
+        assert seq.values == (1 + 0j, 0.5j, 0j, 0.25 + 0j)
+        assert all(type(v) is complex for v in seq.values)
 
 
 class TestLogIntegral:

@@ -119,6 +119,19 @@ class TestEigensolver:
             hermitian_eigenvalues(np.zeros((2, 3)))
         assert str(error.value) == "need a square matrix, got shape (2, 3)"
 
+    def test_empty_rejected(self):
+        with pytest.raises(DomainError) as error:
+            hermitian_eigenvalues(np.ones((0, 0)))
+        assert str(error.value) == "need a matrix of at least one entry, got shape (0, 0)"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)], ids=repr)
+    def test_non_finite_rejected(self, bad):
+        # refused before the Hermitian check, which would warn on inf - inf
+        for A in ([[bad]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(DomainError) as error:
+                hermitian_eigenvalues(np.array(A, dtype=np.complex128))
+            assert str(error.value) == "matrix entries must be finite"
+
     def test_non_hermitian_rejected(self):
         A = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=np.complex128)
         with pytest.raises(NumericError):
