@@ -35,7 +35,14 @@ import math
 from collections.abc import Sequence
 
 from ._record import Record
-from .errors import DomainError, NumericError, PreconditionError, _as_number, check_positive
+from .errors import (
+    DomainError,
+    NumericError,
+    PreconditionError,
+    _as_number,
+    as_list,
+    check_positive,
+)
 from .spectra import (
     SpectralDensity,
     _log1p_product,
@@ -213,7 +220,7 @@ def _threshold_range(grid: Sequence[float]) -> _Range:
     checked; a _Range, checked already, is its own range."""
     if type(grid) is _Range:
         return grid
-    ups = sorted(grid, key=_threshold)
+    ups = sorted(as_list("threshold grid", grid), key=_threshold)
     if not ups:
         raise DomainError("threshold grid must be nonempty")
     return _Range((ups[0], ups[-1]))
@@ -358,9 +365,12 @@ def miso_prelog_lower(spectra: Sequence[SpectralDensity]) -> float:
     measure, so the bound is the max over antennas.  It holds when no
     antenna's law of H1 has mass at zero.  spectra may be any iterable.
     """
-    spectra = tuple(spectra)
+    spectra = as_list("antenna spectra", spectra, "SpectralDensity")
     if not spectra:
         raise DomainError("need at least one antenna spectrum")
+    for i, S in enumerate(spectra):
+        if not isinstance(S, SpectralDensity):
+            raise DomainError(f"antenna spectrum {i} must be a SpectralDensity, got {S!r}")
     return max(zero_set_measure(S) for S in spectra)
 
 
@@ -430,7 +440,7 @@ def bound_sweep(
     threads is accepted and ignored: the snr points run serially, in grid
     order, and the keyword goes with the benchmark self-test's next change.
     """
-    snrs = list(snrs)
+    snrs = as_list("snr grid", snrs)
     if not snrs:
         raise DomainError("snr grid must be nonempty")
     keys = [_as_number("snr", s) for s in snrs]
@@ -461,7 +471,7 @@ def prelog_report(
     checked against them; a lower bound above bound_sweep's upper bound,
     which no snr allows, raises NumericError.
     """
-    snr_grid = list(snr_grid)  # read once, as bound_sweep reads it
+    snr_grid = as_list("snr grid", snr_grid)  # read once, as bound_sweep reads it
     if any(_as_number("snr", s) <= 1 for s in snr_grid):
         raise DomainError("pre-log ratios need snr > 1")
 

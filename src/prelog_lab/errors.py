@@ -66,6 +66,16 @@ def _as_number(name: str, value, convert=float):
     raise DomainError(f"{name} must be a number, got {value!r}")
 
 
+def as_list(name: str, values, items: str = "numbers") -> list:
+    """list(values) of an iterable, read once; anything that is not
+    iterable (None, a number) raises DomainError naming the argument."""
+    try:
+        it = iter(values)
+    except TypeError:
+        raise DomainError(f"{name} must be an iterable of {items}, got {values!r}") from None
+    return list(it)
+
+
 def check_positive(name: str, value: float) -> float:
     """float(value), once that float is finite and > 0 (NaN and inf fail);
     anything else, a non-number included, raises DomainError.  A value

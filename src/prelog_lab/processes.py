@@ -7,20 +7,23 @@ whose frequencies are drawn from the normalized spectral measure
 autocovariance of such a path matches the closed form of the spectrum.
 The law is not exactly Gaussian, only asymptotically in M: a sample H has
 E|H|^4 = (2 - 1/M) var^2, where a circularly-symmetric Gaussian has
-2 var^2.
+2 var^2.  The harmonics' sum at every sample time is one nonuniform FFT
+(Gaussian gridding, see _synthesize), whose error, near 1e-14, does not
+grow along the path.
 
-Memory: a path of n samples costs the path itself (16 n bytes), the chunk
-matrix of amplitudes (about 32 n bytes) and one block of _SYNTH_BLOCK rows
-of the harmonic power table (16 MiB), never the whole 128 MiB table.
-On-off paths compute only the samples they keep and write the others as
-exact zeros.  Unit-modulus phasors are drawn at most _PHASOR_BLOCK angles
-at a time, cos and sin written into the parts of one reused block, so a
-phase-noise path or n unit-law marginal draws cost their output plus
-about 3.4 MiB of temporaries (18.7 MiB traced at n = 1e6).  A unit-law
-Monte Carlo tail draws nothing: its value is known exactly.  Gaussian Monte
-Carlo draws are the buffer of 2n standard normals read as n complex
-pairs and scaled in place, so a 1e6-draw Rayleigh or on-off tail costs
-the draws, their moduli and the comparison (23.8 MiB traced; 30.6 and
+Memory: a path of n samples costs the path itself (16 n bytes), a grid of
+the least power of two of at least 2n points and _GRID_FLOOR (at most
+64 n bytes), in which the FFT runs in place, and 2 MiB of kernel weights:
+55.5 MiB traced at n = 1e6.  On-off paths compute only the samples they
+keep, on a grid of half the length, and write the others as exact zeros
+(37.6 MiB traced at n = 1e6).  Unit-modulus phasors are drawn at most
+_PHASOR_BLOCK angles at a time, cos and sin written into the parts of one
+reused block, so a phase-noise path or n unit-law marginal draws cost
+their output plus about 3.4 MiB of temporaries (18.7 MiB traced at
+n = 1e6).  A unit-law Monte Carlo tail draws nothing: its value is known
+exactly.  Gaussian Monte Carlo draws are the buffer of 2n standard
+normals read as n complex pairs and scaled in place, so a 1e6-draw
+Rayleigh or on-off tail costs the draws, their moduli and the comparison (23.8 MiB traced; 30.6 and
 53.5 MiB with the complex temporaries of g[0::2] + 1j * g[1::2]).
 The empirical autocovariance costs the centred path, one conjugated
 window of about 1.25 MiB, a 256 KiB product buffer and one leaf sum per
@@ -55,13 +58,23 @@ STREAM_PHASE = 4
 STREAM_TAIL_MC = 5
 
 HARMONICS = 4096
-# rows of the harmonic power table: a path is synthesized in chunks of this
-# many samples, and sample k takes row k mod _TABLE_ROWS
-_TABLE_ROWS = 2048
-# rows of that table held at once (16 MiB, an eighth of the table): on a
-# 2-vCPU Xeon a 1e6-sample Gaussian path took 0.48 s with blocks of 256
-# rows, as with the whole table, 0.51 s with 128 and 0.45 s with 512 rows
-_SYNTH_BLOCK = 256
+# Gaussian gridding kernel of _synthesize: each harmonic is spread onto
+# _KERNEL_WIDTH grid points; _KERNEL_BETA is Greengard and Lee's tau for
+# half-width _KERNEL_HALF at oversampling 2, pi (2 - 1/2) / (2 _KERNEL_HALF),
+# in grid steps.  Against an exact-phase sum, half-widths 15 and 17 and
+# betas 0.14-0.16 moved the error by under a factor 2 either way.
+_KERNEL_HALF = 16
+_KERNEL_WIDTH = 2 * _KERNEL_HALF
+_KERNEL_BETA = 0.75 * math.pi / _KERNEL_HALF
+_KERNEL_OFFSETS = np.arange(1 - _KERNEL_HALF, _KERNEL_HALF + 1)
+# fewest grid points: the spread evaluates HARMONICS * _KERNEL_WIDTH kernel
+# weights, about the work of an FFT of the largest N with N log2 N at most
+# that (8192), so a smaller grid saves nothing.  A path of up to 2048
+# samples thus gets a grid of at least 4 times its length, which holds its
+# error near 1e-15: on grids of about 2L points the error at the ends of
+# the path reached 3e-14, and 3e-13 on grids of 4 to 32 points, where
+# every grid point sums thousands of weights.
+_GRID_FLOOR = max(1 << p for p in range(1, 64) if p << p <= HARMONICS * _KERNEL_WIDTH)
 # complex elements in 256 KiB: from this size up numpy evaluates
 # a * np.conj(b) as multiply(conj_tmp, a, out=conj_tmp) (temporary elision)
 _ELIDE_LEN = 256 * 1024 // 16
@@ -166,57 +179,92 @@ def _draw_frequencies(S: SpectralDensity, M: int, rng: np.random.Generator) -> n
 
 def _synthesize(lam: np.ndarray, amp: np.ndarray, n: int,
                 off_parity: int | None = None) -> np.ndarray:
-    """sum_j amp_j exp(i 2 pi lam_j k) for k = 0..n-1, blockwise.
+    """sum_j amp_j exp(i 2 pi lam_j k) for k = 0..n-1, by one nonuniform FFT.
 
-    With T[d, j] = exp(i 2 pi lam_j d) the harmonic power table of D rows
-    and W[j, c] = amp_j exp(i 2 pi lam_j D c) the chunk matrix, sample
-    k = c D + d is (T @ W)[d, c].  The rows T[d] = T[d-1] z are built in
-    blocks of about _SYNTH_BLOCK and each block goes through one product,
-    so the bits are those of the whole-table product.  No block has a
-    single row unless D = 1: numpy hands a one-row product to another BLAS
-    routine (gemv for gemm, dot for gemv), which rounds differently.
+    The sum is a type-1 nonuniform DFT, evaluated by Gaussian gridding
+    (Greengard & Lee, SIAM Review 46(3), 2004).  The computed samples are
+    k = start + step t for t = 0..L-1, and with c = start + step (L // 2)
+    sample k is sum_j b_j exp(i 2 pi step lam_j m) at m = t - L // 2, where
+    b_j = amp_j exp(i 2 pi lam_j c).  Each b_j is spread onto the
+    _KERNEL_WIDTH points of a periodic grid of N points nearest
+    step lam_j N, with the Gaussian weights exp(-_KERNEL_BETA u^2) of its
+    distance u in grid steps; one inverse FFT of the grid gives every m at
+    once, and dividing by the kernel's transform,
+    sqrt(pi / _KERNEL_BETA) exp(-(pi m / N)^2 / _KERNEL_BETA), undoes the
+    spread.  Centring m on zero keeps |m| / N at most 1/4, where that
+    division amplifies rounding least.
+
+    The phases lam_j c are reduced mod 1 in Python integers before their
+    one rounding, and step lam_j N is exact (N and step are powers of two),
+    so no phase error grows with k: the error is that of the kernel and
+    the FFT, about 1e-14 at N = 2L and 1e-15 from N = 4L on (see
+    _GRID_FLOOR).  N is the least power of two of at least 2L points and
+    _GRID_FLOOR, so the grid costs at most 64 L bytes besides the path.
 
     off_parity: samples k with k % 2 == off_parity are exact zeros and are
-    not computed.  D is even or there is a single chunk, so a sample's
-    parity is its row's.  With more than one chunk only the kept rows of a
-    block go through the product (128 of 256, still a gemm); a single chunk
-    takes every row, since its kept rows may be just one.
+    not computed; the kept ones (step 2) take a grid of half the length.
     """
-    M = lam.size
-    D = min(_TABLE_ROWS, n)
-    chunks = -(-n // D)
-    # both n-sized allocations come first, so a path too long to hold fails
-    # before any table row is built
-    out = np.empty((chunks, D), dtype=np.complex128)
-    W = np.empty((M, chunks), dtype=np.complex128)
-    zD = np.exp(2j * np.pi * lam * D)
-    col = amp.astype(np.complex128)
-    for c in range(chunks):
-        W[:, c] = col
-        col = col * zD
-    z = np.exp(2j * np.pi * lam)
-    nblk = -(-D // _SYNTH_BLOCK)
-    block = np.empty((-(-D // nblk), M), dtype=np.complex128)
-    block[0] = 1.0
-    lo = 0
-    for i in range(1, nblk + 1):
-        hi = D * i // nblk
-        rows = block[:hi - lo]
-        if lo:  # continue the recurrence from the previous block's last row
-            np.multiply(prev, z, out=rows[0])
-        for d in range(1, hi - lo):
-            np.multiply(rows[d - 1], z, out=rows[d])
-        if off_parity is None or chunks == 1:
-            out[:, lo:hi] = (rows @ W).T
-        else:
-            s = (1 - off_parity - lo) % 2
-            out[:, lo + s:hi:2] = (rows[s::2] @ W).T
-        prev = rows[-1]
-        lo = hi
-    path = out.ravel()[:n]
-    if off_parity is not None:
-        path[off_parity::2] = 0.0
+    start, step = (0, 1) if off_parity is None else (1 - off_parity, 2)
+    # the path comes first, so a path too long to hold fails before any work
+    path = (np.empty if off_parity is None else np.zeros)(n, dtype=np.complex128)
+    L = len(range(start, n, step))
+    if L == 0:
+        return path
+    half = L // 2
+    N = max(_GRID_FLOOR, 1 << (2 * L - 1).bit_length())
+    rows = 1 << (N.bit_length() - 1) // 2
+    grid = np.zeros((rows, N // rows), dtype=np.complex128)
+    centre = start + step * half
+    turns = [num * centre % den / den
+             for num, den in map(float.as_integer_ratio, lam.tolist())]
+    b = amp * np.exp(2j * np.pi * np.array(turns))
+    pos = (step * N) * lam
+    near = np.floor(pos)
+    u = (pos - near)[:, None] - _KERNEL_OFFSETS
+    weights = b[:, None] * np.exp(-_KERNEL_BETA * u * u)
+    points = (near.astype(np.int64)[:, None] + _KERNEL_OFFSETS) % N
+    # point p at grid[p % rows, p // rows]; numpy's fast add.at takes
+    # one-dimensional indices only
+    points = points % rows * (N // rows) + points // rows
+    y = grid.reshape(-1)
+    np.add.at(y, points.ravel(), weights.ravel())
+    _inverse_fft(grid)
+    # 1 / transform of the kernel at |m| = 0..half
+    undo = np.arange(half + 1, dtype=np.float64)
+    undo *= undo
+    undo *= (np.pi / N) ** 2 / _KERNEL_BETA
+    np.exp(undo, out=undo)
+    undo *= math.sqrt(_KERNEL_BETA / math.pi)
+    kept = path[start::step]
+    np.multiply(y[:L - half], undo[:L - half], out=kept[half:])
+    np.multiply(y[N - half:], undo[half:0:-1], out=kept[:half])
     return path
+
+
+def _inverse_fft(grid: np.ndarray) -> None:
+    """Unscaled inverse DFT, in place, of the N = R C points G[p] held at
+    grid[p % R, p // R]: afterwards grid[k // C, k % C] is
+    sum_p G[p] exp(i 2 pi p k / N).
+
+    Bailey's four steps: C-point FFTs along the rows, the twiddles
+    exp(i 2 pi a k / N) of row a and column k, and R-point FFTs down the
+    columns, each in place.  numpy's one N-point FFT, even in place,
+    raised the peak resident memory by twice the grid's size (64 MiB at
+    N = 2**21, numpy 2.4); the row and column FFTs work a line at a time,
+    and on a shared 2-vCPU x86 host took 55-65 ms at N = 2**21 where the
+    one FFT took 95-115 ms.
+    """
+    R, C = grid.shape
+    np.fft.ifft(grid, axis=1, norm="forward", out=grid)
+    # row a = a_hi + a_lo: the twiddles of a_hi (multiples of S) times
+    # those of a_lo < S; a k < R C, so each angle is exact before its rounding
+    S = 1 << R.bit_length() // 2
+    k = np.arange(C)
+    scale = 2j * np.pi / (R * C)
+    low = np.exp(scale * (np.arange(S)[:, None] * k))
+    for block, a_hi in zip(grid.reshape(R // S, S, C), range(0, R, S)):
+        block *= np.exp(scale * (a_hi * k)) * low
+    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
 
 
 def _harmonics(S: SpectralDensity, seed: int) -> tuple[np.ndarray, np.ndarray]:

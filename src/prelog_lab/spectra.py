@@ -31,6 +31,7 @@ from .errors import (
     _as_number,
     as_complex,
     as_float,
+    as_list,
     check_index,
     check_positive,
 )
@@ -57,7 +58,7 @@ class SpectralDensity(Record):
     __slots__ = ("segments", "variance")
 
     def __init__(self, segments, variance: float = 1.0):
-        segs = tuple(map(_segment, segments))
+        segs = tuple(map(_segment, as_list("segments", segments, "(lo, hi, value) triples")))
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "variance", as_float("variance", variance))
         check_positive("variance", self.variance)
@@ -126,7 +127,8 @@ class AutocovarianceSeq(Record):
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = tuple(as_complex(f"r({m})", v) for m, v in enumerate(values))
+        vals = tuple(as_complex(f"r({m})", v)
+                     for m, v in enumerate(as_list("autocovariance values", values)))
         object.__setattr__(self, "values", vals)
         if not vals:
             raise DomainError("autocovariance sequence needs at least r(0)")

@@ -54,7 +54,10 @@ def covariance_matrix(r: AutocovarianceSeq, n: int) -> np.ndarray:
 def hermitian_eigenvalues(A: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian (Toeplitz) covariance, ascending.
     A must be a nonempty square matrix of finite entries (DomainError)."""
-    A = np.asarray(A, dtype=np.complex128)
+    try:
+        A = np.asarray(A, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:  # no numbers, or rows of unequal length
+        raise DomainError(f"matrix must be an array of numbers: {exc}") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DomainError(f"need a square matrix, got shape {A.shape}")
     if A.size == 0:

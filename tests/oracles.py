@@ -5,8 +5,10 @@ Simpson quadrature with Richardson extrapolation evaluated pointwise on
 the density, eigenvalues through numpy's general LAPACK solver, tails through
 Monte Carlo draws, the best threshold bound on a grid through a plain-float
 loop, the empirical autocovariance through one whole-path np.sum per lag,
-Gaussian path synthesis through one product with the whole harmonic power
-table, unit-modulus phasors through one draw of 1.5 times the phasors
+Gaussian path synthesis through the harmonics' sum with each phase reduced
+exactly in integers and summed in long double (the product with the whole
+harmonic power table, the route it replaced, is kept as the error to
+beat), unit-modulus phasors through one draw of 1.5 times the phasors
 still missing, path CSV and binary files through one write per row or
 sample, the closed-form bounds past the float range through 40-digit
 decimal arithmetic, the innovation variances through a frozen copy of
@@ -339,6 +341,33 @@ def whole_table_synthesis(lam, amp, n: int) -> np.ndarray:
         W[:, c] = col
         col = col * zD
     return (P @ W).T.ravel()[:n]
+
+
+# 2 pi in long double; arctan(1) is correctly rounded in each precision
+_TWO_PI_LONG = np.arctan(np.longdouble(1)) * 8
+LONG_DOUBLE_IS_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+
+
+def exact_harmonic_sum(lam, amp, ks) -> np.ndarray:
+    """sum_j amp_j exp(i 2 pi lam_j k) for each k in ks, with exact phases.
+
+    Each lam_j is num_j / den_j (float.as_integer_ratio), so the phase
+    lam_j k mod 1 is (num_j k mod den_j) / den_j in Python integers; its
+    top 64 bits go to long double, where cos, sin and the sum are taken.
+    Needs an extended long double (LONG_DOUBLE_IS_EXTENDED).
+    """
+    ratios = [float(x).as_integer_ratio() for x in lam]
+    nums = [num for num, _ in ratios]
+    dens = [den for _, den in ratios]
+    re = np.asarray(np.real(amp), dtype=np.longdouble)
+    im = np.asarray(np.imag(amp), dtype=np.longdouble)
+    out = np.empty(len(ks), dtype=np.complex128)
+    for i, k in enumerate(ks):
+        top = [(num * int(k) % den << 64) // den for num, den in zip(nums, dens)]
+        turns = np.array(top, dtype=np.uint64).astype(np.longdouble) / np.longdouble(2.0**64)
+        cos, sin = np.cos(_TWO_PI_LONG * turns), np.sin(_TWO_PI_LONG * turns)
+        out[i] = complex(float(np.sum(re * cos - im * sin)), float(np.sum(re * sin + im * cos)))
+    return out
 
 
 # significant digits of the decimal references below, and pi to 50 digits

@@ -627,8 +627,8 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "onoff:W=0.0625"])
     def test_path_too_large_to_allocate_is_usage(self, capsys, model):
-        # the synthesis table for 1e17 samples needs exabytes, more than any
-        # address space holds, so allocating it fails whatever the kernel's
+        # a path of 1e17 samples needs 1.6 exabytes, more than any address
+        # space holds, so allocating it fails whatever the kernel's
         # overcommit policy
         code, out, err = run(capsys, ["simulate", "--model", model, "--n", str(10**17)])
         assert code == 2
@@ -638,10 +638,9 @@ class TestSimulateCommand:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     @pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "onoff:W=0.0625"])
     def test_path_too_large_fails_before_synthesis(self, model):
-        # the path and the chunk matrix are allocated before the first row of
-        # the harmonic power table, so a path too long to hold costs no
-        # table: the process stays near its size after import (about
-        # 40 MiB), where the 128 MiB table would take it past 160 MiB.  A
+        # the path is allocated before the synthesis grid and before any
+        # other work, so a path too long to hold costs nothing more: the
+        # process stays near its size after import (about 40 MiB).  A
         # process of its own, because the peak resident set never falls;
         # VmHWM, because ru_maxrss keeps the peak of the forking process.
         script = ("import re, sys\n"

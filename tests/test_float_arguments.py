@@ -15,6 +15,7 @@ import pytest
 from prelog_lab._record import Record
 from prelog_lab.bounds import (
     bound_sweep,
+    miso_prelog_lower,
     capacity_lower_bound,
     coherent_avg_upper_bound,
     optimize_upsilon,
@@ -27,12 +28,13 @@ from prelog_lab.bounds import (
 from prelog_lab.processes import simulate_onoff, tail_probability_mc
 from prelog_lab.errors import DomainError
 from prelog_lab.spectra import (
+    AutocovarianceSeq,
     SpectralDensity,
     make_onoff_spectrum,
     make_rect_band,
     spectral_log_integral,
 )
-from prelog_lab.toeplitz import szego_logdet_rate
+from prelog_lab.toeplitz import hermitian_eigenvalues, szego_logdet_rate
 
 MODEL = rayleigh_band_model(0.1)
 PHASE = phase_noise_model()
@@ -131,8 +133,36 @@ NUMBER_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("value", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
-@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
-def test_a_non_number_is_a_domain_error(entry, value):
-    with pytest.raises(DomainError, match="must be a number, got "):
-        NUMBER_ENTRIES[entry](value)
+# the entries that take a container of numbers or spectra: (call with the
+# container, start of the DomainError naming it, what is no such container)
+CONTAINER_ENTRIES = {
+    "SpectralDensity segments": (SpectralDensity, "segments must be an iterable of ",
+                                 {"None": None, "int": 5}),
+    "AutocovarianceSeq": (AutocovarianceSeq, "autocovariance values must be an iterable of ",
+                          {"None": None}),
+    "miso_prelog_lower": (miso_prelog_lower, "antenna spectr",
+                          {"None": None, "None spectrum": [None]}),
+    "bound_sweep snr grid": (lambda x: bound_sweep(MODEL, x), "snr grid must be an iterable of ",
+                             {"None": None}),
+    "bound_sweep threshold grid": (lambda x: bound_sweep(MODEL, [1e4], x),
+                                   "threshold grid must be an iterable of ", {"int": 5}),
+    "prelog_report snr grid": (lambda x: prelog_report(MODEL, x),
+                               "snr grid must be an iterable of ", {"int": 5}),
+    "hermitian_eigenvalues": (hermitian_eigenvalues, "matrix must be an array of numbers: ",
+                              {"str entry": [["a"]]}),
+}
+NON_NUMBER_CASES = [
+    pytest.param(call, value, "must be a number, got ", id=f"{entry}-{name}")
+    for entry, call in NUMBER_ENTRIES.items()
+    for name, value in NON_NUMBERS.items()
+] + [
+    pytest.param(call, value, start, id=f"{entry}-{name}")
+    for entry, (call, start, values) in CONTAINER_ENTRIES.items()
+    for name, value in values.items()
+]
+
+
+@pytest.mark.parametrize("call, value, message", NON_NUMBER_CASES)
+def test_a_non_number_is_a_domain_error(call, value, message):
+    with pytest.raises(DomainError, match=message):
+        call(value)

@@ -34,8 +34,10 @@ from prelog_lab.toeplitz import _innovation_variances, szego_logdet_rate  # noqa
 
 from oracles import (  # noqa: E402
     FLOOR_SPECTRUM,
+    LONG_DOUBLE_IS_EXTENDED,
     complex_innovation_variances,
     direct_autocov,
+    exact_harmonic_sum,
     random_density,
     symmetric_density,
     toeplitz_matrix,
@@ -181,37 +183,54 @@ def test_lag_schedule_is_direct_sum(long_path, n, m_max, offset):
     assert _bits(got) == _bits(direct_autocov(path.values, m_max))
 
 
-# small odd lengths; lengths next to the 2048-row table height; lengths
-# 256 k + 1, whose table of n rows would end in a one-row block if cut
-# into 256-row blocks from the top; and paths of several chunks, where
-# on-off paths take only their kept rows through the product
-synthesis_lengths = (st.integers(0, 20).map(lambda k: 2 * k + 1)
-                     | st.sampled_from([2047, 2048, 2049])
-                     | st.integers(1, 7).map(lambda k: 256 * k + 1)
+# lengths 1 to 40, odd and even, which take the floor grid; powers of
+# two and their neighbours, whose grids hold about 2 or 4 times the path;
+# and lengths up to 1e5
+synthesis_lengths = (st.integers(1, 40)
+                     | st.integers(2, 16).flatmap(
+                         lambda p: st.sampled_from([2**p - 1, 2**p, 2**p + 1]))
                      | st.integers(2050, 100_000))
 
 
+def _assert_as_exact(got, table, lam, amp, ks) -> None:
+    """At the samples ks, got's largest error against the exact-phase sum
+    is at most the table product's, or 1e-14."""
+    exact = exact_harmonic_sum(lam, amp, ks)
+    err = np.max(np.abs(got[ks] - exact))
+    assert err <= max(np.max(np.abs(table[ks] - exact)), 1e-14), err
+
+
+@pytest.mark.skipif(not LONG_DOUBLE_IS_EXTENDED,
+                    reason="the exact-phase sum needs an extended long double")
 @settings(max_examples=24)
 @given(seeds, synthesis_lengths)
-@example(seed=1, n=2049)
-@example(seed=2, n=100_000)
-@example(seed=3, n=2)  # a parity class of one sample: a dot product
+@example(seed=1, n=1)
+@example(seed=2, n=2)
 @example(seed=3, n=3)
-def test_synthesis_is_whole_table_product(seed, n):
-    S = random_density(np.random.default_rng(seed), unit_variance=True)
-    want = whole_table_synthesis(*processes._harmonics(S, seed), n)
-    assert _bits(processes.simulate_gaussian(S, n, seed).values) == _bits(want)
+@example(seed=4, n=16)
+@example(seed=5, n=4095)  # a grid of 2n points
+@example(seed=6, n=100_000)
+def test_synthesis_is_as_exact_as_the_table_product(seed, n):
+    rng = np.random.default_rng(seed)
+    S = random_density(rng, unit_variance=True)
+    ks = np.unique(np.concatenate(([0, n - 1], rng.integers(0, n, 16))))
+    lam, amp = processes._harmonics(S, seed)
+    got = processes.simulate_gaussian(S, n, seed).values
+    _assert_as_exact(got, whole_table_synthesis(lam, amp, n), lam, amp, ks)
 
     W = 1 / 8
     lam, amp = processes._harmonics(make_rect_band(W, variance=2.0), seed)
-    whole = whole_table_synthesis(lam, amp, n)
+    table = whole_table_synthesis(lam, amp, n)
     parity = int(processes.stream_rng(seed, processes.STREAM_PARITY).integers(0, 2))
     for off in (parity, 1 - parity):
-        want = whole.copy()
-        want[off::2] = 0.0
         got = (processes.simulate_onoff(W, n, seed).values if off == parity
                else processes._synthesize(lam, amp, n, off))
-        assert _bits(got) == _bits(want)
+        zeros = got[off::2]
+        assert _bits(zeros) == bytes(16 * zeros.size)  # +0.0, not computed
+        kept = np.arange(1 - off, n, 2)
+        if kept.size:  # its first and last samples, and those of ks it keeps
+            _assert_as_exact(got, table, lam, amp, np.union1d(
+                kept[[0, -1]], ks[ks % 2 != off]))
 
 
 def _kept_in_rounds(seed: int, stream: int, rounds: int) -> int:
