@@ -11,15 +11,17 @@ E|H|^4 = (2 - 1/M) var^2, where a circularly-symmetric Gaussian has
 (Gaussian gridding, see _synthesize), whose error, near 1e-14, does not
 grow along the path.
 
-Memory: a path of n samples costs the path itself (16 n bytes), a grid of
-the least power of two of at least 2n points and _GRID_FLOOR (at most
-64 n bytes), in which the FFT runs in place, and 2 MiB of kernel weights:
-55.5 MiB traced at n = 1e6.  On-off paths compute only the samples they
-keep, on a grid of half the length, and write the others as exact zeros
-(37.6 MiB traced at n = 1e6).  Unit-modulus phasors are drawn at most
-_PHASOR_BLOCK angles at a time, cos and sin written into the parts of one
-reused block, so a phase-noise path or n unit-law marginal draws cost
-their output plus about 3.4 MiB of temporaries (18.7 MiB traced at
+Memory: a path of n samples is made inside a grid of the least power of
+two of at least 2n points and _GRID_FLOOR (at most 64 n bytes), in which
+the FFT runs in place, and the grid is then cut to the path's 16 n
+bytes: 38.1 MiB traced at n = 1e6, and a rise of the peak resident set
+(VmHWM) of 42.7 MiB, 537 MiB at n = 1e7 (numpy 2.4).  On-off paths
+compute only the samples they keep, on a grid of half the length, and
+write the others as exact zeros (21.3 MiB traced and a 29.2 MiB VmHWM
+rise at n = 1e6, 274 MiB at n = 1e7).  Unit-modulus phasors are drawn
+at most _PHASOR_BLOCK angles at a time, cos and sin written into the
+parts of one reused block, so a phase-noise path or n unit-law marginal
+draws cost their output plus about 3.4 MiB of temporaries (18.7 MiB traced at
 n = 1e6).  A unit-law Monte Carlo tail draws nothing: its value is known
 exactly.  Gaussian Monte Carlo draws are the buffer of 2n standard
 normals read as n complex pairs and scaled in place, so a 1e6-draw
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 
 import numpy as np
 
@@ -86,6 +89,8 @@ _SUM_BLOCK = 1 << 14
 _SUM_WINDOW = 4 * _SUM_BLOCK
 # most angles one draw of _unit_phasors takes (512 KiB of them)
 _PHASOR_BLOCK = 1 << 16
+# most samples _synthesize moves in one piece (1 MiB of them)
+_MOVE_PIECE = 1 << 16
 
 
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
@@ -199,21 +204,31 @@ def _synthesize(lam: np.ndarray, amp: np.ndarray, n: int,
     so no phase error grows with k: the error is that of the kernel and
     the FFT, about 1e-14 at N = 2L and 1e-15 from N = 4L on (see
     _GRID_FLOOR).  N is the least power of two of at least 2L points and
-    _GRID_FLOOR, so the grid costs at most 64 L bytes besides the path.
+    _GRID_FLOOR, so the grid costs at most 64 L bytes, and the path is made
+    inside it: the spread's temporaries are freed before the transform,
+    every computed sample is moved to its k in the grid, and the grid is
+    cut to the n samples.  A Gaussian path of 1e6 samples thus peaks at
+    38.1 MiB traced and raises the peak resident set (VmHWM) by 42.7 MiB,
+    the 32 MiB grid and the FFT's own buffers.
 
     off_parity: samples k with k % 2 == off_parity are exact zeros and are
     not computed; the kept ones (step 2) take a grid of half the length.
     """
     start, step = (0, 1) if off_parity is None else (1 - off_parity, 2)
-    # the path comes first, so a path too long to hold fails before any work
-    path = (np.empty if off_parity is None else np.zeros)(n, dtype=np.complex128)
     L = len(range(start, n, step))
     if L == 0:
-        return path
+        return np.zeros(n, dtype=np.complex128)
     half = L // 2
     N = max(_GRID_FLOOR, 1 << (2 * L - 1).bit_length())
+    # the grid comes first, so a path too long to hold fails before any
+    # work; one numpy cannot even size would raise ValueError, not
+    # MemoryError.  An on-off path of 2 L + 1 samples reaches one past a
+    # grid of 2 L points.
+    size = max(N, n)
+    if 16 * size > sys.maxsize:
+        raise MemoryError(f"Unable to allocate a synthesis grid of {size} complex128 points")
+    y = np.zeros(size, dtype=np.complex128)
     rows = 1 << (N.bit_length() - 1) // 2
-    grid = np.zeros((rows, N // rows), dtype=np.complex128)
     centre = start + step * half
     turns = [num * centre % den / den
              for num, den in map(float.as_integer_ratio, lam.tolist())]
@@ -222,23 +237,47 @@ def _synthesize(lam: np.ndarray, amp: np.ndarray, n: int,
     near = np.floor(pos)
     u = (pos - near)[:, None] - _KERNEL_OFFSETS
     weights = b[:, None] * np.exp(-_KERNEL_BETA * u * u)
+    del u
     points = (near.astype(np.int64)[:, None] + _KERNEL_OFFSETS) % N
     # point p at grid[p % rows, p // rows]; numpy's fast add.at takes
     # one-dimensional indices only
     points = points % rows * (N // rows) + points // rows
-    y = grid.reshape(-1)
     np.add.at(y, points.ravel(), weights.ravel())
+    del b, pos, near, weights, points
+    grid = y[:N].reshape(rows, N // rows)
     _inverse_fft(grid)
-    # 1 / transform of the kernel at |m| = 0..half
-    undo = np.arange(half + 1, dtype=np.float64)
-    undo *= undo
-    undo *= (np.pi / N) ** 2 / _KERNEL_BETA
-    np.exp(undo, out=undo)
-    undo *= math.sqrt(_KERNEL_BETA / math.pi)
-    kept = path[start::step]
-    np.multiply(y[:L - half], undo[:L - half], out=kept[half:])
-    np.multiply(y[N - half:], undo[half:0:-1], out=kept[:half])
-    return path
+    # kept sample t is y[m] at m = t - half >= 0, else y[N + m], times the
+    # kernel's 1 / transform at |m|; it goes to y[start + step t]
+    top = L - half
+    low = y[N - half:N]
+    if start + step * (L - 1) >= N - half:  # kept samples reach over them
+        low = low.copy()
+    # top-down, each piece at most half long: the piece of m in [lo, hi)
+    # reads y[lo:hi] and writes from centre + step lo >= half + lo >= hi
+    # on, so it reads nothing that it or an earlier piece wrote
+    piece = max(1, min(half, _MOVE_PIECE))
+    for hi in range(max(top, half + 1), 0, -piece):
+        lo = max(0, hi - piece)
+        # 1 / transform of the kernel at |m| = lo..hi-1
+        undo = np.arange(lo, hi, dtype=np.float64)
+        undo *= undo
+        undo *= (np.pi / N) ** 2 / _KERNEL_BETA
+        np.exp(undo, out=undo)
+        undo *= math.sqrt(_KERNEL_BETA / math.pi)
+        end = min(hi, top)
+        if lo < end:
+            np.multiply(y[lo:end], undo[:end - lo],
+                        out=y[centre + step * lo:centre + step * end:step])
+        # below the centre, |m| in [m0, m1) is low[half - |m|]
+        m0, m1 = max(lo, 1), min(hi, half + 1)
+        if m0 < m1:
+            low[half + 1 - m1:half + 1 - m0] *= undo[m0 - lo:m1 - lo][::-1]
+    y[start:start + step * half:step] = low
+    if off_parity is not None:
+        y[off_parity:n:2] = 0
+    del grid, low
+    y.resize(n, refcheck=False)  # the grid's tail goes back to the allocator
+    return y
 
 
 def _inverse_fft(grid: np.ndarray) -> None:

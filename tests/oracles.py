@@ -8,7 +8,9 @@ loop, the empirical autocovariance through one whole-path np.sum per lag,
 Gaussian path synthesis through the harmonics' sum with each phase reduced
 exactly in integers and summed in long double (the product with the whole
 harmonic power table, the route it replaced, is kept as the error to
-beat), unit-modulus phasors through one draw of 1.5 times the phasors
+beat), the synthesis that moves each sample into place in its FFT grid
+through a frozen copy of it as it stood with the path allocated beside
+the grid, unit-modulus phasors through one draw of 1.5 times the phasors
 still missing, path CSV and binary files through one write per row or
 sample, the closed-form bounds past the float range through 40-digit
 decimal arithmetic, the innovation variances through a frozen copy of
@@ -36,7 +38,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from prelog_lab import cli
+from prelog_lab import cli, processes
 from prelog_lab.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
@@ -341,6 +343,44 @@ def whole_table_synthesis(lam, amp, n: int) -> np.ndarray:
         W[:, c] = col
         col = col * zD
     return (P @ W).T.ravel()[:n]
+
+
+def path_beside_grid_synthesis(lam, amp, n: int, off_parity: int | None = None) -> np.ndarray:
+    """processes._synthesize as it stood before it made the path inside its
+    grid: the path allocated beside the grid, and the kernel's inverse
+    transform as one array over |m| = 0..L // 2."""
+    start, step = (0, 1) if off_parity is None else (1 - off_parity, 2)
+    path = (np.empty if off_parity is None else np.zeros)(n, dtype=np.complex128)
+    L = len(range(start, n, step))
+    if L == 0:
+        return path
+    half = L // 2
+    N = max(processes._GRID_FLOOR, 1 << (2 * L - 1).bit_length())
+    rows = 1 << (N.bit_length() - 1) // 2
+    grid = np.zeros((rows, N // rows), dtype=np.complex128)
+    centre = start + step * half
+    turns = [num * centre % den / den
+             for num, den in map(float.as_integer_ratio, lam.tolist())]
+    b = amp * np.exp(2j * np.pi * np.array(turns))
+    pos = (step * N) * lam
+    near = np.floor(pos)
+    offsets = processes._KERNEL_OFFSETS
+    u = (pos - near)[:, None] - offsets
+    weights = b[:, None] * np.exp(-processes._KERNEL_BETA * u * u)
+    points = (near.astype(np.int64)[:, None] + offsets) % N
+    points = points % rows * (N // rows) + points // rows
+    y = grid.reshape(-1)
+    np.add.at(y, points.ravel(), weights.ravel())
+    processes._inverse_fft(grid)
+    undo = np.arange(half + 1, dtype=np.float64)
+    undo *= undo
+    undo *= (np.pi / N) ** 2 / processes._KERNEL_BETA
+    np.exp(undo, out=undo)
+    undo *= math.sqrt(processes._KERNEL_BETA / math.pi)
+    kept = path[start::step]
+    np.multiply(y[:L - half], undo[:L - half], out=kept[half:])
+    np.multiply(y[N - half:], undo[half:0:-1], out=kept[:half])
+    return path
 
 
 # 2 pi in long double; arctan(1) is correctly rounded in each precision

@@ -638,8 +638,8 @@ class TestSimulateCommand:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     @pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "onoff:W=0.0625"])
     def test_path_too_large_fails_before_synthesis(self, model):
-        # the path is allocated before the synthesis grid and before any
-        # other work, so a path too long to hold costs nothing more: the
+        # the synthesis grid, in which the path is made, is allocated before
+        # any other work, so a path too long to hold costs nothing more: the
         # process stays near its size after import (about 40 MiB).  A
         # process of its own, because the peak resident set never falls;
         # VmHWM, because ru_maxrss keeps the peak of the forking process.
@@ -664,6 +664,17 @@ class TestSimulateCommand:
         # 16 * 10**18 bytes is more than numpy can size an array, which it
         # reports as ValueError, not MemoryError
         code, out, err = run(capsys, ["simulate", "--model", model, "--n", str(10**18)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("model", ["rayleigh-band:W=0.1", "onoff:W=0.0625"])
+    def test_grid_past_address_arithmetic_is_usage(self, capsys, model):
+        # a path of 2**59 - 1 samples is a length the checks take, but its
+        # synthesis grid of 2**60 points (2**59 on-off) holds 2**64 bytes
+        # (2**63), more than numpy can size: MemoryError before any
+        # allocation, not numpy's ValueError
+        code, out, err = run(capsys, ["simulate", "--model", model, "--n", str(2**59 - 1)])
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,6 +1,9 @@
 """Sample-path laws and path file formats."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +35,7 @@ from oracles import (
     LONG_DOUBLE_IS_EXTENDED,
     exact_harmonic_sum,
     gaussian_marginal_draws,
+    path_beside_grid_synthesis,
     path_binary_elements,
     path_csv_rows,
     random_density,
@@ -86,6 +90,13 @@ class TestGaussianPath:
         with pytest.raises(DomainError):
             simulate_gaussian(make_rect_band(0.25), 2**59, 1)
 
+    def test_grid_numpy_cannot_size_is_memory_error(self):
+        # 2**59 - 1 samples take a grid of 2**60 points, 2**64 bytes
+        with pytest.raises(MemoryError):
+            simulate_gaussian(make_rect_band(0.25), 2**59 - 1, 1)
+        with pytest.raises(MemoryError):
+            simulate_onoff(1 / 16, 2**59 - 1, 1)
+
 
 class TestOnoffPath:
     def test_one_parity_class_is_zero(self):
@@ -134,13 +145,14 @@ class TestSynthesisMemory:
     @pytest.mark.parametrize("simulate, bound", [
         (lambda seed: simulate_gaussian(make_rect_band(0.1), 100_000, seed), 16),
         (lambda seed: simulate_onoff(0.125, 100_000, seed), 16),
-        (lambda seed: simulate_gaussian(make_rect_band(0.1), 1_000_000, seed), 64),
-        (lambda seed: simulate_onoff(0.125, 1_000_000, seed), 64),
+        (lambda seed: simulate_gaussian(make_rect_band(0.1), 1_000_000, seed), 42),
+        (lambda seed: simulate_onoff(0.125, 1_000_000, seed), 26),
     ], ids=["gaussian", "onoff", "gaussian-1e6", "onoff-1e6"])
     def test_traced_peak(self, simulate, bound):
-        # the path, a grid of at most 4 times the samples computed, the FFT
-        # in place in it, and the spread's 2 MiB of weights: at n = 1e6 a
-        # Gaussian path peaks at 55.5 MiB traced, an on-off path at 37.6
+        # a grid of at most 4 times the samples computed, the FFT in place
+        # in it and the path cut from it, and the spread's 2 MiB of weights
+        # freed before the transform: at n = 1e6 a Gaussian path peaks at
+        # 38.1 MiB traced, an on-off path at 21.3; the bounds leave 4 MiB
         tracemalloc.start()
         try:
             simulate(3)
@@ -148,6 +160,66 @@ class TestSynthesisMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound * 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    @pytest.mark.parametrize("call, bound", [
+        ("simulate_gaussian(make_rect_band(0.1), 10**6, 3)", 52),
+        ("simulate_onoff(0.125, 10**6, 3)", 38),
+    ], ids=["gaussian-1e6", "onoff-1e6"])
+    def test_resident_peak(self, call, bound):
+        # tracemalloc misses numpy's FFT buffers, the peak resident set
+        # does not: over its value after import it rises by 42.7 MiB for
+        # the Gaussian path and 29.2 MiB for the on-off one, against 63.5
+        # and 46.8 MiB with the path allocated beside the grid.  A process
+        # of its own, because the peak resident set never falls; VmHWM,
+        # because ru_maxrss keeps the peak of the forking process.
+        script = ("import re, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from prelog_lab.processes import simulate_gaussian, simulate_onoff\n"
+                  "from prelog_lab.spectra import make_rect_band\n"
+                  "def hwm():\n"
+                  "    status = open('/proc/self/status').read()\n"
+                  "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+                  "before = hwm()\n"
+                  f"path = {call}\n"
+                  "print(hwm() - before)\n")
+        src = os.path.dirname(os.path.dirname(processes.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, src],
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert int(proc.stdout) < bound * 1024
+
+
+class TestSynthesisBits:
+    """simulate_model's paths against the synthesis that kept the path
+    beside its grid: the same bits.  n = 1 to 5 give L // 2 = 0 to 2, on
+    the floor grid; on-off paths of 8191 and 8192 samples take the floor
+    grid, of 8193 a grid just above it or, with the evens off, reach one
+    past it, as those of 16385 and 131073 samples do past theirs; on-off
+    paths of 8191 to 16385 and of 131073 samples copy the samples below the
+    centre before the move; Gaussian paths of 131073 and 196615 samples
+    move in pieces of 2**16."""
+
+    # name -> (model, seed, the parity its on-off path turns off)
+    MODELS = {
+        "band": (rayleigh_band_model(0.1), 3, None),
+        "custom": (FadingModel("custom", random_density(np.random.default_rng(7),
+                                                       unit_variance=True), "rayleigh"), 7, None),
+        "onoff-evens-off": (onoff_model(0.0625), 3, 0),
+        "onoff-odds-off": (onoff_model(0.0625), 5, 1),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8191, 8192, 8193, 16385, 100001,
+                                   131073, 196615])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_path_bits(self, name, n):
+        model, seed, off = self.MODELS[name]
+        S = model.spectrum
+        if off is not None:
+            assert processes.stream_rng(seed, processes.STREAM_PARITY).integers(0, 2) == off
+            S = make_rect_band(0.0625, variance=2.0)
+        lam, amp = processes._harmonics(S, seed)
+        want = path_beside_grid_synthesis(lam, amp, n, off)
+        assert simulate_model(model, n, seed).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(not LONG_DOUBLE_IS_EXTENDED,
